@@ -170,22 +170,24 @@ def build_decomposition(spec: LatticeSpec, L: int, m2: float, J: int = 16, *,
 
     d = spec.d
 
-    def reducer(ks, inner_mask):
+    def reducer(ks, weights, inner_mask):
         # Rows 0 .. J+1:   C_hat^2 f_j^2, and rows J+2 .. 2J+2: C_hat u_j,
-        # reduced to (shell, inner) sums without materializing the stack.
-        # Within one dyadic level the symbol spans only a few scale units,
-        # so most cutoffs f_j are constant 0 or 1 there; classify them and
-        # reuse the base sums of C_hat^2 and C_hat for the constant rows.
+        # reduced to weighted (shell, inner) sums without materializing the
+        # stack.  Within one dyadic level the symbol spans only a few scale
+        # units, so most cutoffs f_j are constant 0 or 1 there; classify
+        # them and reuse the base sums of C_hat^2 and C_hat for the
+        # constant rows.
         s = symbol(ks) + m2
         t = _tau(s, L)
         tmin, tmax = float(t.min()), float(t.max())
         chat = 1.0 / s
         chat2 = chat * chat
-        outer_mask = ~inner_mask
-        base2 = (chat2[outer_mask].sum(), chat2[inner_mask].sum())
-        base1 = (chat[outer_mask].sum(), chat[inner_mask].sum())
-        shell = np.zeros(2 * J + 3)
-        inner = np.zeros(2 * J + 3)
+        # columns: shell weights, inner weights
+        wmat = np.stack([np.where(inner_mask, 0.0, weights),
+                         np.where(inner_mask, weights, 0.0)], axis=1)
+        base2 = chat2 @ wmat
+        base1 = chat @ wmat
+        out = np.zeros((2 * J + 3, 2))
         fs = {0: 0.0}
         for j in range(1, J + 2):
             if tmax <= j - 1.0:
@@ -198,22 +200,17 @@ def build_decomposition(spec: LatticeSpec, L: int, m2: float, J: int = 16, *,
             f = fs[j]
             if isinstance(f, float):
                 if f == 1.0:
-                    shell[j], inner[j] = base2
+                    out[j] = base2
             else:
-                row = chat2 * f * f
-                shell[j] = row[outer_mask].sum()
-                inner[j] = row[inner_mask].sum()
+                out[j] = (chat2 * f * f) @ wmat
         for j in range(1, J + 2):
             hi, lo = fs[j], fs[j - 1]
             if isinstance(hi, float) and isinstance(lo, float):
                 if hi != lo:
-                    shell[J + 1 + j] = (hi - lo) * base1[0]
-                    inner[J + 1 + j] = (hi - lo) * base1[1]
+                    out[J + 1 + j] = (hi - lo) * base1
             else:
-                row = chat * (np.asarray(hi) - np.asarray(lo))
-                shell[J + 1 + j] = row[outer_mask].sum()
-                inner[J + 1 + j] = row[inner_mask].sum()
-        return shell, inner
+                out[J + 1 + j] = (chat * (hi - lo)) @ wmat
+        return out[:, 0], out[:, 1]
 
     if spec.geometry == "window":
         # resolve the symbol down to L^{-2(J+1)} (or the mass scale if
@@ -230,7 +227,8 @@ def build_decomposition(spec: LatticeSpec, L: int, m2: float, J: int = 16, *,
         modes = 2.0 * np.pi * np.arange(P) / P
         mesh = np.meshgrid(*([modes] * d), indexing="ij")
         flat = [m.ravel() for m in mesh]
-        shell, inner = reducer(flat, np.zeros(flat[0].size, dtype=bool))
+        shell, inner = reducer(flat, np.ones(flat[0].size),
+                               np.zeros(flat[0].size, dtype=bool))
         vals = (shell + inner) / P**d
 
     w2_partial = np.asarray(vals[: J + 2])

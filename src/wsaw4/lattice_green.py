@@ -23,10 +23,20 @@ and applies a tensor midpoint rule on each annular shell; the contribution of
 the innermost box is used both as a stopping criterion and as part of the
 reported error estimate.  A second pass at half resolution gives a Richardson
 error estimate.
+
+The midpoint grid is symmetric under the 2^d sign flips and d! axis
+permutations of Z^d, and so is every integrand here: functions of the symbol,
+and ``cos(k.x)`` once averaged over the signed permutations of ``x`` (which
+leave ``C(x)`` unchanged).  The quadrature therefore evaluates one point per
+orbit, ``0 < k_1 <= ... <= k_d``, weighted by the orbit's size: 3,876 points
+per level instead of 32^4 = 1,048,576 in d = 4 at the default grid.  The
+point set is the same as the full grid's, so only roundoff changes.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -129,25 +139,47 @@ def symbol(k_axes) -> np.ndarray:
     return s
 
 
-def _level_points(d: int, n: int, level: int):
-    """Midpoint grid of the box [-pi/2^level, pi/2^level]^d, flattened.
+@lru_cache(maxsize=None)
+def _orbit_table(d: int, n: int):
+    """One point per signed-permutation orbit of the n-point midpoint grid.
 
-    Returns (k_axes, weight, inner_mask) where inner_mask marks the points
-    lying in the concentric half-box (the next level's domain).  n must be
-    divisible by 4 so the half-box boundary falls on cell edges.
+    Returns ``(half, mult, inner)``: ``half[ax]`` holds ``i_ax + 1/2`` for
+    the representatives ``i_1 <= ... <= i_d < n/2`` of the positive
+    half-axis; ``mult`` the number of grid points each one stands for,
+    ``2^d d! / prod_r m_r!`` with ``m_r`` the multiplicities of repeated
+    indices (no midpoint is 0, so every sign flip is a new point); and
+    ``inner`` marks the points of the concentric half-box, ``i_d < n/4``.
     """
+    idx = np.array(list(itertools.combinations_with_replacement(
+        range(n // 2), d)))
+    # prod_r m_r! is the product of each index's 1-based position in its
+    # run of equal indices (the rows are sorted)
+    run = np.ones(len(idx))
+    denom = np.ones(len(idx))
+    for ax in range(1, d):
+        run = np.where(idx[:, ax] == idx[:, ax - 1], run + 1.0, 1.0)
+        denom *= run
+    mult = 2.0**d * math.factorial(d) / denom
+    inner = idx[:, -1] < n // 4
+    half = idx.T + 0.5
+    for arr in (half, mult, inner):
+        arr.setflags(write=False)
+    return half, mult, inner
+
+
+def _level_points(d: int, n: int, level: int):
+    """Orbit representatives of the midpoint grid of [-pi/2^level, pi/2^level]^d.
+
+    Returns ``(k_axes, mult, inner_mask, cell)``: ``mult`` counts the grid
+    points each representative stands for, ``inner_mask`` marks the points
+    of the concentric half-box (the next level's domain) and ``cell`` is the
+    measure ``w^d/(2pi)^d`` of one grid cell.  n must be divisible by 4 so
+    the half-box boundary falls on cell edges.
+    """
+    half, mult, inner = _orbit_table(d, n)
     a = np.pi / 2.0**level
     w = 2.0 * a / n
-    centers = -a + (np.arange(n) + 0.5) * w
-    idx_inner = (np.arange(n) >= n // 4) & (np.arange(n) < 3 * n // 4)
-    mesh = np.meshgrid(*([centers] * d), indexing="ij", copy=False)
-    inner = np.ones(mesh[0].shape, dtype=bool)
-    for ax in range(d):
-        shape = [1] * d
-        shape[ax] = n
-        inner &= idx_inner.reshape(shape)
-    ks = [m.ravel() for m in mesh]
-    return ks, w**d / (2.0 * np.pi) ** d, inner.ravel()
+    return [h * w for h in half], mult, inner, w**d / (2.0 * np.pi) ** d
 
 
 def graded_bz_sum(d, integrand=None, *, n=32, max_levels=60, rtol=1e-10,
@@ -160,11 +192,17 @@ def graded_bz_sum(d, integrand=None, *, n=32, max_levels=60, rtol=1e-10,
     (relative tolerance ``rtol``), the box is smaller than ``min_halfwidth``,
     or ``max_levels`` is reached; the innermost-box estimate is then added.
 
+    The integrand must be invariant under every sign flip ``k_i -> -k_i``
+    and every permutation of the axes: it is evaluated at one point per
+    orbit of the grid (``0 < k_1 <= ... <= k_d``) and weighted by the
+    orbit's size.
+
     The integrand may return a stack of shape ``(m, npts)`` for ``m``
     simultaneous integrals; a plain ``(npts,)`` return gives a scalar.
-    Alternatively pass ``reducer(k_axes, inner_mask) -> (shell_vec,
-    inner_vec)`` of already point-summed (unweighted) contributions; this
-    avoids materializing large stacks.
+    Alternatively pass ``reducer(k_axes, weights, inner_mask) -> (shell_vec,
+    inner_vec)`` of already point-summed contributions, each point counted
+    ``weights`` times (the cell measure is applied here); this avoids
+    materializing large stacks.
 
     Returns ``(value, inner_box_contribution)``.
     """
@@ -173,19 +211,15 @@ def graded_bz_sum(d, integrand=None, *, n=32, max_levels=60, rtol=1e-10,
     acc = None
     inner_sum = None
     for level in range(max_levels):
-        ks, w, inner = _level_points(d, n, level)
+        ks, mult, inner, cell = _level_points(d, n, level)
         if reducer is not None:
-            shell_sum, inner_sum = reducer(ks, inner)
-            shell_sum = np.asarray(shell_sum) * w
-            inner_sum = np.asarray(inner_sum) * w
+            shell_sum, inner_sum = reducer(ks, mult, inner)
         else:
-            vals = np.asarray(integrand(ks)) * w
-            if vals.ndim == 1:
-                shell_sum = vals[~inner].sum()
-                inner_sum = vals[inner].sum()
-            else:
-                shell_sum = vals[:, ~inner].sum(axis=1)
-                inner_sum = vals[:, inner].sum(axis=1)
+            vals = np.asarray(integrand(ks))
+            shell_sum = vals[..., ~inner] @ mult[~inner]
+            inner_sum = vals[..., inner] @ mult[inner]
+        shell_sum = np.asarray(shell_sum) * cell
+        inner_sum = np.asarray(inner_sum) * cell
         acc = shell_sum if acc is None else acc + shell_sum
         scale = np.max(np.abs(acc)) + np.max(np.abs(inner_sum))
         a_next = np.pi / 2.0 ** (level + 1)
@@ -197,20 +231,35 @@ def graded_bz_sum(d, integrand=None, *, n=32, max_levels=60, rtol=1e-10,
 
 
 def _window_green_raw(d, m2, x, n, max_levels):
-    x = np.zeros(d, dtype=float) if x is None else np.asarray(x, dtype=float)
+    # C(x) is invariant under signed permutations of x, so reduce x to its
+    # canonical form (every signed permutation then gives bit-identical
+    # values) and average prod_i cos(k_i p_i) over its distinct
+    # permutations p: that is the mean of cos(k'.x) over the orbit of k
+    xc = (0.0,) * d if x is None else tuple(sorted(abs(float(c)) for c in x))
+    perms = sorted(set(itertools.permutations(xc)))
 
     def f(ks):
         s = symbol(ks) + m2
-        if np.any(x):
-            phase = 0.0
-            for xi, k in zip(x, ks):
-                if xi:
-                    phase = phase + xi * k
-            return np.cos(phase) / s
-        return 1.0 / s
+        if not any(xc):
+            return 1.0 / s
+        acc = 0.0
+        for p in perms:
+            term = 1.0
+            for pi, k in zip(p, ks):
+                if pi:
+                    term = term * np.cos(pi * k)
+            acc = acc + term
+        return acc / (len(perms) * s)
 
     val, _ = graded_bz_sum(d, f, n=n, max_levels=max_levels)
     return float(val)
+
+
+def _check_richardson_grid(grid):
+    # the Richardson estimate compares against a pass at grid // 2, which
+    # the graded quadrature needs divisible by 4
+    if grid < 8 or grid % 8:
+        raise ValueError(f"grid must be a positive multiple of 8, got {grid}")
 
 
 def _auto_levels(d, m2):
@@ -236,12 +285,14 @@ def green_function(spec: LatticeSpec, m2: float, x=None, *, grid: int = 32) -> f
         window only for ``d > 2``; it is rejected on a torus or on a graph
         with a zero mode (singular matrix).
     x : displacement, optional
-        Lattice displacement (defaults to the origin).  On the torus it is
-        reduced modulo the period.  For graph geometry, a pair ``(a, b)`` of
+        Lattice displacement of ``d`` coordinates (defaults to the origin);
+        any other length raises ValueError.  On the torus it is reduced
+        modulo the period.  For graph geometry, a pair ``(a, b)`` of
         vertex indices (an integer means ``(0, x)``).
     grid : int
         Points per axis and per dyadic level of the graded quadrature
-        (window geometry only).  Must be divisible by 4.
+        (window geometry only).  Must be a positive multiple of 8, so that
+        the half-resolution Richardson pass is a valid grid too.
     """
     value, _ = green_function_with_error(spec, m2, x, grid=grid)
     return value
@@ -257,11 +308,16 @@ def green_function_with_error(spec: LatticeSpec, m2: float, x=None, *,
     """
     if m2 < 0:
         raise ValueError("m2 must be >= 0")
+    if spec.geometry in ("window", "torus") and x is not None and \
+            np.size(x) != spec.d:
+        raise ValueError(f"displacement x has {np.size(x)} coordinates, "
+                         f"expected d = {spec.d}")
     if spec.geometry == "window":
         if m2 == 0.0 and spec.d <= 2:
             raise ValueError("massless Green function diverges for d <= 2")
+        _check_richardson_grid(grid)
         levels = _auto_levels(spec.d, m2)
-        coarse = _window_green_raw(spec.d, m2, x, max(4, grid // 2), levels)
+        coarse = _window_green_raw(spec.d, m2, x, grid // 2, levels)
         fine = _window_green_raw(spec.d, m2, x, grid, levels)
         extrap = fine + (fine - coarse) / 3.0
         return extrap, abs(fine - coarse) / 3.0 + 1e-14 * abs(fine)
@@ -412,8 +468,9 @@ def bubble_diagram_with_error(d: int, m2: float, *, method: str = "schwinger",
     if method == "schwinger":
         return _bubble_schwinger(d, m2)
     if method == "grid":
+        _check_richardson_grid(grid)
         levels = _auto_levels(d, m2)
-        coarse = _bubble_grid(d, m2, max(4, grid // 2), levels)
+        coarse = _bubble_grid(d, m2, grid // 2, levels)
         fine = _bubble_grid(d, m2, grid, levels)
         return fine + (fine - coarse) / 3.0, abs(fine - coarse) / 3.0
     raise ValueError(f"unknown method {method!r}")

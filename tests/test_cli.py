@@ -129,6 +129,13 @@ class TestExitCodes:
         assert r.returncode == 1
         assert "usage" in r.stderr
 
+    def test_user_error_wrong_length_displacement(self, tmp_path):
+        r = self.run_proc(["green", "--dim", "4", "--mass2", "0.5", "--x",
+                           "0,0,0,0,3", "--out", str(tmp_path / "x")])
+        assert r.returncode == 1
+        assert "coordinates" in r.stderr
+        assert not (tmp_path / "x").exists()
+
     def test_missing_manifest(self):
         r = self.run_proc(["reproduce", "/nonexistent/manifest.json"])
         assert r.returncode == 1

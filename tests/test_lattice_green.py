@@ -20,9 +20,12 @@ from scipy.special import ive, polygamma
 
 from wsaw4.lattice_green import (
     LatticeSpec,
+    _orbit_table,
+    _window_green_raw,
     bubble_diagram,
     bubble_diagram_with_error,
     constant_a,
+    graded_bz_sum,
     green_function,
     green_function_with_error,
     symbol,
@@ -53,6 +56,62 @@ def bessel_green_oracle(d, m2, x=None):
     v2, _ = integrate.quad(lambda u: np.exp(u) * kernel(np.exp(u)), 0.0, 14.0,
                            limit=400)
     return v1 + v2
+
+
+def full_grid_graded_sum(d, f, n, levels):
+    """Reference: the graded midpoint rule over every point of each level.
+
+    Level l sums f over the shell of the n^d midpoint grid of
+    [-pi/2^l, pi/2^l]^d outside the concentric half-box; the last level
+    adds its half-box too.
+    """
+    total = 0.0
+    for level in range(levels):
+        a = np.pi / 2.0**level
+        w = 2.0 * a / n
+        centers = -a + (np.arange(n) + 0.5) * w
+        ks = [m.ravel() for m in np.meshgrid(*([centers] * d), indexing="ij")]
+        inner = np.all([np.abs(k) < 0.5 * a for k in ks], axis=0)
+        vals = f(ks)
+        total += vals[~inner].sum() * (w / (2.0 * np.pi)) ** d
+        if level == levels - 1:
+            total += vals[inner].sum() * (w / (2.0 * np.pi)) ** d
+    return total
+
+
+class TestOrbitQuadrature:
+    @pytest.mark.parametrize("d", [1, 3, 4, 5])
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_multiplicities_count_the_grid(self, d, n):
+        half, mult, inner = _orbit_table(d, n)
+        assert half.shape == (d, mult.size)
+        assert np.all(np.diff(half, axis=0) >= 0)  # i_1 <= ... <= i_d
+        assert mult.sum() == n**d
+        assert mult[inner].sum() == (n // 2) ** d
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_symbol_integrand_matches_full_grid(self, n):
+        def f(ks):
+            return 1.0 / (symbol(ks) + 0.3) + np.cos(symbol(ks))
+
+        ref = full_grid_graded_sum(4, f, n, 3)
+        val, _ = graded_bz_sum(4, f, n=n, max_levels=3, rtol=0.0)
+        assert abs(val - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("x", [(1, 0, 0, 0), (2, 1, 0, 0), (-1, 3, 0, 2)])
+    def test_green_integrand_matches_full_grid(self, n, x):
+        m2 = 0.2
+
+        def f(ks):
+            prod = 1.0
+            for xi, k in zip(x, ks):
+                prod = prod * np.cos(xi * k)
+            return prod / (symbol(ks) + m2)
+
+        ref = full_grid_graded_sum(4, f, n, 3)
+        val = _window_green_raw(4, m2, x, n, 3)
+        assert abs(val - ref) <= 1e-13 * abs(ref)
 
 
 class TestGreenWindow:
@@ -94,8 +153,23 @@ class TestGreenWindow:
         for perm in itertools.islice(itertools.permutations(x), 5):
             for signs in ((1, 1, 1, 1), (-1, 1, -1, 1)):
                 y = [s * c for s, c in zip(signs, perm)]
-                assert green_function(spec4, 0.9, y) == pytest.approx(
-                    base, abs=1e-12)
+                assert green_function(spec4, 0.9, y) == base
+
+    def test_wrong_length_displacement_rejected(self, spec4):
+        with pytest.raises(ValueError, match="coordinates"):
+            green_function(spec4, 0.5, [0, 0, 0, 0, 3])
+        with pytest.raises(ValueError, match="coordinates"):
+            green_function(spec4, 0.5, [1, 0, 0])
+
+    def test_richardson_grid_multiple_of_8(self, spec4):
+        # at grid 4 the half-resolution pass would equal the full one and
+        # report a zero error; grid 12 has no valid half-resolution grid
+        for grid in (4, 12):
+            with pytest.raises(ValueError, match="grid"):
+                green_function_with_error(spec4, 0.5, grid=grid)
+        val, err = green_function_with_error(spec4, 0.5, grid=16)
+        ref = green_function(spec4, 0.5, grid=32)
+        assert 0.0 < abs(val - ref) < 5.0 * err
 
     def test_monotone_in_mass(self, spec4):
         vals = [green_function(spec4, m2) for m2 in (0.0, 0.1, 1.0, 10.0)]
@@ -110,6 +184,13 @@ class TestGreenTorusAndGraph:
     def test_torus_zero_mode_rejected(self):
         with pytest.raises(ValueError):
             green_function(LatticeSpec.torus(2, 8), 0.0)
+
+    def test_torus_wrong_length_displacement_rejected(self):
+        spec = LatticeSpec.torus(2, 6)
+        with pytest.raises(ValueError, match="coordinates"):
+            green_function(spec, 0.3, [1, 2, 3])
+        with pytest.raises(ValueError, match="coordinates"):
+            green_function(spec, 0.3, [1])
 
     def test_torus_parseval_identity(self):
         spec = LatticeSpec.torus(2, 6)
@@ -174,6 +255,14 @@ class TestBubble:
         for m2 in (1e-20, 1e-100, 1e-158, 1e-162, 1e-198, 1e-250, 1e-300,
                    1e-307):
             assert abs(offset(m2) - c) < 1e-9
+
+    def test_richardson_grid_multiple_of_8(self):
+        for grid in (4, 12):
+            with pytest.raises(ValueError, match="grid"):
+                bubble_diagram_with_error(4, 0.5, method="grid", grid=grid)
+        val, err = bubble_diagram_with_error(4, 0.5, method="grid", grid=16)
+        ref = bubble_diagram(4, 0.5)
+        assert err > 0.0 and abs(val - ref) < 5.0 * err
 
     def test_divergent_rejected(self):
         with pytest.raises(ValueError):
