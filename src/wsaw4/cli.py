@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from . import cov_decomp, grassmann, lattice_green, rg_flow, susceptibility, walk_mc
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2  # bumped when the RNG stream layout for a seed changes
 
 
 class _UserError(Exception):

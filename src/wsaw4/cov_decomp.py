@@ -152,7 +152,8 @@ def build_decomposition(spec: LatticeSpec, L: int, m2: float, J: int = 16, *,
     L : scale base >= 2
     m2 : killing rate; on a torus, must be > 0 (zero mode)
     J : number of slices
-    grid : points per axis per dyadic quadrature level (window geometry)
+    grid : points per axis per dyadic quadrature level (window geometry; a
+        positive multiple of 4)
     measure_tails : measure out-of-range mass fractions per slice (FFT on a
         periodized window of period 4 L^j, for slices where that period does
         not exceed ``tail_period_cap``)
@@ -167,6 +168,9 @@ def build_decomposition(spec: LatticeSpec, L: int, m2: float, J: int = 16, *,
         raise ValueError("torus decomposition requires m2 > 0 (zero mode)")
     if spec.geometry == "graph":
         raise ValueError("decomposition supports window and torus geometries")
+    if spec.geometry == "window" and (grid <= 0 or grid % 4):
+        # the graded quadrature's half-box must fall on cell edges
+        raise ValueError(f"grid must be a positive multiple of 4, got {grid}")
 
     d = spec.d
 

@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 
-from wsaw4.cli import dispatch
+from wsaw4.cli import SCHEMA_VERSION, dispatch
 
 
 def run_cli(args, tmp_path, name):
@@ -98,6 +98,11 @@ class TestReproduce:
             outs.append(manifest["outputs"])
         assert outs[0] == outs[1]
 
+    def test_manifest_records_schema_version(self, tmp_path):
+        _, manifest = run_cli(["ode-lemma", "--gamma", "0.25", "--tmin",
+                               "1e-4"], tmp_path, "o")
+        assert manifest["schema"] == SCHEMA_VERSION
+
     def test_tampered_manifest_detected(self, tmp_path):
         out, manifest = run_cli(["predict", "--g", "0.02", "--eps", "1e-5"],
                                 tmp_path, "p")
@@ -135,6 +140,17 @@ class TestExitCodes:
         assert r.returncode == 1
         assert "coordinates" in r.stderr
         assert not (tmp_path / "x").exists()
+
+    def test_user_error_bad_grid(self, tmp_path):
+        for args in (["decompose", "--mass2", "1e-2", "--scales", "4",
+                      "--grid", "6"],
+                     ["decompose", "--mass2", "1e-2", "--grid", "0"],
+                     ["flow", "--g0", "0.05", "--mass2", "1e-3",
+                      "--grid", "-4"]):
+            r = self.run_proc(args + ["--out", str(tmp_path / "x")])
+            assert r.returncode == 1
+            assert "grid" in r.stderr
+            assert not (tmp_path / "x").exists()
 
     def test_missing_manifest(self):
         r = self.run_proc(["reproduce", "/nonexistent/manifest.json"])

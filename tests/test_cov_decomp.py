@@ -64,6 +64,11 @@ class TestPartition:
         with pytest.raises(ValueError):
             build_decomposition(LatticeSpec.torus(2, 8), L=2, m2=0.0, J=4)
 
+    @pytest.mark.parametrize("grid", [6, 0, -4, 2])
+    def test_grid_must_be_positive_multiple_of_4(self, spec4, grid):
+        with pytest.raises(ValueError, match="grid"):
+            build_decomposition(spec4, L=2, m2=1e-2, J=4, grid=grid)
+
 
 class TestBetaSequence:
     def test_positive_on_active_scales(self, dec0_J48, decomp_at):

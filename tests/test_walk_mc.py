@@ -13,8 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wsaw4 import walk_mc
 from wsaw4.lattice_green import LatticeSpec
 from wsaw4.walk_mc import (
+    BLOCK_SIZE,
+    _block_intersections,
     block_rng,
     conditioned_intersection,
     estimate_cT,
@@ -222,8 +225,11 @@ class TestSawCounts:
         assert 2.0 <= mu <= 3.0  # [d, 2d-1] at d = 2
 
     def test_budget_guard(self):
-        with pytest.raises(ValueError):
-            saw_counts(4, 12)
+        # the pure-Python enumeration grows about (2d-1)-fold per step; the
+        # largest allowed call at each d takes a few seconds
+        for d, budget in ((2, 13), (3, 9), (4, 7)):
+            with pytest.raises(ValueError, match="budget"):
+                saw_counts(d, budget + 1)
 
 
 class TestJensen:
@@ -254,3 +260,91 @@ class TestRngContract:
 
     def test_block_streams_reproduce(self):
         assert np.array_equal(block_rng(9, 3).random(8), block_rng(9, 3).random(8))
+
+
+class TestBlockStream:
+    HORIZONS = [1.0, 2.5, 4.0]
+
+    def test_last_horizon_is_the_single_horizon_call(self):
+        for spec in (SPEC4, LatticeSpec.torus(4, 4)):
+            for b in (0, 1):
+                multi = _block_intersections(spec, self.HORIZONS,
+                                             block_rng(5, b), 300)
+                single = _block_intersections(spec, [4.0], block_rng(5, b), 300)
+                assert multi.shape == (3, 300)
+                assert np.array_equal(multi[-1], single[0])
+
+    def test_nondecreasing_in_horizon(self):
+        I = _block_intersections(SPEC4, self.HORIZONS, block_rng(6, 0), 500)
+        assert np.all(np.diff(I, axis=0) >= 0.0)
+
+    def test_zero_horizon_gives_zero(self):
+        I = _block_intersections(SPEC4, [0.0, 2.0], block_rng(7, 0), 200)
+        assert np.all(I[0] == 0.0) and np.all(I[1] > 0.0)
+
+    def test_one_site_torus_every_horizon(self):
+        # every walk stays on the single site, so I(t) = t^2 exactly
+        ts = [0.0, 0.5, 1.5, 3.0]
+        I = _block_intersections(LatticeSpec.torus(4, 1), ts, block_rng(8, 0), 50)
+        for row, t in zip(I, ts):
+            assert row == pytest.approx(np.full(50, t * t), rel=1e-12, abs=0)
+
+    def test_earlier_horizon_has_the_law_of_a_shorter_walk(self):
+        # the clock restricted to [0, t] is the clock on [0, t]
+        n = 3 * BLOCK_SIZE
+        I = np.concatenate([_block_intersections(SPEC4, [1.0, 4.0],
+                                                 block_rng(9, b), BLOCK_SIZE)[0]
+                            for b in range(3)])
+        direct = estimate_mean_intersection(SPEC4, 1.0, n, seed=10)
+        se = math.hypot(I.std() / math.sqrt(n), direct.std_error)
+        assert abs(I.mean() - direct.mean) < 4.0 * se
+
+
+class TestBlockDraws:
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        calls = []
+
+        def counting(seed, block_index):
+            calls.append(block_index)
+            return block_rng(seed, block_index)
+
+        monkeypatch.setattr(walk_mc, "block_rng", counting)
+        return calls
+
+    def test_jensen_draws_each_block_once(self, drawn):
+        jensen_bound_check(0.1, 1.0, 3 * BLOCK_SIZE, seed=2)
+        assert drawn == [0, 1, 2]
+
+    @pytest.mark.parametrize("n", [1, BLOCK_SIZE, BLOCK_SIZE + 10])
+    def test_susceptibility_one_stream(self, drawn, n):
+        e = susceptibility_mc(SPEC4, 0.1, 0.5, T_max=2.0, n=n, seed=3)
+        assert drawn == list(range(math.ceil(n / BLOCK_SIZE)))
+        assert e.n_samples == n
+
+
+class TestFrozenValues:
+    """Values of the block stream at one seed each; a change of the stream
+    layout (block keys, draw order, reduction order) moves them."""
+
+    def test_estimate_cT_window(self):
+        e = estimate_cT(SPEC4, 0.1, 2.0, 10000, seed=3)
+        assert e.mean == pytest.approx(0.9471993780893005, rel=1e-12)
+        assert e.std_error == pytest.approx(0.00017771889161939571, rel=1e-12)
+
+    def test_estimate_cT_torus(self):
+        e = estimate_cT(LatticeSpec.torus(4, 4), 0.2, 3.0, 10000, seed=8)
+        assert e.mean == pytest.approx(0.8429961178008312, rel=1e-12)
+        assert e.std_error == pytest.approx(0.000414415735418198, rel=1e-12)
+
+    def test_jensen_bound_check(self):
+        rep = jensen_bound_check(0.2, 5.0, 10000, seed=21)
+        assert rep.mean_I == pytest.approx(1.4620207899590316, rel=1e-12)
+        assert rep.se_I == pytest.approx(0.0035484508048437484, rel=1e-12)
+        assert rep.c_T_hat == pytest.approx(0.7482829368268058, rel=1e-12)
+        assert rep.se_c_T == pytest.approx(0.0005052471054580579, rel=1e-12)
+
+    def test_conditioned_intersection(self):
+        e = conditioned_intersection(1.0, 5, 20000, seed=13)
+        assert e.mean == pytest.approx(0.28626357021628324, rel=1e-12)
+        assert e.std_error == pytest.approx(0.0005347197963014556, rel=1e-12)
