@@ -8,20 +8,30 @@ fermion monomials to coefficients,
 
 where ``a`` and ``b`` are bitmasks, and the canonical monomial order is all
 psi factors by ascending site followed by all psibar factors by ascending
-site.  Coefficients are either exact multivariate polynomials in
-``(phi_x, phibar_x)`` (:class:`FieldPolynomial`) or arbitrary vectorized
-functions of the boson field (:class:`FieldFunction`); the wedge product
+site.  Coefficients are exact multivariate polynomials in
+``(phi_x, phibar_x)`` (:class:`FieldPolynomial`); the wedge product
 computes every reordering sign by inversion counting, so no sign is ever
-entered by hand.
+entered by hand.  A boson weight ``exp(-W)`` is never a coefficient: it is
+passed to the integrator as its polynomial exponent ``W``.
 
 Berezin integration uses the normalisation ``psibar_x psi_x = du_x dv_x / pi``
 (the fermions are the scaled differentials of the boson field; the square
 root of 2 pi i implicit in that scaling is fixed once and never appears in
 an observable, which always pairs psi with psibar).  The integral of a form
-is pi^{-M} times the Lebesgue integral of its top-degree coefficient after
-reordering the top monomial into the volume form, evaluated by per-site
-polar quadrature (Gauss-Legendre radius times uniform angles), with an
-optional global-phase reduction for U(1)-invariant integrands.
+is pi^{-M} times the Lebesgue integral of its top-degree coefficient times
+``exp(-W)``, after reordering the top monomial into the volume form,
+evaluated by per-site polar quadrature (Gauss-Legendre radius times uniform
+angles), with an optional global-phase reduction for U(1)-invariant
+integrands.
+
+Polynomials are evaluated on the factored grid, never point by point: each
+site's axis is one-dimensional, so a monomial ``prod_x phi_x^a phibar_x^b``
+is the outer product of per-axis tables ``v^a conj(v)^b`` built by repeated
+multiplication, and the sum over terms is one matrix product per chunk of
+the first axis.  A flat point set is the one-group case of the same
+evaluator.  ``W`` must be real-valued: its coefficients must satisfy
+``c_{a,b} = conj(c_{b,a})`` to 1e-12 relative (else ``ValueError``), and
+the weight is the real ``exp(-Re W)``.
 
 The Gaussian super-expectation ``E_C F = int exp(-S_A) F`` (``A = C^{-1}``,
 ``S_A = (phi, A phibar) + (psi, A psibar)``) needs no normalising constant:
@@ -47,7 +57,6 @@ import numpy as np
 
 __all__ = [
     "FermionBasis",
-    "FieldFunction",
     "FieldPolynomial",
     "GrassmannForm",
     "psi",
@@ -93,38 +102,6 @@ class FermionBasis:
         return (1 << self.M) - 1
 
 
-class FieldFunction:
-    """Coefficient given by a vectorized callable (phi, phibar) -> values."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def evaluate(self, phi, phibar):
-        return self.fn(phi, phibar)
-
-    def __add__(self, other):
-        other = _as_coeff(other)
-        return FieldFunction(lambda p, pb: self.evaluate(p, pb)
-                             + other.evaluate(p, pb))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            c = complex(other)
-            return FieldFunction(lambda p, pb: c * self.evaluate(p, pb))
-        other = _as_coeff(other)
-        return FieldFunction(lambda p, pb: self.evaluate(p, pb)
-                             * other.evaluate(p, pb))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldFunction(lambda p, pb: -self.evaluate(p, pb))
-
-
 class FieldPolynomial:
     """Exact polynomial in (phi_x, phibar_x): {(alpha, beta): coeff}."""
 
@@ -158,25 +135,16 @@ class FieldPolynomial:
         return max((sum(a) + sum(b) for a, b in self.terms), default=0)
 
     def evaluate(self, phi, phibar):
-        phi = np.asarray(phi)
-        phibar = np.asarray(phibar)
-        out = np.zeros(phi.shape[:-1], dtype=complex)
-        for (a, b), c in self.terms.items():
-            term = np.full(phi.shape[:-1], c, dtype=complex)
-            for x, e in enumerate(a):
-                if e:
-                    term = term * phi[..., x] ** e
-            for x, e in enumerate(b):
-                if e:
-                    term = term * phibar[..., x] ** e
-            out += term
-        return out
+        """Values at the points phi[..., x], phibar[..., x] (one group)."""
+        phi = np.asarray(phi, dtype=complex)
+        shape = phi.shape[:-1]
+        group = (phi.reshape(-1, self.M),
+                 np.asarray(phibar, dtype=complex).reshape(-1, self.M))
+        return _outer_sum(*_term_tables(self, [group])).reshape(shape)
 
     def __add__(self, other):
         if np.isscalar(other):
             other = FieldPolynomial.constant(self.M, other)
-        if isinstance(other, FieldFunction):
-            return _as_function(self) + other
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) + c
@@ -188,8 +156,6 @@ class FieldPolynomial:
         if np.isscalar(other):
             return FieldPolynomial(self.M, {k: complex(other) * c
                                             for k, c in self.terms.items()})
-        if isinstance(other, FieldFunction):
-            return _as_function(self) * other
         out = {}
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
@@ -236,24 +202,87 @@ class FieldPolynomial:
         return out
 
 
-def _as_coeff(x):
-    if isinstance(x, (FieldFunction, FieldPolynomial)):
-        return x
-    c = complex(x)
-    return FieldFunction(lambda p, pb: np.full(np.asarray(p).shape[:-1], c,
-                                               dtype=complex))
+def _quadratic_form(A):
+    """(phi, A phibar) = sum_{xy} A_xy phi_x phibar_y as a polynomial."""
+    M = A.shape[0]
+    e = [tuple(int(i == x) for i in range(M)) for x in range(M)]
+    return FieldPolynomial(M, {(e[x], e[y]): complex(A[x, y])
+                               for x in range(M) for y in range(M)})
 
 
-def _as_function(x):
-    if isinstance(x, FieldFunction):
-        return x
-    if isinstance(x, FieldPolynomial):
-        return FieldFunction(x.evaluate)
-    return _as_coeff(x)
+def _real_exponent_check(W):
+    """Raise unless W is real-valued: c_{a,b} = conj(c_{b,a}) to 1e-12
+    relative to W's largest coefficient."""
+    scale = max((abs(c) for c in W.terms.values()), default=0.0)
+    for (a, b), c in W.terms.items():
+        partner = W.terms.get((b, a), 0)
+        if abs(c - np.conj(partner)) > 1e-12 * scale:
+            raise ValueError(f"weight exponent is not real-valued: the term "
+                             f"{(a, b)} has coefficient {c} against "
+                             f"{partner} for its conjugate {(b, a)}")
 
 
-def _coeff_is_zero(c):
-    return isinstance(c, FieldPolynomial) and c.is_zero()
+# ---------------------------------------------------------------------------
+# Evaluation on tensor products of point groups
+# ---------------------------------------------------------------------------
+
+def _powers(z, emax):
+    """(emax + 1, len(z)) table of z**e, built by repeated multiplication."""
+    out = np.empty((emax + 1, len(z)), dtype=complex)
+    out[0] = 1.0
+    for e in range(1, emax + 1):
+        out[e] = out[e - 1] * z
+    return out
+
+
+def _term_tables(poly, groups):
+    """Coefficients and per-group monomial tables of a polynomial.
+
+    ``groups`` is a list of ``(phi, phibar)`` pairs of shape ``(n_g, m_g)``
+    covering consecutive sites.  Returns ``(c, tables)`` with ``c`` the (K,)
+    coefficients and ``tables[g][k, i] = prod_{x in g} phi_x^{a_kx}
+    phibar_x^{b_kx}`` at the group's i-th point, so term k on the tensor
+    grid is the outer product of its rows.
+    """
+    keys = list(poly.terms)
+    c = np.array([poly.terms[k] for k in keys], dtype=complex)
+    alpha = np.array([a for a, _ in keys], dtype=int).reshape(len(keys), poly.M)
+    beta = np.array([b for _, b in keys], dtype=int).reshape(len(keys), poly.M)
+    tables, site = [], 0
+    for phi, phibar in groups:
+        t = np.ones((len(keys), len(phi)), dtype=complex)
+        for j in range(phi.shape[1]):
+            for z, e in ((phi[:, j], alpha[:, site + j]),
+                         (phibar[:, j], beta[:, site + j])):
+                if e.any():
+                    t *= _powers(z, int(e.max()))[e]
+        tables.append(t)
+        site += phi.shape[1]
+    return c, tables
+
+
+def _outer(tables):
+    """(K, prod n_g) row-wise outer product of per-group tables."""
+    out = tables[0]
+    for t in tables[1:]:
+        out = (out[:, :, None] * t[:, None, :]).reshape(
+            len(out), out.shape[1] * t.shape[1])
+    return out
+
+
+def _outer_sum(c, tables):
+    """sum_k c_k (outer_g tables[g][k]) with shape (n_0, ..., n_{G-1}):
+    the terms x (all but the last group) table against the terms x (last
+    group) table, as one matrix product."""
+    shape = tuple(t.shape[1] for t in tables)
+    if len(tables) == 1:
+        return c @ tables[0]
+    return ((c[:, None] * _outer(tables[:-1])).T @ tables[-1]).reshape(shape)
+
+
+def _axis_groups(axes):
+    """One ``(phi, phibar)`` group per one-dimensional boson axis."""
+    return [(v[:, None], np.conj(v)[:, None]) for v, _ in axes]
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +321,7 @@ class GrassmannForm:
         self.coeffs = {}
         if coeffs:
             for key, c in coeffs.items():
-                if not _coeff_is_zero(c):
+                if not c.is_zero():
                     self.coeffs[key] = c
 
     @staticmethod
@@ -334,11 +363,6 @@ class GrassmannForm:
 
     def __neg__(self):
         return self * (-1.0)
-
-    def evaluate_coeffs(self, phi, phibar):
-        """Evaluate every coefficient at boson points; {monomial: values}."""
-        return {k: np.asarray(c.evaluate(phi, phibar))
-                for k, c in self.coeffs.items()}
 
 
 def wedge_product(F: GrassmannForm, G: GrassmannForm) -> GrassmannForm:
@@ -404,35 +428,24 @@ def tau_delta_form(basis, laplacian, weights=None) -> GrassmannForm:
     """
     L = np.asarray(laplacian, dtype=float)
     M = basis.M
-    p = np.ones(M) if weights is None else np.asarray(weights, dtype=float)
+    p = np.broadcast_to(np.asarray(1.0 if weights is None else weights,
+                                   dtype=float), (M,))
     S = 0.5 * (p[:, None] * L + L * p[None, :])
-    coeffs = {}
-    boson = FieldPolynomial.constant(M, 0.0)
-    for x in range(M):
-        for y in range(M):
-            if S[x, y] == 0.0:
-                continue
-            boson = boson + (FieldPolynomial.variable(M, x)
-                             * FieldPolynomial.variable(M, y, bar=True)
-                             * S[x, y])
-            key = (1 << x, 1 << y)
-            term = FieldPolynomial.constant(M, S[x, y])
-            coeffs[key] = coeffs[key] + term if key in coeffs else term
-    coeffs[(0, 0)] = boson
+    coeffs = _fermi_action(basis, S).coeffs
+    coeffs[(0, 0)] = _quadratic_form(S)
     return GrassmannForm(basis, coeffs)
 
 
-def exp_even_form(F: GrassmannForm, *, keep_degree0: bool = True) -> GrassmannForm:
-    """exp of an even form: e^{F0} times a terminating series in F - F0.
+def exp_even_form(F: GrassmannForm) -> GrassmannForm:
+    """exp(F - F0) for an even form F: a terminating series.
 
-    With keep_degree0=False the scalar factor e^{F0} is omitted (useful when
-    the boson weight is handled separately); coefficients then stay
-    polynomial if they were polynomial.
+    The scalar factor e^{F0} is omitted: it is a boson weight, which the
+    integrators take as the exponent ``W = -F0`` (see berezin_integral).
+    Polynomial coefficients stay polynomial.
     """
     if F.parity() not in ("even",):
         raise ValueError("exp_even_form needs an even form")
     basis = F.basis
-    F0 = F.degree0()
     N = GrassmannForm(basis, {k: c for k, c in F.coeffs.items() if k != (0, 0)})
     result = GrassmannForm.from_scalar(basis, 1.0)
     power = GrassmannForm.from_scalar(basis, 1.0)
@@ -441,11 +454,6 @@ def exp_even_form(F: GrassmannForm, *, keep_degree0: bool = True) -> GrassmannFo
         if not power.coeffs:
             break
         result = result + power
-    if keep_degree0 and not _coeff_is_zero(F0):
-        f0fn = _as_function(F0)
-        weight = FieldFunction(lambda p, pb: np.exp(f0fn.evaluate(p, pb)))
-        result = GrassmannForm(basis, {k: c * weight
-                                       for k, c in result.coeffs.items()})
     return result
 
 
@@ -498,20 +506,6 @@ def boson_grid(M, *, radial_nodes=48, angle_nodes=24, r_max=4.0,
                                        reduce_u1))
 
 
-def _iter_boson_grid(M, radial_nodes, angle_nodes, r_max, reduce_u1,
-                     max_chunk=2_000_000):
-    """Yield (phi, w) chunks, splitting along the first site's nodes."""
-    axes = _boson_axes(M, radial_nodes, angle_nodes, r_max, reduce_u1)
-    rest = 1
-    for vals, _ in axes[1:]:
-        rest *= len(vals)
-    step = max(1, max_chunk // max(1, rest))
-    vals0, ws0 = axes[0]
-    for lo in range(0, len(vals0), step):
-        sub = [(vals0[lo:lo + step], ws0[lo:lo + step])] + axes[1:]
-        yield _grid_from_axes(sub)
-
-
 def _volume_reorder_sign(M):
     """Sign reordering psi_0..psi_{M-1} psibar_0..psibar_{M-1} into the
     volume order (psibar_0 psi_0)(psibar_1 psi_1)...  Generators are
@@ -526,35 +520,36 @@ def _volume_reorder_sign(M):
     return _perm_parity(seq)
 
 
-def berezin_integral(F: GrassmannForm, extra=None, *, radial_nodes=48,
-                     angle_nodes=24, r_max=4.0, reduce_u1=False,
-                     grid=None) -> complex:
-    """Integrate a form over C^M with the normalisation
+def berezin_integral(F: GrassmannForm, exponent: FieldPolynomial, *,
+                     radial_nodes=48, angle_nodes=24, r_max=4.0,
+                     reduce_u1=False) -> complex:
+    """Integrate ``F exp(-W)`` over C^M with the normalisation
     ``int f prod_x psibar_x psi_x = pi^{-M} int f du dv``.
 
-    ``extra`` is an optional boson function multiplying the integrand (the
-    Gaussian weight, say).  Only the top-degree monomial contributes.
-    Large tensor grids are consumed in chunks along the first site's nodes.
+    ``exponent`` is the boson weight's exponent ``W``, a real-valued
+    polynomial (checked).  Only the top-degree monomial of F contributes.
+    Both polynomials are evaluated on the factored polar grid from per-axis
+    tables, in chunks along the first site's nodes.
     """
     M = F.basis.M
     top = F.coeffs.get((F.basis.full_mask, F.basis.full_mask))
     if top is None:
         return 0.0 + 0.0j
-    topfn = _as_function(top)
-    sign = _volume_reorder_sign(M)
+    _real_exponent_check(exponent)
+    axes = _boson_axes(M, radial_nodes, angle_nodes, r_max, reduce_u1)
+    groups = _axis_groups(axes)
+    c, tabs = _term_tables(top, groups)
+    tabs = [t * w for t, (_, w) in zip(tabs, axes)]  # fold in the weights
+    cw, wtabs = _term_tables(exponent, groups)
+    rest = math.prod(len(v) for v, _ in axes[1:])
+    step = max(1, 2_000_000 // rest)
     total = 0.0 + 0.0j
-    if grid is not None:
-        chunks = [grid]
-    else:
-        chunks = _iter_boson_grid(M, radial_nodes, angle_nodes, r_max,
-                                  reduce_u1)
-    for phi, w in chunks:
-        phibar = np.conj(phi)
-        vals = topfn.evaluate(phi, phibar)
-        if extra is not None:
-            vals = vals * extra(phi, phibar)
-        total += complex(np.sum(w * vals))
-    return sign * math.pi**-M * total
+    for lo in range(0, len(axes[0][0]), step):
+        rows = slice(lo, lo + step)
+        vals = _outer_sum(c, [tabs[0][:, rows]] + tabs[1:])
+        vals *= np.exp(-_outer_sum(cw, [wtabs[0][:, rows]] + wtabs[1:]).real)
+        total += complex(vals.sum())
+    return _volume_reorder_sign(M) * math.pi**-M * total
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +620,7 @@ def super_expectation_with_error(C, F: GrassmannForm, *, radial_nodes=64,
     M = basis.M
     if M != sc.C.shape[0]:
         raise ValueError("covariance size does not match basis")
-    weight_form = exp_even_form(_fermi_action(basis, -sc.A), keep_degree0=False)
-    G = wedge_product(weight_form, F)
+    G = wedge_product(exp_even_form(_fermi_action(basis, -sc.A)), F)
     top = G.coeffs.get((basis.full_mask, basis.full_mask))
     if top is None:
         return 0.0 + 0.0j, 0.0
@@ -635,14 +629,9 @@ def super_expectation_with_error(C, F: GrassmannForm, *, radial_nodes=64,
     lam_min = float(np.linalg.eigvalsh(0.5 * (sc.A + sc.A.conj().T)).min())
     if r_max is None:
         r_max = math.sqrt(42.0 / lam_min)
-    A = sc.A
-
-    def gauss(p, pb):
-        quad = np.einsum("...x,xy,...y->...", p, A, pb)
-        return np.exp(-quad)
 
     def run(rn, an):
-        return berezin_integral(G, extra=gauss, radial_nodes=rn,
+        return berezin_integral(G, _quadratic_form(sc.A), radial_nodes=rn,
                                 angle_nodes=an, r_max=r_max,
                                 reduce_u1=reduce_u1)
 
@@ -662,7 +651,7 @@ def _super_expectation_mc(sc, top, n, seed):
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     z = (rng.normal(size=(n, M)) + 1j * rng.normal(size=(n, M))) / math.sqrt(2.0)
     phi = z @ L.T
-    vals = _as_function(top).evaluate(phi, np.conj(phi))
+    vals = top.evaluate(phi, np.conj(phi))
     det = np.linalg.det(sc.C)
     sign = _volume_reorder_sign(M)
     mean = complex(vals.mean())
@@ -679,21 +668,14 @@ def theta_map(F: GrassmannForm) -> GrassmannForm:
     """Replace every field by field + fluctuation on a doubled basis.
 
     Site x's fluctuation partner is site M + x; coefficients become
-    functions of phi + xi (exact substitution for polynomials).
+    polynomials in phi + xi (exact substitution).
     """
     basis = F.basis
     M = basis.M
     dbasis = basis.doubled()
     out = GrassmannForm(dbasis, {})
     for (a, b), c in F.coeffs.items():
-        if isinstance(c, FieldPolynomial):
-            shifted = c.shift_by_shadow()
-        else:
-            cf = _as_function(c)
-            shifted = FieldFunction(
-                lambda p, pb, cf=cf, M=M: cf.evaluate(p[..., :M] + p[..., M:],
-                                                      pb[..., :M] + pb[..., M:]))
-        term = GrassmannForm(dbasis, {(0, 0): shifted})
+        term = GrassmannForm(dbasis, {(0, 0): c.shift_by_shadow()})
         for x in _bits(a):
             term = wedge_product(term, psi(dbasis, x) + psi(dbasis, M + x))
         for y in _bits(b):
@@ -738,45 +720,38 @@ def integrate_fluctuation(F2: GrassmannForm, C, phi_ext, *, radial_nodes=32,
     if F2.basis.M != 2 * M:
         raise ValueError("form does not live on the doubled basis")
     phi_ext = np.asarray(phi_ext, dtype=complex)
-    npts = phi_ext.shape[0]
     lam_min = float(np.linalg.eigvalsh(0.5 * (sc.A + sc.A.conj().T)).min())
     rm = math.sqrt(42.0 / lam_min) if r_max is None else r_max
-    xi, w = boson_grid(M, radial_nodes=radial_nodes, angle_nodes=angle_nodes,
-                      r_max=rm)
-    nq = xi.shape[0]
-    A = sc.A
-    gauss_w = w * np.exp(-np.einsum("qx,xy,qy->q", xi, A, np.conj(xi))).real \
-        if np.allclose(A.imag, 0) else w * np.exp(
-            -np.einsum("qx,xy,qy->q", xi, A, np.conj(xi)))
+    axes = _boson_axes(M, radial_nodes, angle_nodes, rm, False)
+    fl_groups = _axis_groups(axes)
+    # the fluctuation weight exp(-(xi, A xibar)) on the flattened xi grid
+    W = _quadratic_form(sc.A)
+    _real_exponent_check(W)
+    gauss = np.exp(-_outer_sum(*_term_tables(W, fl_groups)).real).ravel()
 
     # fermionic weight on the fluctuation block
     dbasis = F2.basis
     wcoeffs = {}
     for x in range(M):
         for y in range(M):
-            if A[x, y] != 0:
+            if sc.A[x, y] != 0:
                 wcoeffs[(1 << (M + x), 1 << (M + y))] = \
-                    FieldPolynomial.constant(2 * M, -A[x, y])
-    weight_form = exp_even_form(GrassmannForm(dbasis, wcoeffs),
-                                keep_degree0=False)
-    G = wedge_product(weight_form, F2)
+                    FieldPolynomial.constant(2 * M, -sc.A[x, y])
+    G = wedge_product(exp_even_form(GrassmannForm(dbasis, wcoeffs)), F2)
 
     full_fl = ((1 << M) - 1) << M
     sign_vol = _volume_reorder_sign(M)
+    # the external points are one group, each fluctuation axis another
+    groups = [(phi_ext, np.conj(phi_ext))] + fl_groups
     out = {}
-    # evaluate at combined points: external block tiled against xi grid
-    pts = np.empty((npts, nq, 2 * M), dtype=complex)
-    pts[:, :, :M] = phi_ext[:, None, :]
-    pts[:, :, M:] = xi[None, :, :]
-    pts = pts.reshape(npts * nq, 2 * M)
-    ptsbar = np.conj(pts)
     for (a, b), c in G.coeffs.items():
         if (a & full_fl) != full_fl or (b & full_fl) != full_fl:
             continue  # fermionic fluctuation integral kills everything else
         a_ext, b_ext = a & ~full_fl, b & ~full_fl
         sign = _split_sign(a, b, M)
-        vals = _as_function(c).evaluate(pts, ptsbar).reshape(npts, nq)
-        integ = vals @ gauss_w
+        cs, tabs = _term_tables(c, groups)
+        fl = _outer([t * w for t, (_, w) in zip(tabs[1:], axes)])
+        integ = tabs[0].T @ (cs * (fl @ gauss))
         contrib = sign * sign_vol * math.pi**-M * integ
         key = (a_ext, b_ext)
         out[key] = out.get(key, 0) + contrib
@@ -817,8 +792,6 @@ def _laplacian_C(F: GrassmannForm, C) -> GrassmannForm:
                 continue
             bos = {}
             for key, c in F.coeffs.items():
-                if not isinstance(c, FieldPolynomial):
-                    raise TypeError("heat kernel needs polynomial coefficients")
                 dc = c.derivative(u).derivative(v, bar=True)
                 if not dc.is_zero():
                     bos[key] = dc
@@ -899,21 +872,6 @@ def interaction_form(basis, laplacian, g, nu, p=None) -> GrassmannForm:
     return V
 
 
-def _exp_minus_V(V: GrassmannForm):
-    """exp(-V) split as (boson weight function, fermionic series form)."""
-    basis = V.basis
-    V0 = V.degree0()
-    series = exp_even_form(GrassmannForm(
-        basis, {k: c * -1.0 for k, c in V.coeffs.items() if k != (0, 0)}),
-        keep_degree0=False)
-    v0fn = _as_function(V0)
-
-    def weight(p, pb):
-        return np.exp(-v0fn.evaluate(p, pb))
-
-    return weight, series
-
-
 def _auto_rmax(g, nu):
     g = float(np.min(g)) if np.ndim(g) else float(g)
     nu_min = float(np.min(nu)) if np.ndim(nu) else float(nu)
@@ -941,10 +899,10 @@ def self_normalisation_value(laplacian, p, q, r, *, radial_nodes=48,
     if np.any(q <= 0):
         raise ValueError("q must be positive")
     V = interaction_form(basis, lap, q, r, p=p)
-    weight, series = _exp_minus_V(V)
     if reduce_u1 is None:
         reduce_u1 = M >= 3
-    return berezin_integral(series, extra=weight, radial_nodes=radial_nodes,
+    return berezin_integral(exp_even_form(V * -1.0), V.degree0(),
+                            radial_nodes=radial_nodes,
                             angle_nodes=angle_nodes,
                             r_max=_auto_rmax(q, r), reduce_u1=reduce_u1)
 
@@ -972,10 +930,9 @@ def two_point_integral(laplacian, g, nu, a, b, method="grassmann", *,
     if method == "grassmann":
         basis = FermionBasis(M)
         V = interaction_form(basis, lap, g, nu)
-        weight, series = _exp_minus_V(V)
         obs = wedge_product(phibar_poly(basis, a), phi_poly(basis, b))
-        G = wedge_product(series, obs)
-        val = berezin_integral(G, extra=weight, radial_nodes=radial_nodes,
+        G = wedge_product(exp_even_form(V * -1.0), obs)
+        val = berezin_integral(G, V.degree0(), radial_nodes=radial_nodes,
                                angle_nodes=angle_nodes, r_max=r_max,
                                reduce_u1=reduce_u1)
         return float(val.real)

@@ -238,6 +238,8 @@ def _block_intersections(spec, horizons, rng, nblock):
     (sample, site) into one int64 key.  An earlier horizon t cuts every
     residence interval at t.  Returns shape ``(len(horizons), nblock)``.
     """
+    if spec.geometry == "graph":
+        raise ValueError("walks run on window or torus geometry")
     d = spec.d
     T = horizons[-1]
     N = rng.poisson(2 * d * T, size=nblock)

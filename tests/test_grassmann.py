@@ -13,12 +13,14 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from wsaw4 import grassmann
 from wsaw4.grassmann import (
     FermionBasis,
     FieldPolynomial,
     GrassmannForm,
     SuperCovariance,
     berezin_integral,
+    boson_grid,
     convolution_identity_check,
     exp_even_form,
     gaussian_convolve_poly,
@@ -88,13 +90,14 @@ class TestAlgebra:
 
     def test_function_of_forms_terminates(self):
         b = FermionBasis(1)
-        # exp(-tau) = e^{-|phi|^2} (1 - psi psibar) on one site
-        e = exp_even_form(tau_form(b, 0) * -1.0)
-        pts = np.array([[0.7 - 0.3j]])
-        pb = np.conj(pts)
-        w = math.exp(-abs(0.7 - 0.3j) ** 2)
-        assert e.coeffs[(0, 0)].evaluate(pts, pb)[0] == pytest.approx(w)
-        assert e.coeffs[(1, 1)].evaluate(pts, pb)[0] == pytest.approx(-w)
+        # exp(-tau) = e^{-|phi|^2} (1 - psi psibar) on one site: the series
+        # is 1 - psi psibar, and the omitted scalar factor is e^{F0} with
+        # F0 = -|phi|^2
+        F = tau_form(b, 0) * -1.0
+        assert poly_terms(exp_even_form(F)) == {
+            (0, 0): {((0,), (0,)): (1 + 0j)},
+            (1, 1): {((0,), (0,)): (-1 + 0j)}}
+        assert F.degree0().terms == {((1,), (1,)): (-1 + 0j)}
 
     def test_exp_times_exp_inverse(self):
         b = FermionBasis(2)
@@ -124,23 +127,22 @@ class TestBerezin:
         vol = wedge_product(wedge_product(psibar(b, 0), psi(b, 0)),
                             wedge_product(psibar(b, 1), psi(b, 1)))
         a0, a1 = 1.3, 0.6
-        val = berezin_integral(
-            vol, extra=lambda p, pb: np.exp(-(a0 * (p[..., 0] * pb[..., 0]).real
-                                              + a1 * (p[..., 1] * pb[..., 1]).real)),
-            radial_nodes=64, angle_nodes=8, r_max=10.0)
+        W = tau_form(b, 0).degree0() * a0 + tau_form(b, 1).degree0() * a1
+        val = berezin_integral(vol, exponent=W, radial_nodes=64,
+                               angle_nodes=8, r_max=10.0)
         assert val.real == pytest.approx(1.0 / (a0 * a1), rel=1e-10)
         assert abs(val.imag) < 1e-12
 
     def test_volume_order_immaterial(self):
         # each psibar_x psi_x factor is even: any site order integrates alike
         b = FermionBasis(3)
-        weight = lambda p, pb: np.exp(-np.sum((p * pb).real, axis=-1))
+        W = sum(tau_form(b, x).degree0() for x in range(3))  # sum |phi_x|^2
         vals = []
         for order in itertools.permutations(range(3)):
             vol = GrassmannForm.from_scalar(b, 1.0)
             for x in order:
                 vol = wedge_product(vol, wedge_product(psibar(b, x), psi(b, x)))
-            vals.append(berezin_integral(vol, extra=weight, radial_nodes=40,
+            vals.append(berezin_integral(vol, exponent=W, radial_nodes=40,
                                          angle_nodes=8, r_max=8.0,
                                          reduce_u1=True))
         assert np.allclose(vals, vals[0], rtol=1e-12)
@@ -148,7 +150,104 @@ class TestBerezin:
     def test_lower_degree_integrates_to_zero(self):
         b = FermionBasis(2)
         F = wedge_product(psibar(b, 0), psi(b, 0))  # degree 2 of 4
-        assert berezin_integral(F, extra=lambda p, pb: np.ones(p.shape[:-1])) == 0
+        W = FieldPolynomial.constant(2, 0.0)  # unit weight
+        assert berezin_integral(F, exponent=W) == 0
+
+
+def loop_evaluate(P, phi, phibar):
+    """Term-by-term, site-by-site evaluation: the oracle for the tables."""
+    out = np.zeros(phi.shape[0], dtype=complex)
+    for (a, b), c in P.terms.items():
+        term = np.full(phi.shape[0], c, dtype=complex)
+        for x in range(P.M):
+            term = term * phi[:, x] ** a[x] * phibar[:, x] ** b[x]
+        out += term
+    return out
+
+
+def random_polynomial(rng, M, n_terms=8, max_degree=6):
+    terms = {}
+    for _ in range(n_terms):
+        deg = rng.integers(0, max_degree + 1)
+        e = np.zeros(2 * M, dtype=int)
+        np.add.at(e, rng.integers(0, 2 * M, size=deg), 1)
+        key = (tuple(int(v) for v in e[:M]), tuple(int(v) for v in e[M:]))
+        terms[key] = complex(rng.normal(), rng.normal())
+    return FieldPolynomial(M, terms)
+
+
+def hermitian_part(P):
+    """(P + conj(P))/2: the coefficient of (a, b) pairs with (b, a)."""
+    terms = {}
+    for (a, b), c in P.terms.items():
+        terms[(a, b)] = terms.get((a, b), 0) + 0.5 * c
+        terms[(b, a)] = terms.get((b, a), 0) + 0.5 * np.conj(c)
+    return FieldPolynomial(P.M, terms)
+
+
+class TestTableEvaluator:
+    GRID = dict(radial_nodes=5, angle_nodes=4, r_max=1.5)
+
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    @pytest.mark.parametrize("reduce_u1", [False, True])
+    def test_grid_values_match_loop(self, M, reduce_u1):
+        rng = np.random.default_rng(10 * M + reduce_u1)
+        P = random_polynomial(rng, M)
+        axes = grassmann._boson_axes(M, self.GRID["radial_nodes"],
+                                     self.GRID["angle_nodes"],
+                                     self.GRID["r_max"], reduce_u1)
+        groups = grassmann._axis_groups(axes)
+        vals = grassmann._outer_sum(*grassmann._term_tables(P, groups))
+        phi, _ = boson_grid(M, reduce_u1=reduce_u1, **self.GRID)
+        ref = loop_evaluate(P, phi, np.conj(phi))
+        assert np.max(np.abs(vals.ravel() - ref)) <= 1e-13 * np.max(np.abs(ref))
+        zero = grassmann._outer_sum(*grassmann._term_tables(
+            FieldPolynomial(M), groups))
+        assert zero.shape == vals.shape and not zero.any()
+
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    def test_flat_points_match_loop(self, M):
+        # one group; phibar is not tied to phi
+        rng = np.random.default_rng(M)
+        P = random_polynomial(rng, M)
+        phi, phibar = (rng.normal(size=(2, 7, M))
+                       + 1j * rng.normal(size=(2, 7, M)))
+        ref = loop_evaluate(P, phi, phibar)
+        vals = P.evaluate(phi, phibar)
+        assert np.max(np.abs(vals - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert P.evaluate(phi[:1].reshape(1, 1, M),
+                          phibar[:1].reshape(1, 1, M)).shape == (1, 1)
+
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    @pytest.mark.parametrize("reduce_u1", [False, True])
+    def test_integral_matches_loop(self, M, reduce_u1):
+        # top coefficient times exp(-W), W real, summed over the same grid
+        rng = np.random.default_rng(100 + 10 * M + reduce_u1)
+        P = random_polynomial(rng, M)
+        W = hermitian_part(random_polynomial(rng, M, max_degree=4))
+        b = FermionBasis(M)
+        F = GrassmannForm(b, {(b.full_mask, b.full_mask): P})
+        val = berezin_integral(F, exponent=W, reduce_u1=reduce_u1, **self.GRID)
+        phi, w = boson_grid(M, reduce_u1=reduce_u1, **self.GRID)
+        pb = np.conj(phi)
+        terms = w * loop_evaluate(P, phi, pb) \
+            * np.exp(-loop_evaluate(W, phi, pb).real)
+        ref = grassmann._volume_reorder_sign(M) * math.pi**-M * terms.sum()
+        scale = math.pi**-M * np.abs(terms).sum()
+        assert abs(val - ref) <= 1e-13 * scale
+
+    def test_non_hermitian_exponent_rejected(self):
+        b = FermionBasis(2)
+        vol = GrassmannForm(b, {(3, 3): FieldPolynomial.constant(2, 1.0)})
+        # c phi_0 phibar_1 without its partner conj(c) phi_1 phibar_0
+        W = FieldPolynomial(2, {((1, 0), (0, 1)): 0.3 + 0.1j})
+        with pytest.raises(ValueError, match="not real-valued"):
+            berezin_integral(vol, exponent=W)
+        # with the partner it is accepted
+        W = W + FieldPolynomial(2, {((0, 1), (1, 0)): 0.3 - 0.1j})
+        berezin_integral(vol, exponent=W + tau_form(b, 0).degree0()
+                         + tau_form(b, 1).degree0(), radial_nodes=8,
+                         angle_nodes=4)
 
 
 class TestSuperExpectation:
@@ -335,6 +434,17 @@ class TestSelfNormalisation:
         # observables pair psi with psibar: values are real
         val = self_normalisation_value(PATH2, [0.2, 0.5], [0.7, 0.9], [0.0, 0.3])
         assert abs(val.imag) < 1e-10
+
+    @pytest.mark.parametrize("lap,p,q,r", [
+        (np.zeros((1, 1)), 0.5, 0.7, 0.2),
+        (PATH2, 0.3, [0.9, 0.5], [0.3, -0.2]),
+    ])
+    def test_scalar_weights_broadcast(self, lap, p, q, r):
+        # a scalar p broadcasts to every site, as q and r do
+        M = lap.shape[0]
+        val = self_normalisation_value(lap, p, q, r)
+        assert val == self_normalisation_value(lap, [p] * M, q, r)
+        assert abs(val - 1.0) < 1e-8
 
     def test_rejects_nonpositive_quartic(self):
         with pytest.raises(ValueError):

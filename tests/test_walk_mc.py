@@ -250,6 +250,23 @@ class TestJensen:
         assert e10.mean / 10.0 >= e1.mean / 1.0 - 3.0 * se
 
 
+class TestGraphGeometry:
+    # walks are simulated on Z^d or a torus only: a graph spec used to run
+    # on Z^1 and return the window(1) values, since no estimator read the
+    # Laplacian
+    TRI = LatticeSpec.graph(np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0],
+                                      [-1.0, -1.0, 2.0]]))
+
+    @pytest.mark.parametrize("estimator", [
+        lambda s: estimate_cT(s, 0.3, 2.0, 100, seed=1),
+        lambda s: estimate_mean_intersection(s, 2.0, 100, seed=1),
+        lambda s: susceptibility_mc(s, 0.3, 0.2, T_max=4.0, n=100, seed=1),
+    ], ids=["estimate_cT", "estimate_mean_intersection", "susceptibility_mc"])
+    def test_graph_spec_rejected(self, estimator):
+        with pytest.raises(ValueError, match="window or torus"):
+            estimator(self.TRI)
+
+
 class TestRngContract:
     def test_block_streams_differ(self):
         a = block_rng(1, 0).random(4)
