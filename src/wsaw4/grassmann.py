@@ -566,8 +566,8 @@ class SuperCovariance:
     @staticmethod
     def from_matrix(C) -> "SuperCovariance":
         C = np.asarray(C, dtype=complex)
-        if not np.allclose(C, C.conj().T, atol=1e-12):
-            raise ValueError("covariance must be Hermitian")
+        if np.abs(C - C.conj().T).max() > 1e-12 * np.abs(C).max():
+            raise ValueError("covariance must be Hermitian to 1e-12 relative")
         herm = 0.5 * (C + C.conj().T)
         if np.linalg.eigvalsh(herm).min() <= 0:
             raise ValueError("covariance must have positive-definite "
@@ -730,14 +730,9 @@ def integrate_fluctuation(F2: GrassmannForm, C, phi_ext, *, radial_nodes=32,
     gauss = np.exp(-_outer_sum(*_term_tables(W, fl_groups)).real).ravel()
 
     # fermionic weight on the fluctuation block
-    dbasis = F2.basis
-    wcoeffs = {}
-    for x in range(M):
-        for y in range(M):
-            if sc.A[x, y] != 0:
-                wcoeffs[(1 << (M + x), 1 << (M + y))] = \
-                    FieldPolynomial.constant(2 * M, -sc.A[x, y])
-    G = wedge_product(exp_even_form(GrassmannForm(dbasis, wcoeffs)), F2)
+    A_fl = np.zeros((2 * M, 2 * M), dtype=complex)
+    A_fl[M:, M:] = -sc.A
+    G = wedge_product(exp_even_form(_fermi_action(F2.basis, A_fl)), F2)
 
     full_fl = ((1 << M) - 1) << M
     sign_vol = _volume_reorder_sign(M)

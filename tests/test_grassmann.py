@@ -288,6 +288,10 @@ class TestSuperExpectation:
     def test_covariance_validation(self):
         with pytest.raises(ValueError):
             SuperCovariance.from_matrix(np.array([[1.0, 0.5], [0.2, 1.0]]))
+        with pytest.raises(ValueError, match="Hermitian"):
+            # its inverse would give a weight exponent that is not real
+            SuperCovariance.from_matrix(np.array([[1.0, 0.3],
+                                                  [0.3 + 2e-6, 0.8]]))
         with pytest.raises(ValueError):
             SuperCovariance.from_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
