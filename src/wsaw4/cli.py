@@ -3,12 +3,11 @@
 Every run writes its numeric artifacts (JSON/CSV) into an output directory
 together with ``manifest.json`` recording the subcommand, the full
 parameter set, the seed, the package version, and SHA-256 digests of every
-artifact.  ``wsaw4 reproduce manifest.json`` replays the run into a
-scratch directory and diffs the digests; the RNG contract (counter-based
-per-block streams) makes Monte Carlo outputs bit-identical regardless of
-the worker count, so a zero diff is the expected outcome.  Floats are
-serialized through ``repr`` (shortest round-trip, up to 17 significant
-digits).
+artifact.  ``wsaw4 reproduce manifest.json`` replays the run in memory and
+diffs the digests; the RNG contract (counter-based per-block streams)
+makes Monte Carlo outputs bit-identical regardless of the worker count,
+so a zero diff is the expected outcome.  Floats are serialized through
+``repr`` (shortest round-trip, up to 17 significant digits).
 
 Exit codes: 0 ok, 1 user error, 2 internal error.
 """
@@ -22,7 +21,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -329,8 +327,6 @@ def _run_reproduce(manifest_path):
         new = _digest(files.get(name, ""))
         if new != digest:
             diffs.append(name)
-    with tempfile.TemporaryDirectory() as tmp:
-        _write_run(tmp, sub, manifest["params"], files)
     return diffs
 
 

@@ -136,10 +136,6 @@ class Decomposition:
         total = total + (1.0 - _f(t, self.J))
         return total
 
-    def cumulative_multiplier(self, s, j):
-        """f_j at symbol values s (the multiplier of w_j = C_1 + .. + C_j)."""
-        return _f(_tau(np.asarray(s, dtype=float), self.L), j)
-
 
 def build_decomposition(spec: LatticeSpec, L: int, m2: float, J: int = 16, *,
                         grid: int = 32, measure_tails: bool = False,

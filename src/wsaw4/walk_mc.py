@@ -18,12 +18,10 @@ share a stream.  Batch sampling uses the conditional representation of the
 Poisson clock (jump count ~ Poisson(2dT), jump times i.i.d. uniform on
 [0, T]), which is distributionally identical to drawing exponential(2d)
 inter-jump gaps; :func:`simulate` draws the exponential gaps literally.
-A block simulates each walk once, to its last horizon, and reads ``I(t)``
-at every earlier horizon from the same path: the clock restricted to
-``[0, t]`` is the clock on ``[0, t]``.  So :func:`susceptibility_mc` runs
-one stream of ``n`` walks to ``T_max`` and takes its standard error across
-walks, and :func:`jensen_bound_check` reads both of its means from one
-pass.
+``I(t)`` is piecewise quadratic along a walk, so :func:`susceptibility_mc`
+integrates each walk's ``e^{-nu t - g I(t)}`` over ``[0, T_max]`` exactly
+and takes its standard error across one stream of ``n`` walks;
+:func:`jensen_bound_check` reads both of its means from one pass.
 
 Folding: projecting a walk on Z^d to the torus of period n can only merge
 sites, so intersection local time grows pathwise under folding, and grows
@@ -38,6 +36,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfc, erfcx
 
 from .lattice_green import LatticeSpec, constant_a
 
@@ -109,7 +108,7 @@ class Estimate:
 @dataclass(frozen=True)
 class LaplaceEstimate(Estimate):
     truncation_bound: float = 0.0   # bound on the neglected Laplace tail
-    quadrature_error: float = 0.0   # Simpson error estimate of the T-grid
+    quadrature_error: float = 0.0   # 0: each walk's integral is closed-form
 
 
 @dataclass(frozen=True)
@@ -229,59 +228,41 @@ def fold_and_compare(sample: WalkSample, periods) -> dict:
 # Vectorized block sampling
 # ---------------------------------------------------------------------------
 
-def _block_intersections(spec, horizons, rng, nblock):
-    """I(t) at each of the ascending ``horizons`` for a block of walks.
+def _block_intersections(spec, T, rng, nblock, g=0.0, nu=None):
+    """I(T) for a block of walks, or with ``nu`` each walk's Laplace integral.
 
-    Each walk is simulated once, to the last horizon: jump counts are
-    Poisson(2dT); conditionally the jump times are sorted uniforms and
-    steps are uniform neighbours.  Local times are grouped by packing
-    (sample, site) into one int64 key.  An earlier horizon t cuts every
-    residence interval at t.  Returns shape ``(len(horizons), nblock)``.
+    Jump counts are Poisson(2dT); conditionally the jump times are sorted
+    uniforms and steps are uniform neighbours.  Local times are grouped by
+    packing (sample, site) into one int64 key.  Returns shape ``(nblock,)``:
+    ``I(T)``, or with ``nu`` given ``int_0^T e^{-nu t - g I(t)} dt``.
     """
     if spec.geometry == "graph":
         raise ValueError("walks run on window or torus geometry")
     d = spec.d
-    T = horizons[-1]
     N = rng.poisson(2 * d * T, size=nblock)
-    total = int(N.sum())
-    starts = np.concatenate([[0], np.cumsum(N[:-1])])
-    owner = np.repeat(np.arange(nblock), N)
-    times = rng.random(total) * T
-    order = np.lexsort((times, owner))
-    times = times[order]
-    dirs = rng.integers(0, 2 * d, size=total)
-
-    steps = np.zeros((total, d), dtype=np.int64)
-    if total:
-        steps[np.arange(total), dirs >> 1] = 1 - 2 * (dirs & 1)
-    cum = np.cumsum(steps, axis=0)
-    base = np.zeros((nblock, d), dtype=np.int64)
-    nz = starts > 0
-    base[nz] = cum[starts[nz] - 1]
-    pos_after = cum - np.repeat(base, N, axis=0)
-
     # visits: one origin visit per sample plus one per jump
-    nv = total + nblock
-    visit_starts = starts + np.arange(nblock)
+    nv = int(N.sum()) + nblock
+    visit_starts = np.concatenate([[0], np.cumsum(N[:-1] + 1)])
     vowner = np.repeat(np.arange(nblock), N + 1)
-    vpos = np.zeros((nv, d), dtype=np.int64)
+    jumps = np.flatnonzero(vowner[1:] == vowner[:-1]) + 1  # all but starts
     vtimes = np.zeros(nv)     # time at which the visit starts
-    jump_rows = np.ones(nv, dtype=bool)
-    jump_rows[visit_starts] = False
-    vpos[jump_rows] = pos_after
-    vtimes[jump_rows] = times
+    vtimes[jumps] = rng.random(nv - nblock) * T
+    vtimes = vtimes[np.lexsort((vtimes, vowner))]
+    dirs = rng.integers(0, 2 * d, size=nv - nblock)
+    vpos = np.zeros((nv, d), dtype=np.int64)
+    vpos[jumps, dirs >> 1] = 1 - 2 * (dirs & 1)
+    vpos = np.cumsum(vpos, axis=0)
+    vpos -= np.repeat(vpos[visit_starts], N + 1, axis=0)
     # end of each residence interval: the next visit's start, or T
-    next_t = np.empty(nv)
-    next_t[:-1] = vtimes[1:]
-    next_t[-1] = T
-    ends = visit_starts + N  # last visit of each sample
-    next_t[ends] = T
+    next_t = np.append(vtimes[1:], T)
+    next_t[visit_starts + N] = T
+    gaps = next_t - vtimes
 
     if spec.geometry == "torus":
         vpos = np.mod(vpos, spec.period)
 
     # pack (sample, site) into one int64
-    cmax = int(np.abs(vpos).max()) + 1 if nv else 1
+    cmax = int(np.abs(vpos).max()) + 1
     side = 2 * cmax + 1
     if side**d * nblock > 2**62:
         raise OverflowError("site key would overflow; reduce T or block size")
@@ -290,26 +271,60 @@ def _block_intersections(spec, horizons, rng, nblock):
         key = key * side + (vpos[:, ax] + cmax)
     sorter = np.argsort(key, kind="stable")
     skey = key[sorter]
-    snext, sstart = next_t[sorter], vtimes[sorter]
-    sowner = vowner[sorter]
+    sgaps = gaps[sorter]
     seg = np.concatenate([[0], np.flatnonzero(skey[1:] != skey[:-1]) + 1])
-    I = np.zeros((len(horizons), nblock))
-    gaps = np.empty(nv)
-    for row, t in zip(I, horizons):
-        # residence time before t: max(min(next_t, t) - start, 0)
-        np.minimum(snext, t, out=gaps)
-        np.subtract(gaps, sstart, out=gaps)
-        np.maximum(gaps, 0.0, out=gaps)
-        lt = np.add.reduceat(gaps, seg)
-        np.add.at(row, sowner[seg], lt * lt)
-    return I
+    if nu is None:
+        lt = np.add.reduceat(sgaps, seg)
+        return np.bincount(vowner[sorter][seg], lt * lt, nblock)
+    if g == 0:
+        return np.bincount(vowner, np.exp(-nu * vtimes)
+                           * -np.expm1(-nu * gaps) / nu, nblock)
+    # prefix sums over a walk's earlier entries, one padded row per walk, so
+    # roundoff scales with one walk's total rather than the block's
+    cols = np.arange(nv) - np.repeat(visit_starts, N + 1)
+    table = np.zeros((nblock, cols.max() + 2))
+
+    def walk_prefix(x):
+        table[vowner, cols + 1] = x
+        return np.cumsum(table, axis=1)[vowner, cols]
+
+    # the site's local time before each visit, then I(t) at its start
+    c = walk_prefix(sgaps)
+    ell = np.empty(nv)
+    ell[sorter] = c - np.repeat(c[seg], np.diff(np.append(seg, nv)))
+    I_s = walk_prefix((2.0 * ell + gaps) * gaps)
+    return np.bincount(vowner, _gaussian_pieces(g, nu, vtimes, gaps, ell, I_s),
+                       nblock)
 
 
-def _walk_stream(spec, horizons, n, seed, value_fn):
-    """Yield ``value_fn(I)`` per block of n walks, I from _block_intersections."""
+def _gaussian_pieces(g, nu, s, gap, ell, I_s):
+    """``int_s^{s+gap} e^{-nu t - g I(t)} dt``, ``I(t) = I_s + 2 ell u + u^2``.
+
+    With ``u = t - s``, ``x = sqrt(g) (ell + nu/2g)`` and ``y = x + sqrt(g)
+    gap`` it is ``sqrt(pi/g)/2 e^{-nu s - g I_s + x^2} (erfc(x) - erfc(y))``
+    for g > 0, formed about ``m``, the point of ``[x, y]`` nearest 0 where
+    the integrand peaks: ``e^{m^2} (erfc(x) - erfc(y))`` lies in ``[0, 2]``,
+    so no factor overflows where the integral is finite.
+    """
+    x = math.sqrt(g) * (ell + nu / (2.0 * g))
+    w = math.sqrt(g) * gap
+    y = x + w
+    # erfc(x) - erfc(y) = erfc(-y) - erfc(-x): take the pair p <= q, p + q >= 0
+    flip = x + y < 0.0
+    p, q = np.where(flip, -y, x), np.where(flip, -x, y)
+    inside = p < 0.0          # then m = 0, else m = p and p^2 - q^2 = -w(p+q)
+    peaked = np.where(inside, erfc(p), erfcx(p)) \
+        - np.exp(np.where(inside, -q * q, -w * (p + q))) * erfcx(q)
+    shift = np.where(inside, x * x, np.where(flip, w * (p + q), 0.0))
+    return (0.5 * math.sqrt(math.pi / g)) \
+        * np.exp(-nu * s - g * I_s + shift) * peaked
+
+
+def _walk_stream(spec, T, n, seed, **laplace):
+    """Yield :func:`_block_intersections` for each block of n walks."""
     for b, start in enumerate(range(0, n, BLOCK_SIZE)):
         nb = min(BLOCK_SIZE, n - start)
-        yield value_fn(_block_intersections(spec, horizons, block_rng(seed, b), nb))
+        yield _block_intersections(spec, T, block_rng(seed, b), nb, **laplace)
 
 
 def estimate_cT(spec: LatticeSpec, g: float, T: float, n: int, seed: int = 0) -> Estimate:
@@ -317,7 +332,7 @@ def estimate_cT(spec: LatticeSpec, g: float, T: float, n: int, seed: int = 0) ->
     if g < 0:
         raise ValueError("g must be >= 0")
     mean, se, count = _chan_stream(
-        _walk_stream(spec, [T], n, seed, lambda I: np.exp(-g * I[0])))
+        np.exp(-g * I) for I in _walk_stream(spec, T, n, seed))
     return Estimate(mean=float(mean), std_error=float(se), n_samples=count,
                     seed=seed)
 
@@ -325,8 +340,7 @@ def estimate_cT(spec: LatticeSpec, g: float, T: float, n: int, seed: int = 0) ->
 def estimate_mean_intersection(spec: LatticeSpec, T: float, n: int,
                                seed: int = 0) -> Estimate:
     """Monte Carlo estimate of E I(T)."""
-    mean, se, count = _chan_stream(
-        _walk_stream(spec, [T], n, seed, lambda I: I[0]))
+    mean, se, count = _chan_stream(_walk_stream(spec, T, n, seed))
     return Estimate(mean=float(mean), std_error=float(se), n_samples=count,
                     seed=seed)
 
@@ -336,38 +350,32 @@ def estimate_mean_intersection(spec: LatticeSpec, T: float, n: int,
 # ---------------------------------------------------------------------------
 
 def susceptibility_mc(spec: LatticeSpec, g: float, nu: float, T_max: float,
-                      n: int, seed: int = 0, grid_points: int = 33) -> LaplaceEstimate:
-    """chi(g, nu) ~= int_0^T_max c_T e^{-nu T} dT by Simpson over MC points.
+                      n: int, seed: int = 0) -> LaplaceEstimate:
+    """chi(g, nu) ~= int_0^T_max c_T e^{-nu T} dT from one stream of n walks.
 
-    One stream of n walks runs to T_max; each walk contributes its own
-    Simpson sum of ``e^{-nu T} e^{-g I(T)}`` over the grid, so ``c_T`` at
-    every grid point comes from the same paths, and the standard error is
-    taken across walks (it accounts for the correlation between grid
-    points).  ``n`` counts walks: at n = 2000 the error is about 2.7x that
-    of n fresh walks per grid point, at about 1/8 of their cost.
-
-    nu must be positive: the neglected tail is then bounded by
-    ``exp(-nu T_max)/nu`` (since c_T <= 1), which is reported rather than
-    hidden.  Near-critical nu is out of Monte Carlo reach and rejected.
+    ``I(t)`` is piecewise quadratic along a walk, so each walk's
+    ``int_0^T_max e^{-nu t - g I(t)} dt`` is exact (``quadrature_error`` is
+    0) and the standard error is taken across walks.  The neglected tail is
+    bounded and reported: by ``e^{-nu T_max}/nu`` as ``c_T <= 1`` (nu > 0),
+    or on a torus with g > 0, where ``I(T) >= T^2/|V|`` over its ``|V|``
+    sites, by ``int_T_max^inf e^{-nu T - g T^2/|V|} dT`` for every nu.
+    Otherwise nu <= 0 (near-critical, out of Monte Carlo reach) is rejected.
     """
-    if nu <= 0:
-        raise ValueError("susceptibility_mc requires nu > 0 "
-                         "(unverifiable truncation otherwise)")
-    if grid_points % 2 == 0:
-        grid_points += 1
-    Ts = np.linspace(0.0, T_max, grid_points)
-    h = Ts[1] - Ts[0]
-    w = np.ones(grid_points)
-    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    w *= (h / 3.0) * np.exp(-nu * Ts)
-    mean, se, count = _chan_stream(
-        _walk_stream(spec, Ts, n, seed, lambda I: w @ np.exp(-g * I)))
-    tail = math.exp(-nu * T_max) / nu
-    # Simpson h^4 error proxy from the exact g=0 integrand scale
-    quad_err = float((h**4 / 180.0) * nu**3 * T_max)
+    if spec.geometry == "torus" and g > 0:
+        ra = math.sqrt(g / spec.period**spec.d)
+        tail = 0.5 * math.sqrt(math.pi) / ra \
+            * float(erfcx(ra * T_max + nu / (2.0 * ra))) \
+            * math.exp(-(ra * T_max) ** 2 - nu * T_max)
+    elif nu > 0 and g >= 0:
+        tail = math.exp(-nu * T_max) / nu
+    else:
+        raise ValueError("susceptibility_mc requires g >= 0 and nu > 0, or "
+                         "a torus with g > 0 (unverifiable truncation "
+                         "otherwise)")
+    mean, se, count = _chan_stream(_walk_stream(spec, T_max, n, seed,
+                                                 g=g, nu=nu))
     return LaplaceEstimate(mean=float(mean), std_error=float(se),
-                           n_samples=count, seed=seed, truncation_bound=tail,
-                           quadrature_error=quad_err)
+                           n_samples=count, seed=seed, truncation_bound=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +467,8 @@ def jensen_bound_check(g: float, T: float, n: int, seed: int = 0) -> JensenRepor
     Both means come from one pass over the same n walks.
     """
     spec = LatticeSpec.window(4)
-    (mean_I, c_hat), (se_I, se_c), _ = _chan_stream(_walk_stream(
-        spec, [T], n, seed, lambda I: np.concatenate([I, np.exp(-g * I)])))
+    (mean_I, c_hat), (se_I, se_c), _ = _chan_stream(
+        np.stack([I, np.exp(-g * I)]) for I in _walk_stream(spec, T, n, seed))
     mean_I, c_hat, se_I, se_c = map(float, (mean_I, c_hat, se_I, se_c))
     bound = T * constant_a()  # = 2 T C_0(0)
     floor = math.exp(-g * mean_I)

@@ -47,6 +47,9 @@ from wsaw4.lattice_green import LatticeSpec, bubble_diagram, constant_a
 
 B_LOG = 1.0 / (2.0 * math.pi**2)
 SPEC4 = LatticeSpec.window(4)
+# criterion 8's graphs that are also tori: torus(1, 3) and torus(1, 2)
+TRI = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
+TORUS2 = np.array([[2.0, -2.0], [-2.0, 2.0]])
 
 
 def report(num, ok, detail):
@@ -60,8 +63,7 @@ def susy_suite():
     rng = np.random.Generator(np.random.Philox(key=np.uint64(2026)))
     # 20 draws split 10 / 7 / 3 across 1-, 2-, 3-site graphs
     path2 = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    tri = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
-    cases = [np.zeros((1, 1))] * 10 + [path2] * 7 + [tri] * 3
+    cases = [np.zeros((1, 1))] * 10 + [path2] * 7 + [TRI] * 3
     worst_sn = 0.0
     for lap in cases:
         M = lap.shape[0]
@@ -79,11 +81,10 @@ def susy_suite():
     tp = grassmann.two_point_integral(np.zeros((1, 1)), g, nu, 0, 0)
     walk_gap = abs(tp - walk)
     # method agreement on 2-site instances
-    torus2 = np.array([[2.0, -2.0], [-2.0, 2.0]])
     worst_mm = 0.0
     for lap, g, nu, a, b in [(path2, 0.2, 0.1, 0, 1),
                              (path2, 0.5, -0.2, 0, 0),
-                             (torus2, 0.3, 0.2, 0, 1)]:
+                             (TORUS2, 0.3, 0.2, 0, 1)]:
         v1 = grassmann.two_point_integral(lap, g, nu, a, b, "grassmann",
                                           radial_nodes=48, angle_nodes=24)
         v2 = grassmann.two_point_integral(lap, g, nu, a, b, "determinant",
@@ -289,15 +290,31 @@ class TestAcceptance:
                                         n=3000, seed=seed)
         err = chi.std_error + chi.truncation_bound + chi.quadrature_error
         chi_ok = abs(chi.mean - 2.0) <= 3.0 * err + 1e-9
+        # the representation identity: walk chi against the superintegral
+        worst_z = 0.0
+        for spec, lap, nodes in [
+                (LatticeSpec.torus(1, 3), TRI,
+                 dict(radial_nodes=32, angle_nodes=16)),
+                (LatticeSpec.torus(1, 2), TORUS2, {})]:
+            for nu in (0.2, -0.2):
+                susy = sum(grassmann.two_point_integral(lap, 0.3, nu, 0, b,
+                                                        **nodes)
+                           for b in range(len(lap)))
+                e = walk_mc.susceptibility_mc(spec, 0.3, nu, T_max=16.0,
+                                              n=20000, seed=seed)
+                gap = max(abs(e.mean - susy) - e.truncation_bound, 0.0)
+                worst_z = max(worst_z, gap / e.std_error)
+        susy_ok = worst_z <= 3.0
         # Jensen bound at d = 4
         rep = walk_mc.jensen_bound_check(0.2, 5.0, n, seed=seed)
         jensen_ok = rep.bound_satisfied and rep.jensen_satisfied
         elapsed = time.monotonic() - t0
-        ok = (sub_ok and fold_ok and cond_ok and chi_ok and jensen_ok
-              and elapsed < 300.0)
+        ok = (sub_ok and fold_ok and cond_ok and chi_ok and susy_ok
+              and jensen_ok and elapsed < 300.0)
         report(9, ok, f"subadd={sub_ok} fold={fold_ok} conditioned={cond_ok} "
-                      f"chi(g=0)={chi.mean:.4f} (1/nu=2) jensen={jensen_ok} "
-                      f"t={elapsed:.0f}s")
+                      f"chi(g=0)={chi.mean:.4f} (1/nu=2) "
+                      f"chi vs superintegral max z={worst_z:.2f} "
+                      f"jensen={jensen_ok} t={elapsed:.0f}s")
         assert ok
 
     def test_criterion_10_determinism(self, tmp_path):

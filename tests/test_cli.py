@@ -83,6 +83,14 @@ class TestReproduce:
         assert rc == 0
         assert "zero diff" in capsys.readouterr().out
 
+    def test_zero_diff_with_nu(self, tmp_path, capsys):
+        out, _ = run_cli(["walk-mc", "--g", "0.1", "--T", "1.0", "--nu",
+                          "0.5", "--samples", "2000", "--samples-chi", "500",
+                          "--seed", "11"], tmp_path, "w")
+        rc = dispatch(["reproduce", str(out / "manifest.json")])
+        assert rc == 0
+        assert "zero diff" in capsys.readouterr().out
+
     def test_thread_env_does_not_change_results(self, tmp_path):
         env = dict(os.environ)
         outs = []
@@ -151,6 +159,17 @@ class TestExitCodes:
             assert r.returncode == 1
             assert "grid" in r.stderr
             assert not (tmp_path / "x").exists()
+
+    def test_walk_mc_nonpositive_nu(self, tmp_path):
+        # a torus bounds the Laplace tail at g > 0 for every nu; Z^d does not
+        flags = ["walk-mc", "--dim", "1", "--g", "0.3", "--nu", "-0.2"]
+        r = self.run_proc(flags + ["--geometry", "torus:3",
+                                   "--out", str(tmp_path / "t")])
+        assert r.returncode == 0
+        r = self.run_proc(flags + ["--out", str(tmp_path / "w")])
+        assert r.returncode == 1
+        assert "nu > 0" in r.stderr
+        assert not (tmp_path / "w").exists()
 
     def test_missing_manifest(self):
         r = self.run_proc(["reproduce", "/nonexistent/manifest.json"])

@@ -2,7 +2,8 @@
 
 Oracles: exact identities on the 1-site torus (I(T) = T^2), the closed
 form 2T^2/(n+2) for the conditioned intersection time, the exact Laplace
-transform 1/nu at g = 0, a brute-force product-space enumeration of
+transform 1/nu at g = 0, ``quad`` of each walk's Laplace integral
+interval by interval, a brute-force product-space enumeration of
 self-avoiding walks, and the Green constant from the quadrature module.
 """
 
@@ -12,6 +13,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from wsaw4 import walk_mc
 from wsaw4.lattice_green import LatticeSpec
@@ -181,6 +183,36 @@ class TestSusceptibilityMC:
         with pytest.raises(ValueError):
             susceptibility_mc(SPEC4, 0.1, 0.0, T_max=8.0, n=100)
 
+    def test_negative_g_rejected(self):
+        for spec in (SPEC4, LatticeSpec.torus(1, 3)):
+            with pytest.raises(ValueError, match="g >= 0"):
+                susceptibility_mc(spec, -0.1, 0.5, T_max=8.0, n=100)
+
+    def test_torus_allows_nonpositive_nu_when_interacting(self):
+        tri = LatticeSpec.torus(1, 3)
+        e = susceptibility_mc(tri, 0.3, -0.2, T_max=8.0, n=200, seed=1)
+        assert e.mean > 0 and e.truncation_bound > 0
+        with pytest.raises(ValueError):
+            susceptibility_mc(tri, 0.0, -0.2, T_max=8.0, n=200)
+
+    def test_torus_tail_bound(self):
+        # I(T) >= T^2/|V| bounds the tail by int_T^inf e^{-nu T - g T^2/|V|}
+        g, nu, T = 0.3, 0.2, 16.0
+        e = susceptibility_mc(LatticeSpec.torus(1, 3), g, nu, T_max=T, n=100)
+        tail = quad(lambda t: math.exp(-nu * t - g * t * t / 3.0), T,
+                    math.inf)[0]
+        assert e.truncation_bound == pytest.approx(tail, rel=1e-8)
+        assert e.truncation_bound < 1e-12 < math.exp(-nu * T) / nu
+
+    def test_one_site_tail_closes_the_transform(self):
+        # on one site I(T) = T^2, so the bound is the tail itself
+        g, nu = 0.3, -0.2
+        e = susceptibility_mc(LatticeSpec.torus(4, 1), g, nu, T_max=4.0,
+                              n=100, seed=2)
+        full = quad(lambda t: math.exp(-nu * t - g * t * t), 0.0, math.inf,
+                    epsabs=0.0, epsrel=1e-13)[0]
+        assert e.mean + e.truncation_bound == pytest.approx(full, rel=1e-12)
+
     def test_torus_estimates_ordered(self):
         # chi grows with the torus period toward the infinite-volume value
         kw = dict(g=0.3, nu=0.4, T_max=12.0, n=2500, seed=12)
@@ -279,42 +311,73 @@ class TestRngContract:
         assert np.array_equal(block_rng(9, 3).random(8), block_rng(9, 3).random(8))
 
 
-class TestBlockStream:
-    HORIZONS = [1.0, 2.5, 4.0]
+def interval_quad_oracle(spec, g, nu, T, rng, nblock):
+    """Each walk's int_0^T e^{-nu t - g I(t)} dt, one quad per interval.
 
-    def test_last_horizon_is_the_single_horizon_call(self):
-        for spec in (SPEC4, LatticeSpec.torus(4, 4)):
-            for b in (0, 1):
-                multi = _block_intersections(spec, self.HORIZONS,
-                                             block_rng(5, b), 300)
-                single = _block_intersections(spec, [4.0], block_rng(5, b), 300)
-                assert multi.shape == (3, 300)
-                assert np.array_equal(multi[-1], single[0])
+    Redraws the block sampler's walks from its stream (jump counts, jump
+    times, directions), rebuilds each walk's residence intervals one by one
+    and, on each, I(t) from the local times ``L`` held before it:
+    ``I(t) = sum_x L_x^2 - l^2 + (l + t - s)^2`` at a site with ``L = l``.
+    """
+    d = spec.d
+    N = rng.poisson(2 * d * T, size=nblock)
+    times = rng.random(int(N.sum())) * T
+    dirs = rng.integers(0, 2 * d, size=int(N.sum()))
+    values, k = [], 0
+    for n in N:
+        pos, sites = [0] * d, [(0,) * d]
+        for dr in dirs[k:k + n]:
+            pos[dr >> 1] += 1 - 2 * (dr & 1)
+            sites.append(tuple(np.mod(pos, spec.period)) if spec.period
+                         else tuple(pos))
+        bounds = [0.0, *np.sort(times[k:k + n]), T]
+        k += n
+        L, total = {}, 0.0
+        for site, s, e in zip(sites, bounds[:-1], bounds[1:]):
+            l = L.get(site, 0.0)
+            I_s = sum(v * v for v in L.values()) - l * l
+            total += quad(lambda t: math.exp(
+                -nu * t - g * (I_s + (l + t - s) ** 2)), s, e,
+                epsabs=0.0, epsrel=1e-12)[0]
+            L[site] = l + (e - s)
+        values.append(total)
+    return np.array(values)
 
-    def test_nondecreasing_in_horizon(self):
-        I = _block_intersections(SPEC4, self.HORIZONS, block_rng(6, 0), 500)
-        assert np.all(np.diff(I, axis=0) >= 0.0)
 
-    def test_zero_horizon_gives_zero(self):
-        I = _block_intersections(SPEC4, [0.0, 2.0], block_rng(7, 0), 200)
-        assert np.all(I[0] == 0.0) and np.all(I[1] > 0.0)
+class TestWalkLaplaceIntegral:
+    """Each walk's exact ``int_0^T e^{-nu t - g I(t)} dt`` from the sampler."""
 
-    def test_one_site_torus_every_horizon(self):
+    @pytest.mark.parametrize("g,nu", [
+        (0.3, 0.2), (0.3, -0.2),
+        (1e-4, -0.6),   # erfcx(sqrt(g) b) alone would overflow
+        (1e-6, 0.5),    # nu^2/4g = 62500: no difference of squares
+    ], ids=["nu>0", "nu<0", "deep-negative-b", "small-g"])
+    def test_one_site_torus_matches_quad(self, g, nu):
         # every walk stays on the single site, so I(t) = t^2 exactly
-        ts = [0.0, 0.5, 1.5, 3.0]
-        I = _block_intersections(LatticeSpec.torus(4, 1), ts, block_rng(8, 0), 50)
-        for row, t in zip(I, ts):
-            assert row == pytest.approx(np.full(50, t * t), rel=1e-12, abs=0)
+        T = 8.0
+        vals = _block_intersections(LatticeSpec.torus(4, 1), T,
+                                    block_rng(8, 0), BLOCK_SIZE, g=g, nu=nu)
+        exact = quad(lambda t: math.exp(-nu * t - g * t * t), 0.0, T,
+                     epsabs=0.0, epsrel=1e-13)[0]
+        assert vals == pytest.approx(np.full(BLOCK_SIZE, exact), rel=1e-12,
+                                     abs=0)
 
-    def test_earlier_horizon_has_the_law_of_a_shorter_walk(self):
-        # the clock restricted to [0, t] is the clock on [0, t]
-        n = 3 * BLOCK_SIZE
-        I = np.concatenate([_block_intersections(SPEC4, [1.0, 4.0],
-                                                 block_rng(9, b), BLOCK_SIZE)[0]
-                            for b in range(3)])
-        direct = estimate_mean_intersection(SPEC4, 1.0, n, seed=10)
-        se = math.hypot(I.std() / math.sqrt(n), direct.std_error)
-        assert abs(I.mean() - direct.mean) < 4.0 * se
+    def test_free_walk_closed_form(self):
+        # at g = 0 the integrand is e^{-nu t} on every path
+        e = susceptibility_mc(SPEC4, 0.0, 0.5, T_max=16.0, n=3000, seed=1)
+        assert e.mean == pytest.approx(-math.expm1(-8.0) / 0.5, rel=1e-15,
+                                       abs=0)
+        assert e.quadrature_error == 0.0
+
+    @pytest.mark.parametrize("spec,g,nu,T", [
+        (LatticeSpec.torus(1, 3), 0.3, -0.2, 6.0),
+        (LatticeSpec.torus(2, 3), 0.2, 0.1, 4.0),
+        (LatticeSpec.window(2), 0.5, 0.3, 4.0),
+    ], ids=["torus(1,3)", "torus(2,3)", "window(2)"])
+    def test_matches_interval_quad_oracle(self, spec, g, nu, T):
+        vals = _block_intersections(spec, T, block_rng(4, 1), 6, g=g, nu=nu)
+        oracle = interval_quad_oracle(spec, g, nu, T, block_rng(4, 1), 6)
+        assert vals == pytest.approx(oracle, rel=1e-10, abs=0)
 
 
 class TestBlockDraws:
