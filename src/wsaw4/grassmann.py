@@ -43,9 +43,12 @@ fluctuation integral is also available exactly through the heat-kernel
 
 The two-point function of the weakly self-avoiding walk on a finite graph
 is the superintegral of ``exp(-sum_x (tau_Delta_x + g tau_x^2 + nu tau_x))
-phibar_a phi_b``; integrating out the fermions instead produces the
-equivalent determinant representation, and both routes are implemented so
-they can be checked against each other and against direct walk quadrature.
+phibar_a phi_b``; integrating out the fermions instead gives the
+determinant representation, with ``det(L + nu + 2g|phi|^2)`` expanded into
+principal minors of L as a polynomial.  Both routes integrate against the
+same exponent with one grid evaluator, so their agreement checks the fermion
+algebra (``exp_even_form``, the wedge and volume signs), not the grid; the
+grid is checked by self-normalisation and, on one site, by walk quadrature.
 """
 
 from __future__ import annotations
@@ -528,17 +531,21 @@ def berezin_integral(F: GrassmannForm, exponent: FieldPolynomial, *,
 
     ``exponent`` is the boson weight's exponent ``W``, a real-valued
     polynomial (checked).  Only the top-degree monomial of F contributes.
-    Both polynomials are evaluated on the factored polar grid from per-axis
-    tables, in chunks along the first site's nodes.
     """
     M = F.basis.M
     top = F.coeffs.get((F.basis.full_mask, F.basis.full_mask))
     if top is None:
         return 0.0 + 0.0j
-    _real_exponent_check(exponent)
     axes = _boson_axes(M, radial_nodes, angle_nodes, r_max, reduce_u1)
+    return _volume_reorder_sign(M) * _grid_integral(top, exponent, axes)
+
+
+def _grid_integral(f, exponent, axes):
+    """pi^{-M} int f exp(-W) du dv, W real (checked), on the factored grid of
+    ``axes``: per-axis tables, in chunks along the first site's nodes."""
+    _real_exponent_check(exponent)
     groups = _axis_groups(axes)
-    c, tabs = _term_tables(top, groups)
+    c, tabs = _term_tables(f, groups)
     tabs = [t * w for t, (_, w) in zip(tabs, axes)]  # fold in the weights
     cw, wtabs = _term_tables(exponent, groups)
     rest = math.prod(len(v) for v, _ in axes[1:])
@@ -549,7 +556,7 @@ def berezin_integral(F: GrassmannForm, exponent: FieldPolynomial, *,
         vals = _outer_sum(c, [tabs[0][:, rows]] + tabs[1:])
         vals *= np.exp(-_outer_sum(cw, [wtabs[0][:, rows]] + wtabs[1:]).real)
         total += complex(vals.sum())
-    return _volume_reorder_sign(M) * math.pi**-M * total
+    return math.pi**-len(axes) * total
 
 
 # ---------------------------------------------------------------------------
@@ -911,21 +918,25 @@ def two_point_integral(laplacian, g, nu, a, b, method="grassmann", *,
     nu tau)) phibar_a phi_b via the symbolic fermion algebra.
     method="determinant": integrate out the fermions first;
     int det(L + nu + 2g|phi|^2) phibar_a phi_b exp(-(phi, L phibar)
-    - sum (g|phi|^4 + nu|phi|^2)) prod du dv / pi.
+    - sum (g|phi|^4 + nu|phi|^2)) prod du dv / pi, det by principal minors.
 
     Valid for g > 0, or g = 0 with nu > 0.
     """
     lap = np.asarray(laplacian, dtype=float)
+    if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
+        raise ValueError(f"laplacian must be square, got shape {lap.shape}")
     M = lap.shape[0]
+    if not (0 <= a < M and 0 <= b < M):
+        raise ValueError(f"vertices a={a}, b={b} not in 0..{M - 1}")
     if g < 0 or (g == 0 and nu <= 0):
         raise ValueError("need g > 0, or g = 0 with nu > 0 (divergent)")
     if reduce_u1 is None:
         reduce_u1 = M >= 3
     r_max = _auto_rmax(g, nu)
+    basis = FermionBasis(M)
+    V = interaction_form(basis, lap, g, nu)
+    obs = wedge_product(phibar_poly(basis, a), phi_poly(basis, b))
     if method == "grassmann":
-        basis = FermionBasis(M)
-        V = interaction_form(basis, lap, g, nu)
-        obs = wedge_product(phibar_poly(basis, a), phi_poly(basis, b))
         G = wedge_product(exp_even_form(V * -1.0), obs)
         val = berezin_integral(G, V.degree0(), radial_nodes=radial_nodes,
                                angle_nodes=angle_nodes, r_max=r_max,
@@ -933,14 +944,19 @@ def two_point_integral(laplacian, g, nu, a, b, method="grassmann", *,
         return float(val.real)
     if method != "determinant":
         raise ValueError(f"unknown method {method!r}")
-    phi, w = boson_grid(M, radial_nodes=radial_nodes, angle_nodes=angle_nodes,
-                        r_max=r_max, reduce_u1=reduce_u1)
-    phibar = np.conj(phi)
-    mats = np.broadcast_to(lap, (phi.shape[0], M, M)).astype(complex).copy()
-    diag = nu + 2.0 * g * (phi * phibar).real
-    mats[:, np.arange(M), np.arange(M)] += diag
-    dets = np.linalg.det(mats)
-    quad = np.einsum("qx,xy,qy->q", phi, lap.astype(complex), phibar)
-    pot = (g * ((phi * phibar).real ** 2) + nu * (phi * phibar).real).sum(axis=1)
-    integrand = dets * phibar[:, a] * phi[:, b] * np.exp(-quad - pot)
-    return float((math.pi**-M * np.sum(w * integrand)).real)
+    d = [tau_form(basis, x).degree0() * (2.0 * g) + nu for x in range(M)]
+    f = obs.degree0() * _shifted_det(lap, d)
+    axes = _boson_axes(M, radial_nodes, angle_nodes, r_max, reduce_u1)
+    return float(_grid_integral(f, V.degree0(), axes).real)
+
+
+def _shifted_det(L, d):
+    """det(L + diag(d)) for polynomials d_x, by the principal-minor expansion
+    sum_{S subset V} det(L[S^c, S^c]) prod_{x in S} d_x (empty minor 1)."""
+    M = len(d)
+    out = FieldPolynomial(M)
+    for S in range(1 << M):
+        rest = [x for x in range(M) if not S >> x & 1]
+        minor = FieldPolynomial.constant(M, np.linalg.det(L[np.ix_(rest, rest)]))
+        out = out + math.prod((d[x] for x in _bits(S)), start=minor)
+    return out

@@ -66,6 +66,15 @@ class TestArtifacts:
         assert data["self_norm_residual"] < 1e-6
         assert data["residual_vs_alt_method"] < 1e-5
 
+    def test_susy_verify_residual_on_three_sites(self, tmp_path):
+        out, _ = run_cli(["susy-verify", "--graph", "triangle", "--g", "0.3",
+                          "--nu", "0.2", "--a", "0", "--b", "1",
+                          "--radial-nodes", "24", "--angle-nodes", "12"],
+                         tmp_path, "s")
+        data = json.loads((out / "susy.json").read_text())
+        assert data["residual_vs_alt_method"] is not None
+        assert data["residual_vs_alt_method"] < 1e-12
+
     def test_walk_mc_outputs(self, tmp_path):
         out, _ = run_cli(["walk-mc", "--dim", "4", "--g", "0.1", "--T", "1.0",
                           "--samples", "1000", "--seed", "3"], tmp_path, "w")
@@ -170,6 +179,15 @@ class TestExitCodes:
         assert r.returncode == 1
         assert "nu > 0" in r.stderr
         assert not (tmp_path / "w").exists()
+
+    def test_susy_verify_vertex_out_of_range(self, tmp_path):
+        for a in ("-1", "2"):
+            r = self.run_proc(["susy-verify", "--graph", "path2", "--g",
+                               "0.2", "--nu", "0.1", "--a", a, "--b", "0",
+                               "--out", str(tmp_path / "x")])
+            assert r.returncode == 1
+            assert "not in 0..1" in r.stderr
+            assert not (tmp_path / "x").exists()
 
     def test_missing_manifest(self):
         r = self.run_proc(["reproduce", "/nonexistent/manifest.json"])

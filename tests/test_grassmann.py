@@ -2,7 +2,8 @@
 
 Oracles: closed-form Gaussian integrals, exact matrix inverses (free-field
 two-point), the one-dimensional walk-side quadrature
-int_0^inf exp(-g T^2 - nu T) dT, exact Wick contractions, and the mutual
+int_0^inf exp(-g T^2 - nu T) dT, exact Wick contractions, np.linalg.det
+for the determinant route's principal-minor expansion, and the mutual
 agreement of the symbolic-fermion and determinant routes.
 """
 
@@ -478,6 +479,38 @@ class TestTwoPoint:
                                     radial_nodes=48, angle_nodes=24)
             assert abs(v1 - v2) < 1e-6
 
+    def test_methods_agree_three_site(self):
+        # the routes share one grid and one exponent, so their gap is the
+        # fermion algebra's roundoff, not the quadrature error
+        for (g, nu, a, b) in [(0.3, 0.2, 0, 1), (0.5, -0.2, 2, 2)]:
+            v1 = two_point_integral(TRIANGLE, g, nu, a, b, "grassmann",
+                                    radial_nodes=32, angle_nodes=16)
+            v2 = two_point_integral(TRIANGLE, g, nu, a, b, "determinant",
+                                    radial_nodes=32, angle_nodes=16)
+            assert abs(v1 - v2) <= 1e-12
+
+    @pytest.mark.parametrize("method", ["grassmann", "determinant"])
+    def test_vertex_out_of_range_rejected(self, method):
+        # a = -1 must not mean the last vertex, a = M must not IndexError
+        for a, b in [(-1, 0), (0, -1), (2, 0), (0, 2)]:
+            with pytest.raises(ValueError, match="not in 0..1"):
+                two_point_integral(PATH2, 0.2, 0.1, a, b, method,
+                                   radial_nodes=8, angle_nodes=4)
+
+    @pytest.mark.parametrize("method", ["grassmann", "determinant"])
+    def test_non_square_laplacian_rejected(self, method):
+        for lap in (np.ones((2, 3)), np.ones(2)):
+            with pytest.raises(ValueError, match="square"):
+                two_point_integral(lap, 0.2, 0.1, 0, 0, method)
+
+    @pytest.mark.parametrize("method", ["grassmann", "determinant"])
+    def test_non_symmetric_laplacian_rejected(self, method):
+        # (phi, L phibar) is real only for symmetric L; neither route may
+        # integrate against a complex weight
+        lap = np.array([[1.0, -1.0], [-0.5, 0.5]])
+        with pytest.raises(ValueError, match="not real-valued"):
+            two_point_integral(lap, 0.2, 0.1, 0, 1, method)
+
     def test_free_field_limit(self):
         v = two_point_integral(PATH2, 1e-6, 1.0, 0, 1, "grassmann")
         exact = np.linalg.inv(PATH2 + np.eye(2))[0, 1]
@@ -486,3 +519,40 @@ class TestTwoPoint:
     def test_divergent_rejected(self):
         with pytest.raises(ValueError):
             two_point_integral(PATH2, 0.0, -0.1, 0, 1)
+
+
+class TestShiftedDeterminant:
+    """det(L + diag(nu + 2g phi phibar)) as a polynomial, against
+    np.linalg.det at random complex points (phibar not tied to phi)."""
+
+    @staticmethod
+    def diagonal(M, g, nu):
+        return [FieldPolynomial.variable(M, x)
+                * FieldPolynomial.variable(M, x, bar=True) * (2.0 * g) + nu
+                for x in range(M)]
+
+    @staticmethod
+    def worst_relative_gap(poly, lap, g, nu, phi, phibar):
+        oracle = np.linalg.det(lap + np.apply_along_axis(
+            np.diag, -1, nu + 2.0 * g * phi * phibar))
+        vals = poly.evaluate(phi, phibar)
+        return float(np.max(np.abs(vals - oracle) / np.abs(oracle)))
+
+    @pytest.mark.parametrize("lap", [np.zeros((1, 1)), PATH2, TORUS2,
+                                     TRIANGLE])
+    def test_matches_linalg_det(self, lap):
+        M = lap.shape[0]
+        rng = np.random.default_rng(40 + M)
+        phi, phibar = (rng.normal(size=(2, 50, M))
+                       + 1j * rng.normal(size=(2, 50, M)))
+        for g, nu in [(0.3, 0.2), (0.5, -0.2), (1e-6, 1.0)]:
+            d = self.diagonal(M, g, nu)
+            det = grassmann._shifted_det(lap, d)
+            assert self.worst_relative_gap(det, lap, g, nu, phi,
+                                           phibar) <= 1e-12
+            # the oracle sees a lost empty minor, prod_x d_x
+            prod = FieldPolynomial.constant(M, 1.0)
+            for dx in d:
+                prod = prod * dx
+            assert self.worst_relative_gap(det + (-prod), lap, g, nu, phi,
+                                           phibar) > 1e-3
