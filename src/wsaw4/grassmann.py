@@ -54,6 +54,7 @@ grid is checked by self-normalisation and, on one site, by walk quadrature.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -926,7 +927,7 @@ def two_point_integral(laplacian, g, nu, a, b, method="grassmann", *,
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
         raise ValueError(f"laplacian must be square, got shape {lap.shape}")
     M = lap.shape[0]
-    if not (0 <= a < M and 0 <= b < M):
+    if not all(isinstance(v, numbers.Integral) and 0 <= v < M for v in (a, b)):
         raise ValueError(f"vertices a={a}, b={b} not in 0..{M - 1}")
     if g < 0 or (g == 0 and nu <= 0):
         raise ValueError("need g > 0, or g = 0 with nu > 0 (divergent)")

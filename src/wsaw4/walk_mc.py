@@ -86,15 +86,17 @@ def _chan_stream(blocks):
 
     Each block has shape ``(k, nb)`` (k statistics of nb samples) or
     ``(nb,)``.  Rows are reduced along their contiguous axis, so each is
-    summed as a 1-D block would be.  Returns per-row ``(mean, se, count)``.
+    summed as a 1-D block would be.  Returns per-row ``(mean, se, count)``;
+    fewer than 2 samples in all raise, as they give no standard error.
     """
     count, mean, m2 = 0, 0.0, 0.0
     for vals in blocks:
         bmean = vals.mean(axis=-1)
         bm2 = ((vals - bmean[..., None]) ** 2).sum(axis=-1)
         count, mean, m2 = _combine(count, mean, m2, vals.shape[-1], bmean, bm2)
-    se = np.sqrt(m2 / (count - 1) / count) if count > 1 else np.zeros_like(m2)
-    return mean, se, count
+    if count < 2:
+        raise ValueError(f"{count} samples give no standard error; need >= 2")
+    return mean, np.sqrt(m2 / (count - 1) / count), count
 
 
 @dataclass(frozen=True)
@@ -228,13 +230,24 @@ def fold_and_compare(sample: WalkSample, periods) -> dict:
 # Vectorized block sampling
 # ---------------------------------------------------------------------------
 
+def _row_sorted(nblock, vowner, cols, x):
+    """Sort ``x`` within each walk: one ``inf``-padded row per walk."""
+    table = np.full((nblock, cols.max() + 1), np.inf)
+    table[vowner, cols] = x
+    table.sort(axis=1)
+    return table[vowner, cols]
+
+
 def _block_intersections(spec, T, rng, nblock, g=0.0, nu=None):
     """I(T) for a block of walks, or with ``nu`` each walk's Laplace integral.
 
     Jump counts are Poisson(2dT); conditionally the jump times are sorted
-    uniforms and steps are uniform neighbours.  Local times are grouped by
-    packing (sample, site) into one int64 key.  Returns shape ``(nblock,)``:
-    ``I(T)``, or with ``nu`` given ``int_0^T e^{-nu t - g I(t)} dt``.
+    uniforms and steps are uniform neighbours.  Visits sit in walk order,
+    and ``cols`` places each in a padded ``(walk, visit)`` table, where the
+    times are sorted and the Laplace prefix sums taken row by row.  Local
+    times are grouped by packing (sample, site) into one int64 key.
+    Returns shape ``(nblock,)``: ``I(T)``, or with ``nu`` given
+    ``int_0^T e^{-nu t - g I(t)} dt``.
     """
     if spec.geometry == "graph":
         raise ValueError("walks run on window or torus geometry")
@@ -244,20 +257,24 @@ def _block_intersections(spec, T, rng, nblock, g=0.0, nu=None):
     nv = int(N.sum()) + nblock
     visit_starts = np.concatenate([[0], np.cumsum(N[:-1] + 1)])
     vowner = np.repeat(np.arange(nblock), N + 1)
-    jumps = np.flatnonzero(vowner[1:] == vowner[:-1]) + 1  # all but starts
+    cols = np.arange(nv) - np.repeat(visit_starts, N + 1)
+    jumps = np.flatnonzero(cols)   # all but starts
     vtimes = np.zeros(nv)     # time at which the visit starts
     vtimes[jumps] = rng.random(nv - nblock) * T
-    vtimes = vtimes[np.lexsort((vtimes, vowner))]
+    vtimes = _row_sorted(nblock, vowner, cols, vtimes)
+    # end of each residence interval: the next visit's start, or T
+    next_t = np.append(vtimes[1:], T)
+    next_t[visit_starts + N] = T
+    gaps = next_t - vtimes
+    if nu is not None and g == 0:
+        return np.bincount(vowner, np.exp(-nu * vtimes)
+                           * -np.expm1(-nu * gaps) / nu, nblock)
+
     dirs = rng.integers(0, 2 * d, size=nv - nblock)
     vpos = np.zeros((nv, d), dtype=np.int64)
     vpos[jumps, dirs >> 1] = 1 - 2 * (dirs & 1)
     vpos = np.cumsum(vpos, axis=0)
     vpos -= np.repeat(vpos[visit_starts], N + 1, axis=0)
-    # end of each residence interval: the next visit's start, or T
-    next_t = np.append(vtimes[1:], T)
-    next_t[visit_starts + N] = T
-    gaps = next_t - vtimes
-
     if spec.geometry == "torus":
         vpos = np.mod(vpos, spec.period)
 
@@ -276,12 +293,8 @@ def _block_intersections(spec, T, rng, nblock, g=0.0, nu=None):
     if nu is None:
         lt = np.add.reduceat(sgaps, seg)
         return np.bincount(vowner[sorter][seg], lt * lt, nblock)
-    if g == 0:
-        return np.bincount(vowner, np.exp(-nu * vtimes)
-                           * -np.expm1(-nu * gaps) / nu, nblock)
     # prefix sums over a walk's earlier entries, one padded row per walk, so
     # roundoff scales with one walk's total rather than the block's
-    cols = np.arange(nv) - np.repeat(visit_starts, N + 1)
     table = np.zeros((nblock, cols.max() + 2))
 
     def walk_prefix(x):
@@ -392,6 +405,8 @@ def conditioned_intersection(T: float, n: int, n_samples: int,
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    if n_samples < 2:
+        raise ValueError(f"{n_samples} samples give no standard error; need >= 2")
     if n == 0:
         return Estimate(mean=T * T, std_error=0.0, n_samples=n_samples, seed=seed)
     per_block = max(1, BLOCK_SIZE // n)
@@ -416,45 +431,45 @@ def conditioned_intersection(T: float, n: int, n_samples: int,
 def saw_counts(d: int, n_max: int):
     """Exact counts s_n of n-step strictly self-avoiding walks, n = 1..n_max.
 
-    Pure-Python backtracking enumeration, whose cost grows about (2d-1)-fold
-    per step.  The budget caps n_max at 64, 13, 9 and 7 for d = 1, 2, 3, 4,
-    so that the largest allowed call takes a few seconds; larger requests
-    raise.
+    Pure-Python backtracking over one symmetry class: walks whose first step
+    is ``+e_1`` and whose first off-axis step is ``+e_2``, seeded with the
+    prefixes ``+e_1^k, +e_2``.  With ``a_n`` such walks,
+    ``s_n = 2d (1 + 2(d-1) a_n)``, the 1 being the straight walk.  The cost
+    grows about (2d-1)-fold per step; the budget caps n_max at 64, 17, 12
+    and 10 for d = 1, 2, 3, 4, so that the largest allowed call takes a
+    few seconds (one step more takes 8-12 s); larger requests raise.
     """
     if not 1 <= d <= 4:
         raise ValueError("d must be in 1..4")
-    budget = {1: 64, 2: 13, 3: 9, 4: 7}[d]
+    budget = {1: 64, 2: 17, 3: 12, 4: 10}[d]
     if n_max > budget:
         raise ValueError(f"enumeration budget exceeded: n_max <= {budget} for d={d}")
     if d == 1:
         return [2] * n_max
+    # a site is one int: its coordinates, all in [-n_max, n_max], are its
+    # balanced digits in base 2 n_max + 1
+    base = 2 * n_max + 1
+    steps = [s * base**ax for ax in range(d) for s in (1, -1)]
     counts = [0] * (n_max + 1)
-    steps = []
-    for ax in range(d):
-        for s in (1, -1):
-            e = [0] * d
-            e[ax] = s
-            steps.append(tuple(e))
-    origin = (0,) * d
-    visited = {origin}
-    path = [origin]
 
-    def extend(depth):
-        pos = path[-1]
+    def extend(pos, depth):
         for e in steps:
-            nxt = tuple(p + q for p, q in zip(pos, e))
+            nxt = pos + e
             if nxt in visited:
                 continue
             counts[depth] += 1
             if depth < n_max:
                 visited.add(nxt)
-                path.append(nxt)
-                extend(depth + 1)
-                path.pop()
+                extend(nxt, depth + 1)
                 visited.remove(nxt)
 
-    extend(1)
-    return counts[1:]
+    for k in range(1, n_max):
+        turn = k + base
+        visited = set(range(k + 1)) | {turn}
+        counts[k + 1] += 1
+        if k + 1 < n_max:
+            extend(turn, k + 2)
+    return [2 * d * (1 + 2 * (d - 1) * a) for a in counts[1:]]
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,15 @@ class TestExitCodes:
             assert "grid" in r.stderr
             assert not (tmp_path / "x").exists()
 
+    def test_walk_mc_too_few_samples(self, tmp_path):
+        # no c_T = 0.0 +- 0.0 in walk.json: c_T lies in (0, 1]
+        for flags in (["--samples", "0"], ["--nu", "0.5", "--samples-chi", "1"]):
+            r = self.run_proc(["walk-mc", "--dim", "2", "--T", "1"] + flags
+                              + ["--out", str(tmp_path / "x")])
+            assert r.returncode == 1
+            assert "need >= 2" in r.stderr
+            assert not (tmp_path / "x").exists()
+
     def test_walk_mc_nonpositive_nu(self, tmp_path):
         # a torus bounds the Laplace tail at g > 0 for every nu; Z^d does not
         flags = ["walk-mc", "--dim", "1", "--g", "0.3", "--nu", "-0.2"]

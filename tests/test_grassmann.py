@@ -491,8 +491,9 @@ class TestTwoPoint:
 
     @pytest.mark.parametrize("method", ["grassmann", "determinant"])
     def test_vertex_out_of_range_rejected(self, method):
-        # a = -1 must not mean the last vertex, a = M must not IndexError
-        for a, b in [(-1, 0), (0, -1), (2, 0), (0, 2)]:
+        # a = -1 must not mean the last vertex, a = M must not IndexError,
+        # a = 0.5 must not TypeError
+        for a, b in [(-1, 0), (0, -1), (2, 0), (0, 2), (0.5, 0), (0, 1.0)]:
             with pytest.raises(ValueError, match="not in 0..1"):
                 two_point_integral(PATH2, 0.2, 0.1, a, b, method,
                                    radial_nodes=8, angle_nodes=4)

@@ -250,6 +250,7 @@ class TestSawCounts:
     def test_vs_naive_enumeration_oracle(self):
         assert saw_counts(2, 4) == [naive_saw_count(2, n) for n in (1, 2, 3, 4)]
         assert saw_counts(3, 3) == [naive_saw_count(3, n) for n in (1, 2, 3)]
+        assert saw_counts(4, 4) == [naive_saw_count(4, n) for n in (1, 2, 3, 4)]
 
     def test_connective_constant_bracket(self):
         counts = saw_counts(2, 10)
@@ -259,9 +260,31 @@ class TestSawCounts:
     def test_budget_guard(self):
         # the pure-Python enumeration grows about (2d-1)-fold per step; the
         # largest allowed call at each d takes a few seconds
-        for d, budget in ((2, 13), (3, 9), (4, 7)):
+        for d, budget in ((2, 17), (3, 12), (4, 10)):
             with pytest.raises(ValueError, match="budget"):
                 saw_counts(d, budget + 1)
+
+    def test_d4_eight_steps(self):
+        # OEIS A010575: self-avoiding walks on Z^4
+        assert saw_counts(4, 8)[-1] == 5946200
+
+
+class TestTooFewSamples:
+    # one sample gives no standard error, and none gives no mean
+    @pytest.mark.parametrize("estimator", [
+        lambda n: estimate_cT(SPEC4, 0.1, 2.0, n),
+        lambda n: estimate_mean_intersection(SPEC4, 2.0, n),
+        lambda n: susceptibility_mc(SPEC4, 0.1, 0.5, T_max=4.0, n=n),
+        lambda n: jensen_bound_check(0.2, 2.0, n),
+        lambda n: conditioned_intersection(1.0, 5, n),
+        lambda n: conditioned_intersection(1.0, 0, n),
+    ], ids=["estimate_cT", "estimate_mean_intersection", "susceptibility_mc",
+            "jensen_bound_check", "conditioned_intersection",
+            "conditioned_intersection_no_jumps"])
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_rejected(self, estimator, n):
+        with pytest.raises(ValueError, match="need >= 2"):
+            estimator(n)
 
 
 class TestJensen:
@@ -396,7 +419,7 @@ class TestBlockDraws:
         jensen_bound_check(0.1, 1.0, 3 * BLOCK_SIZE, seed=2)
         assert drawn == [0, 1, 2]
 
-    @pytest.mark.parametrize("n", [1, BLOCK_SIZE, BLOCK_SIZE + 10])
+    @pytest.mark.parametrize("n", [2, BLOCK_SIZE, BLOCK_SIZE + 10])
     def test_susceptibility_one_stream(self, drawn, n):
         e = susceptibility_mc(SPEC4, 0.1, 0.5, T_max=2.0, n=n, seed=3)
         assert drawn == list(range(math.ceil(n / BLOCK_SIZE)))
@@ -428,3 +451,31 @@ class TestFrozenValues:
         e = conditioned_intersection(1.0, 5, 20000, seed=13)
         assert e.mean == pytest.approx(0.28626357021628324, rel=1e-12)
         assert e.std_error == pytest.approx(0.0005347197963014556, rel=1e-12)
+
+    def test_estimate_mean_intersection(self):
+        e = estimate_mean_intersection(SPEC4, 3.0, 10000, seed=4)
+        assert e.mean == pytest.approx(0.8476227026615152, rel=1e-12)
+        assert e.std_error == pytest.approx(0.0025364884830329374, rel=1e-12)
+
+    @pytest.mark.parametrize("spec,g,nu,n,seed,mean,se", [
+        (SPEC4, 0.1, 0.5, 2000, 1, 1.894930775393061, 0.0005254062606439186),
+        (LatticeSpec.torus(1, 2), 0.3, -0.2, 4000, 5, 2.863031836995656,
+         0.0036013474552366916),
+    ], ids=["window", "torus2"])
+    def test_susceptibility_mc(self, spec, g, nu, n, seed, mean, se):
+        e = susceptibility_mc(spec, g, nu, T_max=16.0, n=n, seed=seed)
+        assert e.mean == pytest.approx(mean, rel=1e-12)
+        assert e.std_error == pytest.approx(se, rel=1e-12)
+
+    def test_susceptibility_mc_free(self):
+        # at g = 0 every walk gives (1 - e^{-nu T_max})/nu: the SE is roundoff
+        e = susceptibility_mc(SPEC4, 0.0, 0.5, T_max=16.0, n=2000, seed=1)
+        assert e.mean == pytest.approx(1.9993290747441952, rel=1e-12)
+        assert e.std_error < 1e-15
+
+    def test_saw_counts(self):
+        # OEIS A001411 (d = 2) and A001412 (d = 3)
+        assert saw_counts(2, 13) == [4, 12, 36, 100, 284, 780, 2172, 5916,
+                                     16268, 44100, 120292, 324932, 881500]
+        assert saw_counts(3, 9) == [6, 30, 150, 726, 3534, 16926, 81390,
+                                    387966, 1853886]
