@@ -29,6 +29,7 @@ from . import __version__
 from . import cov_decomp, grassmann, lattice_green, rg_flow, susceptibility, walk_mc
 
 SCHEMA_VERSION = 2  # bumped when the RNG stream layout for a seed changes
+_TAIL_PERIOD_CAP = 64  # largest torus period 4 L^j --measure-tails uses
 
 
 class _UserError(Exception):
@@ -105,10 +106,10 @@ def _coeffs_from_params(p):
 def _run_decompose(p):
     dec, co = _coeffs_from_params(p)
     rows = []
-    for sl in dec.slices:
-        tail = cov_decomp.range_tail_fraction(dec, sl.j) \
-            if p["measure_tails"] and 4 * p["L"] ** sl.j <= 64 else ""
-        rows.append((sl.j, sl.diagonal, tail))
+    for j in range(1, dec.J + 1):
+        tail = cov_decomp.range_tail_fraction(dec, j) \
+            if p["measure_tails"] and 4 * dec.L**j <= _TAIL_PERIOD_CAP else ""
+        rows.append((j, dec.diagonals[j], tail))
     fcsv = _csv_text(["j", "diagonal", "range_tail_fraction"], rows)
     out = {"beta": co.beta, "eta": co.eta, "chi": co.chi,
            "j_m": None if np.isinf(co.j_m) else int(co.j_m),

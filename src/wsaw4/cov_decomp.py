@@ -18,8 +18,9 @@ the telescoping identity ``sum_j u_j + u_rem = 1`` holds at machine
 precision because the same ``step`` evaluations cancel pairwise.
 
 The slices only approximately have the finite-range property of an exact
-construction; the out-of-range mass fraction is measured (by FFT on a
-periodized window) and reported per slice where affordable.
+construction; :func:`range_tail_fraction` measures the out-of-range mass
+fraction (by FFT on a periodized window), and ``decompose --measure-tails``
+reports it per slice where affordable.
 
 All coefficient sequences reduce to Brillouin-zone integrals of functions of
 the symbol, via Parseval:
@@ -36,7 +37,7 @@ identically (same grid, telescoping in floating point).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +45,6 @@ from .lattice_green import LatticeSpec, graded_bz_sum, symbol
 
 __all__ = [
     "smooth_step",
-    "KernelSlice",
     "Decomposition",
     "build_decomposition",
     "beta_sequence",
@@ -90,56 +90,37 @@ def _f(tau, j):
 
 
 @dataclass(frozen=True)
-class KernelSlice:
-    """One covariance scale C_j: multiplier data plus range metadata."""
-
-    j: int
-    L: int
-    m2: float
-    diagonal: float            # C_{j;0,0}
-    range_: float              # nominal range L^j / 2
-    tail_fraction: float | None = None  # measured out-of-range mass fraction
-
-    def multiplier(self, s):
-        """u_j evaluated at symbol values s (vectorized)."""
-        t = _tau(np.asarray(s, dtype=float), self.L)
-        return _f(t, self.j) - _f(t, self.j - 1)
-
-
-@dataclass(frozen=True)
 class Decomposition:
-    """Scale decomposition of (-D + m2)^{-1} into J slices plus remainder."""
+    """Scale decomposition of (-D + m2)^{-1} into J slices plus remainder.
+
+    Shared-pass integrals on one quadrature grid:
+    ``w2_partial[k] = int C_hat^2 f_k^2`` (k = 0 .. J) and
+    ``diagonals[j] = C_{j;0,0} = int C_hat u_j`` (j = 1 .. J, slot 0 unused).
+    """
 
     spec: LatticeSpec
     L: int
     m2: float
     J: int
-    slices: tuple = ()
-    remainder: KernelSlice | None = None
-    # shared-pass integrals, aligned grids:
-    #   w2_partial[k] = int C_hat^2 f_k^2   (k = 0 .. J+1)
-    #   diagonals[j]  = int C_hat u_j       (j = 1 .. J+1, slot 0 unused)
-    w2_partial: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    diagonals: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    quad_grid: int = 32
+    w2_partial: np.ndarray
+    diagonals: np.ndarray
 
-    def multiplier_total(self, s):
-        """Sum of all slice multipliers plus remainder at symbol values s.
+    def multiplier(self, j: int, s) -> np.ndarray:
+        """Slice j's multiplier at symbol values s (vectorized).
 
-        Telescopes to exactly 1; exposed so tests can quantify the identity
-        over Fourier modes.
+        ``u_j = f_j - f_{j-1}`` for j = 1 .. J, and the remainder
+        ``1 - f_J`` for j = J+1, so the J+1 multipliers sum to 1.
         """
+        if j not in range(1, self.J + 2):
+            raise ValueError(f"slice j={j} not in 1..{self.J + 1}")
         t = _tau(np.asarray(s, dtype=float), self.L)
-        total = np.zeros_like(t)
-        for j in range(1, self.J + 1):
-            total = total + (_f(t, j) - _f(t, j - 1))
-        total = total + (1.0 - _f(t, self.J))
-        return total
+        if j > self.J:
+            return 1.0 - _f(t, self.J)
+        return _f(t, j) - _f(t, j - 1)
 
 
 def build_decomposition(spec: LatticeSpec, L: int, m2: float, J: int = 16, *,
-                        grid: int = 32, measure_tails: bool = False,
-                        tail_period_cap: int = 64) -> Decomposition:
+                        grid: int = 32) -> Decomposition:
     """Build the scale decomposition and its shared-pass integrals.
 
     Parameters
@@ -150,9 +131,6 @@ def build_decomposition(spec: LatticeSpec, L: int, m2: float, J: int = 16, *,
     J : number of slices
     grid : points per axis per dyadic quadrature level (window geometry; a
         positive multiple of 4)
-    measure_tails : measure out-of-range mass fractions per slice (FFT on a
-        periodized window of period 4 L^j, for slices where that period does
-        not exceed ``tail_period_cap``)
     """
     if L < 2:
         raise ValueError("scale base L must be >= 2")
@@ -171,7 +149,7 @@ def build_decomposition(spec: LatticeSpec, L: int, m2: float, J: int = 16, *,
     d = spec.d
 
     def reducer(ks, weights, inner_mask):
-        # Rows 0 .. J+1:   C_hat^2 f_j^2, and rows J+2 .. 2J+2: C_hat u_j,
+        # Rows 0 .. J:   C_hat^2 f_j^2, and rows J+1 .. 2J: C_hat u_j,
         # reduced to weighted (shell, inner) sums without materializing the
         # stack.  Within one dyadic level the symbol spans only a few scale
         # units, so most cutoffs f_j are constant 0 or 1 there; classify
@@ -187,29 +165,29 @@ def build_decomposition(spec: LatticeSpec, L: int, m2: float, J: int = 16, *,
                          np.where(inner_mask, weights, 0.0)], axis=1)
         base2 = chat2 @ wmat
         base1 = chat @ wmat
-        out = np.zeros((2 * J + 3, 2))
+        out = np.zeros((2 * J + 1, 2))
         fs = {0: 0.0}
-        for j in range(1, J + 2):
+        for j in range(1, J + 1):
             if tmax <= j - 1.0:
                 fs[j] = 1.0
             elif tmin >= float(j):
                 fs[j] = 0.0
             else:
                 fs[j] = smooth_step(t - j + 1.0)
-        for j in range(J + 2):
+        for j in range(J + 1):
             f = fs[j]
             if isinstance(f, float):
                 if f == 1.0:
                     out[j] = base2
             else:
                 out[j] = (chat2 * f * f) @ wmat
-        for j in range(1, J + 2):
+        for j in range(1, J + 1):
             hi, lo = fs[j], fs[j - 1]
             if isinstance(hi, float) and isinstance(lo, float):
                 if hi != lo:
-                    out[J + 1 + j] = (hi - lo) * base1
+                    out[J + j] = (hi - lo) * base1
             else:
-                out[J + 1 + j] = (chat * (hi - lo)) @ wmat
+                out[J + j] = (chat * (hi - lo)) @ wmat
         return out[:, 0], out[:, 1]
 
     if spec.geometry == "window":
@@ -231,40 +209,21 @@ def build_decomposition(spec: LatticeSpec, L: int, m2: float, J: int = 16, *,
                                np.zeros(flat[0].size, dtype=bool))
         vals = (shell + inner) / P**d
 
-    w2_partial = np.asarray(vals[: J + 2])
-    diag = np.concatenate([[np.nan], np.asarray(vals[J + 2:])])  # index by j
-
-    slices = tuple(
-        KernelSlice(j=j, L=L, m2=m2, diagonal=float(diag[j]),
-                    range_=0.5 * float(L) ** j)
-        for j in range(1, J + 1)
-    )
-    remainder = KernelSlice(j=J + 1, L=L, m2=m2, diagonal=float(diag[J + 1]),
-                            range_=np.inf)
-    decomp = Decomposition(spec=spec, L=L, m2=m2, J=J, slices=slices,
-                           remainder=remainder, w2_partial=w2_partial,
-                           diagonals=diag, quad_grid=grid)
-    if measure_tails:
-        new_slices = []
-        for sl in slices:
-            period = 4 * L**sl.j
-            tf = range_tail_fraction(decomp, sl.j) \
-                if period <= tail_period_cap else None
-            new_slices.append(replace(sl, tail_fraction=tf))
-        decomp = replace(decomp, slices=tuple(new_slices))
-    return decomp
+    diag = np.concatenate([[np.nan], np.asarray(vals[J + 1:])])  # index by j
+    return Decomposition(spec=spec, L=L, m2=m2, J=J,
+                         w2_partial=np.asarray(vals[: J + 1]), diagonals=diag)
 
 
 def slice_kernel_on_torus(decomp: Decomposition, j: int, period: int) -> np.ndarray:
-    """Kernel C_j(0, x) periodized to a torus of the given period (FFT)."""
+    """Kernel C_j(0, x), j = 1 .. J+1, periodized to a torus of the given
+    period (FFT); j = J+1 is the remainder."""
+    if j not in range(1, decomp.J + 2):
+        raise ValueError(f"slice j={j} not in 1..{decomp.J + 1}")
     d = decomp.spec.d
     modes = 2.0 * np.pi * np.arange(period) / period
     mesh = np.meshgrid(*([modes] * d), indexing="ij")
     s = symbol(mesh) + decomp.m2
-    if j <= decomp.J:
-        mult = decomp.slices[j - 1].multiplier(s)
-    else:
-        mult = decomp.remainder.multiplier(s)  # not meaningful; kept simple
+    mult = decomp.multiplier(j, s)
     chat = np.where(s > 0, mult / np.where(s > 0, s, 1.0), 0.0)
     return np.fft.ifftn(chat).real
 
@@ -394,12 +353,29 @@ def coefficient_sequences(decomp: Decomposition, *, Omega: float = 2.0,
 
 
 def load_coefficient_tables(path):
-    """Read a (j, theta, xi, pi) CSV sidecar; returns three dense arrays."""
+    """Read a (j, theta, xi, pi) CSV sidecar; returns three dense arrays.
+
+    Raises ValueError for a missing column, a non-numeric entry, a
+    negative ``j`` or a ``j`` given twice.
+    """
+    cols = ("j", "theta", "xi", "pi")
     rows = {}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows[int(row["j"])] = (float(row["theta"]), float(row["xi"]),
-                                   float(row["pi"]))
+        reader = csv.DictReader(fh)
+        missing = [c for c in cols if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            try:
+                j = int(row["j"])
+                vals = tuple(float(row[c]) for c in cols[1:])
+            except (TypeError, ValueError):
+                raise ValueError(f"{where}: non-numeric entry in {row}") from None
+            if j < 0 or j in rows:
+                raise ValueError(f"{where}: j={j} is "
+                                 + ("negative" if j < 0 else "repeated"))
+            rows[j] = vals
     if not rows:
         return np.zeros(0), np.zeros(0), np.zeros(0)
     n = max(rows) + 1

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -73,7 +74,6 @@ class LatticeSpec:
     geometry: str
     period: int | None = None
     laplacian: np.ndarray | None = None
-    extent: int | None = None
 
     def __post_init__(self):
         if self.d < 1:
@@ -93,9 +93,9 @@ class LatticeSpec:
                 raise ValueError("graph Laplacian rows must sum to zero")
 
     @staticmethod
-    def window(d: int, extent: int | None = None) -> "LatticeSpec":
+    def window(d: int) -> "LatticeSpec":
         """Infinite lattice Z^d (values by Brillouin-zone quadrature)."""
-        return LatticeSpec(d=d, geometry="window", extent=extent)
+        return LatticeSpec(d=d, geometry="window")
 
     @staticmethod
     def torus(d: int, period: int) -> "LatticeSpec":
@@ -116,15 +116,6 @@ class GreenEvaluation:
     m2: float
     value_at: dict = field(default_factory=dict)
     abs_error: float = 0.0
-
-    def __call__(self, x) -> float:
-        return self.value_at[_as_key(x)]
-
-
-def _as_key(x):
-    if np.isscalar(x):
-        return (int(x),)
-    return tuple(int(c) for c in np.atleast_1d(x))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +279,8 @@ def green_function(spec: LatticeSpec, m2: float, x=None, *, grid: int = 32) -> f
         Lattice displacement of ``d`` coordinates (defaults to the origin);
         any other length raises ValueError.  On the torus it is reduced
         modulo the period.  For graph geometry, a pair ``(a, b)`` of
-        vertex indices (an integer means ``(0, x)``).
+        vertex indices in ``0 .. M-1`` (an integer means ``(0, x)``);
+        anything else raises ValueError.
     grid : int
         Points per axis and per dyadic level of the graded quadrature
         (window geometry only).  Must be a positive multiple of 8, so that
@@ -332,10 +324,17 @@ def green_function_with_error(spec: LatticeSpec, m2: float, x=None, *,
         eigvals = np.linalg.eigvalsh(lap)
         if eigvals[0] < 1e-12:
             raise ValueError("graph Laplacian has a zero mode: m2 must be > 0")
-    a, b = (0, int(np.atleast_1d(x)[0])) if x is not None and np.ndim(x) <= 1 \
-        and np.size(x) == 1 else ((0, 0) if x is None else (int(x[0]), int(x[1])))
-    mat = lap + m2 * np.eye(lap.shape[0])
-    rhs = np.zeros(lap.shape[0])
+    M = lap.shape[0]
+    pair = (0, 0) if x is None else tuple(np.atleast_1d(x).tolist())
+    if len(pair) == 1:
+        pair = (0,) + pair
+    if len(pair) != 2:
+        raise ValueError(f"graph x is a vertex or a pair (a, b), got {x!r}")
+    if not all(isinstance(v, numbers.Integral) and 0 <= v < M for v in pair):
+        raise ValueError(f"vertices {pair} not in 0..{M - 1}")
+    a, b = pair
+    mat = lap + m2 * np.eye(M)
+    rhs = np.zeros(M)
     rhs[b] = 1.0
     val = float(np.linalg.solve(mat, rhs)[a])
     return val, 1e-13 * abs(val)
@@ -480,11 +479,10 @@ def bubble_diagram_with_error(d: int, m2: float, *, method: str = "schwinger",
 # The constant a = 2 C_0(0) in d = 4
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def constant_a(grid: int = 32) -> float:
+@lru_cache(maxsize=1)
+def constant_a() -> float:
     """``a = 2 C_0(0)`` in d = 4: twice the expected time at the origin.
 
-    Derived by quadrature, never hard-coded.
+    Derived by quadrature at the default grid, never hard-coded.
     """
-    spec = LatticeSpec.window(4)
-    return 2.0 * green_function(spec, 0.0, None, grid=grid)
+    return 2.0 * green_function(LatticeSpec.window(4), 0.0)

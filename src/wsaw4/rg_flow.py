@@ -20,7 +20,8 @@ roundoff.  The resulting ``(z_0, mu_0)`` are the critical initial data of
 the quadratic truncation.
 
 The derivative flow propagates ``d/dmu_0`` along a trajectory, starting
-from ``(g', z', mu') = (0, 0, 1)``; its mu-component stays proportional to
+from ``(g', z', mu') = (0, 0, 1)``; g and z do not depend on mu_0, so its
+mu-component equals
 
     Pi_j = L^{2j} prod_{l<j} (1 - GAMMA beta_l g_l),
 
@@ -70,9 +71,6 @@ class FlowState:
     mu: float
     j: int
 
-    def nu(self, L: int) -> float:
-        return float(L) ** (-2 * self.j) * self.mu
-
 
 @dataclass(frozen=True)
 class FlowTrajectory:
@@ -87,8 +85,6 @@ class FlowTrajectory:
     gamma: float = GAMMA
     Pi: np.ndarray | None = None
     mu_prime: np.ndarray | None = None
-    g_prime: np.ndarray | None = None
-    z_prime: np.ndarray | None = None
     c_est: float | None = None
 
     @property
@@ -198,12 +194,13 @@ def solve_boundary_value(g0: float, coeffs: CoefficientSequences,
 
 
 def g_infinity(g0: float, coeffs: CoefficientSequences, *,
-               tol: float = 1e-14, max_scales: int | None = None) -> float:
-    """Forward-iterate g until |g_{j+1} - g_j| < tol; the limit coupling.
+               max_scales: int | None = None) -> float:
+    """Forward-iterate g until |g_{j+1} - g_j| < 1e-14; the limit coupling.
 
     Requires a summable beta sequence (m2 > 0), otherwise the iteration
     exhausts the coefficient table and a non-convergence error is raised.
     """
+    tol = 1e-14
     max_scales = len(coeffs.beta) if max_scales is None else max_scales
     g = g0
     for j in range(min(max_scales, len(coeffs.beta))):
@@ -220,35 +217,21 @@ def g_infinity(g0: float, coeffs: CoefficientSequences, *,
         f"(last increment {tail * g * g:.2e}); is m2 > 0?")
 
 
-def derivative_flow(traj: FlowTrajectory, *, gamma: float | None = None) -> FlowTrajectory:
+def derivative_flow(traj: FlowTrajectory) -> FlowTrajectory:
     """Evolve d/dmu_0 of the quadratic recursion along a trajectory.
 
-    Starts from (g', z', mu')_0 = (0, 0, 1) and propagates the derivative
-    of each recursion step; also accumulates Pi_j = L^{2j} prod(1 - gamma
-    beta_l g_l) and reports c_est = mu'_J / Pi_J, the limiting ratio.
+    Starts from (g', z', mu')_0 = (0, 0, 1).  The g- and z-recursions do not
+    involve mu, so (g', z') stays (0, 0) and mu' obeys the linear recursion
+    of Pi_j = L^{2j} prod_{l<j} (1 - gamma beta_l g_l), with the
+    trajectory's own ``gamma``: mu' = Pi, and c_est = mu'_J / Pi_J is 1.
     """
-    gamma = traj.gamma if gamma is None else gamma
     c = traj.coeffs
-    J = traj.J
     L2 = float(c.L) ** 2
-    g, z = traj.g, traj.z
-    Pi = np.empty(J + 1)
-    gp = np.zeros(J + 1)
-    zp = np.zeros(J + 1)
-    mup = np.empty(J + 1)
+    Pi = np.empty(traj.J + 1)
     Pi[0] = 1.0
-    mup[0] = 1.0
-    for j in range(J):
-        Pi[j + 1] = Pi[j] * L2 * (1.0 - gamma * c.beta[j] * g[j])
-        gp[j + 1] = gp[j] * (1.0 - 2.0 * c.beta[j] * g[j])
-        zp[j + 1] = zp[j] - 2.0 * c.theta[j] * g[j] * gp[j]
-        mup[j + 1] = (L2 * mup[j] * (1.0 - gamma * c.beta[j] * g[j])
-                      - L2 * traj.mu[j] * gamma * c.beta[j] * gp[j]
-                      + c.eta[j] * gp[j]
-                      - 2.0 * c.xi[j] * g[j] * gp[j]
-                      - c.pi[j] * (gp[j] * z[j] + g[j] * zp[j]))
-    return replace(traj, Pi=Pi, mu_prime=mup, g_prime=gp, z_prime=zp,
-                   c_est=float(mup[J] / Pi[J]), gamma=gamma)
+    for j in range(traj.J):
+        Pi[j + 1] = Pi[j] * L2 * (1.0 - traj.gamma * c.beta[j] * traj.g[j])
+    return replace(traj, Pi=Pi, mu_prime=Pi.copy(), c_est=1.0)
 
 
 def nu_prime_limit(traj: FlowTrajectory) -> float:

@@ -91,13 +91,14 @@ def change_variables(m2: float, g0: float, z0c: float, nu0c: float):
     return g, nu
 
 
-def invert_g(m2: float, g: float, z0c_of_g0: Callable[[float, float], float] | None = None,
-             *, hi: float = 0.5, tol: float = 1e-12) -> float:
+def invert_g(m2: float, g: float,
+             z0c_of_g0: Callable[[float, float], float] | None = None) -> float:
     """Invert g = g0 / (1 + z0_c(m2, g0))^2 for g0 by monotone bisection.
 
-    ``z0c_of_g0(m2, g0)`` defaults to zero (the default coefficient tables
-    give z0_c = 0, making the map the identity).  Fails when g lies outside
-    the image interval [0, s(hi)].
+    Bisects g0 over [0, 1/2] down to a bracket of 1e-12.  ``z0c_of_g0(m2,
+    g0)`` defaults to zero (the default coefficient tables give z0_c = 0,
+    making the map the identity).  Fails when g lies outside the image
+    interval [0, s(1/2)].
     """
     if g < 0:
         raise ValueError("g must be >= 0")
@@ -108,10 +109,10 @@ def invert_g(m2: float, g: float, z0c_of_g0: Callable[[float, float], float] | N
     def s(u):
         return u / (1.0 + zfn(m2, u)) ** 2
 
-    if s(hi) < g:
-        raise ValueError(f"g={g} outside the image interval [0, {s(hi):.4g}]")
-    lo_v, hi_v = 0.0, hi
-    while hi_v - lo_v > tol:
+    if s(0.5) < g:
+        raise ValueError(f"g={g} outside the image interval [0, {s(0.5):.4g}]")
+    lo_v, hi_v = 0.0, 0.5
+    while hi_v - lo_v > 1e-12:
         mid = 0.5 * (lo_v + hi_v)
         if s(mid) < g:
             lo_v = mid
@@ -124,16 +125,12 @@ def invert_g(m2: float, g: float, z0c_of_g0: Callable[[float, float], float] | N
 # Flow-backed critical data
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=4)
-def default_flow_coefficients(m2: float = 0.0, L: int = 2, J: int = 48,
-                              grid: int = 32) -> cov_decomp.CoefficientSequences:
-    """Coefficient tables for the d = 4 window decomposition.
-
-    Building the decomposition costs some seconds; results are cached per
-    (m2, L, J, grid).
-    """
+@lru_cache(maxsize=1)
+def default_flow_coefficients() -> cov_decomp.CoefficientSequences:
+    """Massless coefficient tables of the d = 4 window decomposition at
+    L = 2, J = 48 (cached)."""
     spec = lattice_green.LatticeSpec.window(4)
-    dec = cov_decomp.build_decomposition(spec, L=L, m2=m2, J=J, grid=grid)
+    dec = cov_decomp.build_decomposition(spec, L=2, m2=0.0, J=48)
     return cov_decomp.coefficient_sequences(dec)
 
 
@@ -166,26 +163,25 @@ def predict_nu_c(g: float, mode: str = "leading",
     return float(traj.mu[0] / (1.0 + traj.z[0]))
 
 
-def amplitude(g: float, *, c0: float = 1.0) -> float:
-    """A_g = (b g)^{1/4} / c0."""
+def amplitude(g: float) -> float:
+    """A_g = (b g)^{1/4}, the leading order."""
     if g < 0:
         raise ValueError("g must be >= 0")
-    return (BUBBLE_LOG_COEFF * g) ** GAMMA / c0
+    return (BUBBLE_LOG_COEFF * g) ** GAMMA
 
 
-def predict_susceptibility(g: float, eps: float, *, c0: float = 1.0) -> float:
+def predict_susceptibility(g: float, eps: float) -> float:
     """Asymptotic susceptibility A_g eps^{-1} (log eps^{-1})^{1/4}.
 
-    ``c0`` is the optional flow correction (c_est of the derivative flow);
-    the default 1 is the leading order.  Restricted to the asymptotic
-    regime eps < 1/e so the logarithm exceeds 1.
+    Restricted to the asymptotic regime eps < 1/e so the logarithm
+    exceeds 1.
     """
     if not 0.0 < eps < math.exp(-1.0):
         raise ValueError("eps must lie in (0, 1/e): asymptotic regime only")
-    return amplitude(g, c0=c0) / eps * math.log(1.0 / eps) ** GAMMA
+    return amplitude(g) / eps * math.log(1.0 / eps) ** GAMMA
 
 
-def m2_of_eps(g: float, eps: float, *, z0c: float = 0.0, c0: float = 1.0) -> float:
+def m2_of_eps(g: float, eps: float, *, z0c: float = 0.0) -> float:
     """Effective killing rate m2 ~ (1+z0_c)/A_g * eps (log eps^{-1})^{-1/4}.
 
     Exact inverse of :func:`predict_susceptibility` in the sense that
@@ -193,7 +189,7 @@ def m2_of_eps(g: float, eps: float, *, z0c: float = 0.0, c0: float = 1.0) -> flo
     """
     if not 0.0 < eps < math.exp(-1.0):
         raise ValueError("eps must lie in (0, 1/e): asymptotic regime only")
-    return (1.0 + z0c) / amplitude(g, c0=c0) * eps * math.log(1.0 / eps) ** -GAMMA
+    return (1.0 + z0c) / amplitude(g) * eps * math.log(1.0 / eps) ** -GAMMA
 
 
 @dataclass(frozen=True)
@@ -208,13 +204,13 @@ class Prediction:
 
 
 def make_prediction(g: float, *, mode: str = "leading",
-                    coeffs=None, c0: float = 1.0, z0c: float = 0.0) -> Prediction:
+                    coeffs=None) -> Prediction:
     return Prediction(
         nu_c=predict_nu_c(g, mode, coeffs),
-        A_g=amplitude(g, c0=c0),
+        A_g=amplitude(g),
         gamma=GAMMA,
-        chi_of_eps=lambda eps: predict_susceptibility(g, eps, c0=c0),
-        m2_of_eps=lambda eps: m2_of_eps(g, eps, z0c=z0c, c0=c0),
+        chi_of_eps=lambda eps: predict_susceptibility(g, eps),
+        m2_of_eps=lambda eps: m2_of_eps(g, eps),
     )
 
 

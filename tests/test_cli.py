@@ -1,5 +1,6 @@
 """CLI plumbing: artifacts, manifests, replay determinism, exit codes."""
 
+import csv
 import json
 import os
 import subprocess
@@ -46,6 +47,20 @@ class TestArtifacts:
         assert seq["j_m"] == 4
         lines = (out / "slices.csv").read_text().strip().splitlines()
         assert len([l for l in lines if not l.startswith(("#", "j,"))]) == 8
+
+    def test_decompose_measure_tails(self, tmp_path, capsys):
+        # torus periods 4 L^j are 12, 36 and 108: j = 3 is past the cap of 64
+        out, _ = run_cli(["decompose", "--L", "3", "--scales", "3", "--mass2",
+                          "1e-2", "--measure-tails"], tmp_path, "d")
+        lines = (out / "slices.csv").read_text().splitlines()
+        rows = list(csv.DictReader(l for l in lines if not l.startswith("#")))
+        assert [r["j"] for r in rows] == ["1", "2", "3"]
+        for r in rows[:2]:
+            assert 0.0 <= float(r["range_tail_fraction"]) < 1.0
+        assert rows[2]["range_tail_fraction"] == ""
+        capsys.readouterr()
+        assert dispatch(["reproduce", str(out / "manifest.json")]) == 0
+        assert capsys.readouterr().out == "zero diff\n"
 
     def test_predict_and_ode(self, tmp_path):
         out, _ = run_cli(["predict", "--g", "0.02", "--eps", "1e-6"],
@@ -168,6 +183,16 @@ class TestExitCodes:
             assert r.returncode == 1
             assert "grid" in r.stderr
             assert not (tmp_path / "x").exists()
+
+    def test_coeff_table_missing_column(self, tmp_path):
+        table = tmp_path / "t.csv"
+        table.write_text("j,theta,pi\n3,0.5,0.2\n")
+        r = self.run_proc(["decompose", "--mass2", "1e-2", "--scales", "4",
+                           "--coeff-table", str(table),
+                           "--out", str(tmp_path / "x")])
+        assert r.returncode == 1
+        assert "missing column(s) xi" in r.stderr
+        assert not (tmp_path / "x").exists()
 
     def test_walk_mc_too_few_samples(self, tmp_path):
         # no c_T = 0.0 +- 0.0 in walk.json: c_T lies in (0, 1]

@@ -17,6 +17,7 @@ from wsaw4.cov_decomp import (
     load_coefficient_tables,
     range_tail_fraction,
     scale_indices,
+    slice_kernel_on_torus,
     smooth_step,
 )
 from wsaw4.lattice_green import (
@@ -38,24 +39,40 @@ class TestPartition:
         assert np.all(h[r >= 1] == 0.0)
         assert np.all(np.diff(h) <= 1e-12)
 
+    @staticmethod
+    def multiplier_total(dec, s):
+        return sum(dec.multiplier(j, s) for j in range(1, dec.J + 2))
+
     def test_telescoping_at_sampled_modes(self, dec0_J48):
         rng = np.random.default_rng(1)
         k = rng.uniform(-np.pi, np.pi, size=(4, 4000))
         s = symbol(k)
-        total = dec0_J48.multiplier_total(s)
+        total = self.multiplier_total(dec0_J48, s)
         assert np.max(np.abs(total - 1.0)) < 1e-12
 
     def test_telescoping_deep_modes(self, dec0_J48):
         # modes down at the truncation scale, where cutoffs are partial
         for kmag in 2.0 ** -np.arange(1, 45, 3.0):
             s = symbol([np.array([kmag]), 0.0, 0.0, 0.0])
-            total = dec0_J48.multiplier_total(s)
+            total = self.multiplier_total(dec0_J48, s)
             assert abs(total - 1.0) < 1e-12
+
+    def test_remainder_is_one_minus_f_J(self, dec0_J48):
+        s = np.geomspace(1e-32, 16.0, 400)
+        f_J = smooth_step(-np.log(s) / (2.0 * np.log(2.0)) - 47.0)
+        assert np.array_equal(dec0_J48.multiplier(49, s), 1.0 - f_J)
+
+    @pytest.mark.parametrize("j", [0, 50, -1, 2.5])
+    def test_slice_index_range(self, dec0_J48, j):
+        with pytest.raises(ValueError, match="not in 1..49"):
+            dec0_J48.multiplier(j, 1.0)
+        with pytest.raises(ValueError, match="not in 1..49"):
+            slice_kernel_on_torus(dec0_J48, j, 4)
 
     def test_multipliers_nonnegative(self, dec0_J48):
         s = np.geomspace(1e-25, 16.0, 400)
-        for sl in dec0_J48.slices:
-            u = sl.multiplier(s)
+        for j in range(1, dec0_J48.J + 2):
+            u = dec0_J48.multiplier(j, s)
             assert np.all(u >= 0.0) and np.all(u <= 1.0)
 
     def test_validation(self, spec4):
@@ -148,11 +165,9 @@ class TestDiagonalsAndEta:
 
     def test_eta3_vs_direct_multiplier_quadrature(self, dec0_J48):
         # recompute C_{4;0,0} by direct quadrature of the single multiplier
-        sl = dec0_J48.slices[3]
-
         def f(ks):
             s = symbol(ks)
-            return sl.multiplier(s) / s
+            return dec0_J48.multiplier(4, s) / s
 
         val, _ = graded_bz_sum(4, f, n=32, max_levels=40, rtol=1e-13,
                                min_halfwidth=0.25 * 2.0**-12)
@@ -162,21 +177,19 @@ class TestDiagonalsAndEta:
 
 class TestKernelsAndTails:
     def test_tail_fractions_measured_and_reported(self, spec4):
-        dec = build_decomposition(spec4, L=2, m2=0.0, J=4, grid=32,
-                                  measure_tails=True)
+        dec = build_decomposition(spec4, L=2, m2=0.0, J=4, grid=32)
         # smooth-partition kernels genuinely spread beyond L^j/2: the
         # measured mass fraction is O(1) and must be reported, not hidden
-        for sl in dec.slices:
-            assert sl.tail_fraction is not None
-            assert 0.0 <= sl.tail_fraction < 1.0
+        tails = [range_tail_fraction(dec, j) for j in range(1, dec.J + 1)]
+        for tf in tails:
+            assert 0.0 <= tf < 1.0
         # regression band for the asymptotic slices
-        assert dec.slices[2].tail_fraction == pytest.approx(0.987, abs=0.02)
+        assert tails[2] == pytest.approx(0.987, abs=0.02)
 
     def test_tail_fraction_shrinks_with_wider_range(self, spec4):
         dec = build_decomposition(spec4, L=2, m2=0.0, J=4, grid=32)
         inside_half = 1.0 - range_tail_fraction(dec, 3, period=32)
         # measuring against twice the nominal range captures much more mass
-        from wsaw4.cov_decomp import slice_kernel_on_torus
         k = np.abs(slice_kernel_on_torus(dec, 3, 32))
         coords = np.arange(32)
         dist = np.minimum(coords, 32 - coords)
@@ -191,7 +204,8 @@ class TestKernelsAndTails:
         beta = beta_sequence(dec)
         assert np.all(beta >= 0)
         lhs = beta.sum()
-        rhs = 8.0 * (dec.w2_partial[-1] - dec.w2_partial[0])
+        assert len(dec.w2_partial) == len(dec.diagonals) == dec.J + 1
+        rhs = 8.0 * (dec.w2_partial[dec.J] - dec.w2_partial[0])
         assert abs(lhs - rhs) < 1e-12 * max(1.0, rhs)
 
 
@@ -252,3 +266,23 @@ class TestCoefficientSequences:
         assert co.theta[0] == 0.5 and co.theta[3] == 0.25
         assert co.xi[0] == 0.1 and co.pi[3] == 0.125
         assert np.all(co.theta[4:] == 0.0)
+
+    @pytest.mark.parametrize("body, match", [
+        # a negative j must not index theta from the end
+        ("3,0.5,0.1,0.2\n-1,9,9,9\n", "line 3: j=-1 is negative"),
+        # a repeated j must not silently keep its last row
+        ("3,0.5,0.1,0.2\n3,1,1,1\n", "line 3: j=3 is repeated"),
+        ("3,0.5,0.1\n", "line 2: non-numeric"),
+        ("3,0.5,x,0.2\n", "line 2: non-numeric"),
+    ])
+    def test_sidecar_bad_rows_rejected(self, tmp_path, body, match):
+        path = tmp_path / "tables.csv"
+        path.write_text("j,theta,xi,pi\n" + body)
+        with pytest.raises(ValueError, match=match):
+            load_coefficient_tables(path)
+
+    def test_sidecar_missing_column_rejected(self, tmp_path):
+        path = tmp_path / "tables.csv"
+        path.write_text("j,theta,pi\n3,0.5,0.2\n")
+        with pytest.raises(ValueError, match="missing column.* xi"):
+            load_coefficient_tables(path)

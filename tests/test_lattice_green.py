@@ -216,6 +216,25 @@ class TestGreenTorusAndGraph:
             vg = green_function(spec_g, 0.4, (0, x))
             assert vt == pytest.approx(vg, rel=1e-12)
 
+    PATH3 = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+
+    def test_graph_vertex_forms(self):
+        spec = LatticeSpec.graph(self.PATH3)
+        v02 = green_function(spec, 0.5, (0, 2))
+        assert green_function(spec, 0.5, 2) == v02
+        assert green_function(spec, 0.5, [2]) == v02
+        assert green_function(spec, 0.5, np.array([0, 2])) == v02
+
+    @pytest.mark.parametrize("x, match", [
+        ((0, -1), "not in 0..2"),         # not an index from the end
+        ((0, 1.7), "not in 0..2"),        # not truncated to (0, 1)
+        ((0, 3), "not in 0..2"),          # ValueError, not IndexError
+        ((0, 1, 2), "vertex or a pair"),  # the third entry is not dropped
+    ])
+    def test_graph_bad_vertex_rejected(self, x, match):
+        with pytest.raises(ValueError, match=match):
+            green_function(LatticeSpec.graph(self.PATH3), 0.5, x)
+
     def test_graph_zero_mode_rejected(self):
         lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
         with pytest.raises(ValueError):

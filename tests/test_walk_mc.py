@@ -9,6 +9,9 @@ self-avoiding walks, and the Green constant from the quadrature module.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -110,6 +113,30 @@ class TestFolding:
         p = max(3, 2 * diameter + 2)
         out = fold_and_compare(s, [p])
         assert out[p] == pytest.approx(s.I_T, abs=1e-12)
+
+    # negative gaps let folding cancel local time, so each check can fire
+    FAKE = ("walk_mc.WalkSample(T=0.0, jump_times=np.zeros(1), "
+            "sites=np.array([[0], [4]]), gaps=np.array([1.0, -1.0]), "
+            "local_times={{}}, I_T={})")
+    CASES = [(2.0, [4, 8], "folding monotonicity failed"),
+             (5.0, [8], "folded walk lost intersections")]
+
+    @pytest.mark.parametrize("I_T, periods, message", CASES)
+    def test_checks_raise(self, I_T, periods, message):
+        with pytest.raises(AssertionError, match=message):
+            fold_and_compare(eval(self.FAKE.format(I_T)), periods)
+
+    def test_checks_survive_python_O(self):
+        # python -O strips assert statements; the checks must still raise
+        code = "import numpy as np\nfrom wsaw4 import walk_mc\n" + "".join(
+            f"try:\n    walk_mc.fold_and_compare({self.FAKE.format(I_T)}, "
+            f"{periods})\nexcept AssertionError as e:\n    print(e)\n"
+            for I_T, periods, _ in self.CASES)
+        src = os.path.dirname(os.path.dirname(walk_mc.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        r = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                           capture_output=True, text=True, check=True)
+        assert r.stdout.splitlines() == [m for _, _, m in self.CASES]
 
     def test_small_period_rejected(self):
         s = simulate(SPEC4, 1.0, 1)
