@@ -122,20 +122,18 @@ def _run_flow(p):
     _, co = _coeffs_from_params(p)
     traj = rg_flow.solve_boundary_value(p["g0"], co, p["scales"])
     traj = rg_flow.derivative_flow(traj)
-    chi = np.concatenate([co.chi, [co.chi[-1]]*(traj.J + 1 - len(co.chi))]) \
-        if len(co.chi) < traj.J + 1 else co.chi[: traj.J + 1]
-    rows = [(j, traj.g[j], traj.z[j], traj.mu[j], traj.Pi[j],
-             traj.mu_prime[j], chi[j]) for j in range(traj.J + 1)]
-    fcsv = _csv_text(["j", "g", "z", "mu", "Pi", "mu_prime", "chi_j"], rows)
+    # chi_j beyond the table repeats its last entry
+    chi = co.chi[np.minimum(np.arange(traj.J + 1), len(co.chi) - 1)]
+    rows = [(j, traj.g[j], traj.z[j], traj.mu[j], traj.Pi[j], chi[j])
+            for j in range(traj.J + 1)]
+    fcsv = _csv_text(["j", "g", "z", "mu", "Pi", "chi_j"], rows)
     summary = {"mu0_c": float(traj.mu[0]), "z0_c": float(traj.z[0]),
-               "c_est": traj.c_est, "g0": p["g0"], "mass2": p["mass2"],
+               "g0": p["g0"], "mass2": p["mass2"],
                "L": p["L"], "scales": p["scales"]}
-    if p["mass2"] > 0:
-        summary["g_inf"] = rg_flow.g_infinity(p["g0"], co)
-        summary["nu_prime_limit"] = rg_flow.nu_prime_limit(traj)
-    else:
-        summary["g_inf"] = None
-        summary["nu_prime_limit"] = None
+    massive = p["mass2"] > 0
+    summary["g_inf"] = rg_flow.g_infinity(p["g0"], co) if massive else None
+    summary["nu_prime_limit"] = \
+        rg_flow.nu_prime_limit(traj) if massive else None
     return {"flow.csv": fcsv, "flow.json": _json_dumps(summary)}
 
 

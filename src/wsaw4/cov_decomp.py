@@ -221,7 +221,7 @@ def slice_kernel_on_torus(decomp: Decomposition, j: int, period: int) -> np.ndar
         raise ValueError(f"slice j={j} not in 1..{decomp.J + 1}")
     d = decomp.spec.d
     modes = 2.0 * np.pi * np.arange(period) / period
-    mesh = np.meshgrid(*([modes] * d), indexing="ij")
+    mesh = np.meshgrid(*([modes] * d), indexing="ij", sparse=True)
     s = symbol(mesh) + decomp.m2
     mult = decomp.multiplier(j, s)
     chat = np.where(s > 0, mult / np.where(s > 0, s, 1.0), 0.0)
@@ -239,7 +239,7 @@ def range_tail_fraction(decomp: Decomposition, j: int, period: int | None = None
     kern = np.abs(slice_kernel_on_torus(decomp, j, period))
     coords = np.arange(period)
     dist = np.minimum(coords, period - coords)  # torus distance per axis
-    mesh = np.meshgrid(*([dist] * decomp.spec.d), indexing="ij")
+    mesh = np.meshgrid(*([dist] * decomp.spec.d), indexing="ij", sparse=True)
     r2 = sum(m.astype(float) ** 2 for m in mesh)
     outside = r2 >= (0.5 * L**j) ** 2
     total = kern.sum()

@@ -20,12 +20,12 @@ roundoff.  The resulting ``(z_0, mu_0)`` are the critical initial data of
 the quadratic truncation.
 
 The derivative flow propagates ``d/dmu_0`` along a trajectory, starting
-from ``(g', z', mu') = (0, 0, 1)``; g and z do not depend on mu_0, so its
-mu-component equals
+from ``(g', z', mu') = (0, 0, 1)``; g and z do not depend on mu_0, so
+``(g', z')`` stays 0 and ``mu'_j`` is
 
     Pi_j = L^{2j} prod_{l<j} (1 - GAMMA beta_l g_l),
 
-and ``lim_j L^{-2j} mu'_j`` is the quadratic-truncation value of the
+and ``lim_j L^{-2j} Pi_j`` is the quadratic-truncation value of the
 derivative of the effective mass with respect to the initial mass coupling,
 the quantity whose (bubble)^{-1/4} scaling encodes the logarithmic
 correction exponent.
@@ -74,7 +74,7 @@ class FlowState:
 
 @dataclass(frozen=True)
 class FlowTrajectory:
-    """A flow (g_j, z_j, mu_j), j = 0..J, plus an optional derivative track."""
+    """A flow (g_j, z_j, mu_j), j = 0..J, plus an optional derivative Pi."""
 
     g: np.ndarray
     z: np.ndarray
@@ -84,8 +84,6 @@ class FlowTrajectory:
     m2: float
     gamma: float = GAMMA
     Pi: np.ndarray | None = None
-    mu_prime: np.ndarray | None = None
-    c_est: float | None = None
 
     @property
     def J(self) -> int:
@@ -221,9 +219,9 @@ def derivative_flow(traj: FlowTrajectory) -> FlowTrajectory:
     """Evolve d/dmu_0 of the quadratic recursion along a trajectory.
 
     Starts from (g', z', mu')_0 = (0, 0, 1).  The g- and z-recursions do not
-    involve mu, so (g', z') stays (0, 0) and mu' obeys the linear recursion
-    of Pi_j = L^{2j} prod_{l<j} (1 - gamma beta_l g_l), with the
-    trajectory's own ``gamma``: mu' = Pi, and c_est = mu'_J / Pi_J is 1.
+    involve mu, so (g', z') stays (0, 0) and mu' is
+    Pi_j = L^{2j} prod_{l<j} (1 - gamma beta_l g_l), with the trajectory's
+    own ``gamma``; the returned trajectory carries it as ``Pi``.
     """
     c = traj.coeffs
     L2 = float(c.L) ** 2
@@ -231,22 +229,21 @@ def derivative_flow(traj: FlowTrajectory) -> FlowTrajectory:
     Pi[0] = 1.0
     for j in range(traj.J):
         Pi[j + 1] = Pi[j] * L2 * (1.0 - traj.gamma * c.beta[j] * traj.g[j])
-    return replace(traj, Pi=Pi, mu_prime=Pi.copy(), c_est=1.0)
+    return replace(traj, Pi=Pi)
 
 
 def nu_prime_limit(traj: FlowTrajectory) -> float:
-    """lim_j L^{-2j} mu'_j, the quadratic-truncation mass-derivative limit.
+    """lim_j L^{-2j} Pi_j, the quadratic-truncation mass-derivative limit.
 
-    Equals c_est * prod_l (1 - gamma beta_l g_l); with gamma = 1/4 this is
-    asymptotically c_est * (g_inf / g_0)^{1/4} as the bubble diverges.
+    Equals prod_l (1 - gamma beta_l g_l); with gamma = 1/4 this is
+    asymptotically (g_inf / g_0)^{1/4} as the bubble diverges.
     Needs the derivative track (run :func:`derivative_flow` first) and a
     convergent product (m2 > 0, or a truncation scale deep enough that the
     remaining beta-tail is negligible).
     """
-    if traj.mu_prime is None:
+    if traj.Pi is None:
         raise ValueError("derivative track missing: run derivative_flow first")
-    J = traj.J
-    return float(traj.mu_prime[J] / float(traj.coeffs.L) ** (2 * J))
+    return float(traj.Pi[-1] / float(traj.coeffs.L) ** (2 * traj.J))
 
 
 def g_tilde_sequence(m2: float, g0: float,

@@ -23,7 +23,7 @@ The module also provides the elementary asymptotic lemma behind the proof:
 if u'(t) = (-log u)^{-gamma} (1 + o(1)) with u(0) = 0, then
 u(t) = t (-log t)^{-gamma} (1 + o(1)).  The solution is obtained from the
 integrated form  int_0^u (-log v)^gamma dv = t, whose left side is the
-upper incomplete gamma function Gamma(1 + gamma, -log u); root-finding in
+upper incomplete gamma function Gamma(1 + gamma, -log u); bisection in
 -log u avoids any stiffness near u = 0.
 """
 
@@ -35,8 +35,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
-from scipy.optimize import brentq
+from scipy import special
 
 from . import cov_decomp, lattice_green, rg_flow
 
@@ -111,14 +110,21 @@ def invert_g(m2: float, g: float,
 
     if s(0.5) < g:
         raise ValueError(f"g={g} outside the image interval [0, {s(0.5):.4g}]")
-    lo_v, hi_v = 0.0, 0.5
-    while hi_v - lo_v > 1e-12:
-        mid = 0.5 * (lo_v + hi_v)
-        if s(mid) < g:
-            lo_v = mid
+    return _bisect(lambda u: s(u) < g, 0.0, 0.5, 1e-12)
+
+
+def _bisect(below, lo, hi, tol):
+    """Midpoint of the bracket where ``below(x)`` turns False, once it is
+    ``tol`` wide or one ulp wide (the midpoint equals an endpoint)."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if below(mid):
+            lo = mid
         else:
-            hi_v = mid
-    return 0.5 * (lo_v + hi_v)
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -218,20 +224,15 @@ def make_prediction(g: float, *, mode: str = "leading",
 # The ODE asymptotics lemma
 # ---------------------------------------------------------------------------
 
-def _phi(u: float, gamma: float) -> float:
-    """Phi(u) = int_0^u (-log v)^gamma dv = Gamma(1+gamma, -log u)."""
-    x = -math.log(u)
-    return special.gamma(1.0 + gamma) * special.gammaincc(1.0 + gamma, x)
-
-
 def ode_asymptotics(gamma: float, t_min: float, *, points: int = 9):
     """Tabulate the solution of u' = (-log u)^{-gamma} against its asymptote.
 
     Solves the integrated relation  int_0^u (-log v)^gamma dv = t  by
-    root-finding in x = -log u, on a logarithmic t-grid from t_min up to
-    just below e^{-2}.  Returns a list of rows
+    bisection in x = -log u, on a logarithmic t-grid from t_min up to just
+    below e^{-2}.  Returns a list of rows
     (t, u, t*(-log t)^{-gamma}, ratio, implicit_residual), where the
-    residual re-evaluates the defining integral by adaptive quadrature.
+    residual re-evaluates the defining integral by the Gauss-Legendre panel
+    rule of :mod:`lattice_green`.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
@@ -244,17 +245,16 @@ def ode_asymptotics(gamma: float, t_min: float, *, points: int = 9):
         if gamma == 0.0:
             u = float(t)
         else:
-            x0 = -math.log(t)
-            lo = max(1e-12, 0.3 * x0)
-            hi = 3.0 * x0 + 20.0
-            f = lambda x: _phi(math.exp(-x), gamma) - t
-            u = math.exp(-brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16))
+            # int_0^{e^{-x}} (-log v)^gamma dv = Gamma(1 + gamma, x) falls
+            # with x; bisecting in x keeps tiny t clear of underflow
+            c, x0 = special.gamma(1.0 + gamma), -math.log(t)
+            u = math.exp(-_bisect(
+                lambda x: c * special.gammaincc(1.0 + gamma, x) > t,
+                max(1e-12, 0.3 * x0), 3.0 * x0 + 20.0, 0.0))
         asym = t * (-math.log(t)) ** -gamma
-        # residual of the defining integral, re-evaluated by adaptive
-        # quadrature; substituting v = u*w keeps the estimate relative
+        # the defining integral with v = u e^{-s}, summed up to s = 40
         x0 = -math.log(u)
-        check, _ = integrate.quad(
-            lambda w: (x0 - np.log(w)) ** gamma, 0.0, 1.0,
-            epsabs=0.0, epsrel=1e-13, limit=400)
+        check, _ = lattice_green._panel_rule(
+            lambda s: (x0 + s) ** gamma * np.exp(-s), 0.0, 40.0)
         rows.append((float(t), u, asym, u / asym, abs(u * check - t)))
     return rows

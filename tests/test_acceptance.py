@@ -23,7 +23,7 @@ next to the asserted form.
     is asserted in the bracket; the literal product must still move
     toward 1.
   * criterion 6, exponent 1/4 of ``nu'``: the flow gives ``nu' =
-    c_est prod(1 - beta_l g_l / 4) ~ (1 + g0 Bsf)^{-1/4}``, so
+    prod(1 - beta_l g_l / 4) ~ (1 + g0 Bsf)^{-1/4}``, so
     ``nu' (g0 Bsf)^{1/4}`` is in [0.8, 1.2] only for ``g0 Bsf > 0.69``
     (``m2 < 1e-296`` at ``g0 = 0.02``) and the slope of ``log nu'``
     against ``log Bsf`` nears -1/4 only for ``g0 Bsf > 4``, out of reach.

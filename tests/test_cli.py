@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import wsaw4
 from wsaw4.cli import SCHEMA_VERSION, dispatch
 
 
@@ -142,6 +143,19 @@ class TestReproduce:
         (out / "manifest.json").write_text(json.dumps(manifest))
         rc = dispatch(["reproduce", str(out / "manifest.json")])
         assert rc == 1
+
+
+class TestImports:
+    def test_cli_loads_no_scipy_integrate_or_optimize(self):
+        # at run time the package needs numpy and scipy.special only; the
+        # tests keep scipy.integrate as an independent oracle
+        code = ("import sys, wsaw4.cli; print(*sorted(m for m in sys.modules "
+                "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+        src = os.path.dirname(os.path.dirname(wsaw4.__file__))
+        proc = subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.stdout.split() == []
 
 
 class TestExitCodes:

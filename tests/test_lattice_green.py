@@ -192,6 +192,20 @@ class TestGreenTorusAndGraph:
         with pytest.raises(ValueError, match="coordinates"):
             green_function(spec, 0.3, [1])
 
+    @pytest.mark.parametrize("spec", [LatticeSpec.torus(2, 5),
+                                      LatticeSpec.window(2)],
+                             ids=["torus", "window"])
+    def test_non_integral_displacement_rejected(self, spec):
+        # a non-integral or NaN coordinate names no lattice point;
+        # integer-valued numpy ints and floats stay accepted
+        with pytest.raises(ValueError, match="lattice point"):
+            green_function(spec, 0.5, (0.5, 0))
+        with pytest.raises(ValueError, match="lattice point"):
+            green_function(spec, 0.5, (1, float("nan")))
+        ref = green_function(spec, 0.5, (1, 0))
+        assert green_function(spec, 0.5, (1.0, 0.0)) == ref
+        assert green_function(spec, 0.5, np.array([1, 0])) == ref
+
     def test_torus_parseval_identity(self):
         spec = LatticeSpec.torus(2, 6)
         m2 = 0.3
@@ -263,6 +277,18 @@ class TestBubble:
         assert abs(v - B0_D5) < 1e-9
         vg, eg = bubble_diagram_with_error(5, 0.0, method="grid", grid=16)
         assert abs(vg - v) < 1e-4 * v  # stable to ~4 digits under refinement
+
+    # 25-digit oracles: mpmath.quad of 8 int_0^inf t e^{-m2 t} (e^{-2t}
+    # I_0(2t))^4 dt at mp.dps = 25, with breakpoints at every decade of t
+    @pytest.mark.parametrize("m2, exact", [
+        (1e-2, 0.424443705793834628),
+        (1e-6, 0.892007177076084559),
+        (1e-12, 1.5919093313114857114),
+    ])
+    def test_high_precision_oracle(self, m2, exact):
+        v, err = bubble_diagram_with_error(4, m2)
+        assert abs(v - exact) <= 4e-15 * exact
+        assert 0.0 < err and abs(v - exact) <= err
 
     def test_log_offset_constant_at_tiny_masses(self):
         # Bsf - log(1/m2)/(2 pi^2) tends to a lattice constant; below

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mp, mpf
 
 from wsaw4.lattice_green import constant_a
 from wsaw4.susceptibility import (
@@ -164,6 +165,15 @@ class TestOdeLemma:
         rows = ode_asymptotics(0.25, 1e-8)
         for t, _, _, _, resid in rows:
             assert resid < 1e-10 * t
+
+    def test_root_vs_mpmath_down_to_tiny_t(self):
+        # Gamma(1 + gamma, -log u) = t re-evaluated by 30-digit mpmath; the
+        # bisection runs in x = -log u, so t near 1e-300 stays in range
+        with mp.workdps(30):
+            for t, u, _, _, resid in ode_asymptotics(0.25, 1e-300, points=4):
+                lhs = mp.gammainc(mpf(1.25), -mp.log(mpf(u)))
+                assert abs(lhs / mpf(t) - 1) < 1e-13
+                assert resid < 1e-10 * t
 
     def test_solution_satisfies_ode(self):
         # finite-difference check of u' = (-log u)^{-gamma}
