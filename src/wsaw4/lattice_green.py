@@ -344,7 +344,7 @@ def green_function_with_error(spec: LatticeSpec, m2: float, x=None, *,
 def _torus_green(d, period, m2, x):
     x = np.zeros(d) if x is None else np.mod(np.atleast_1d(x), period)
     modes = 2.0 * np.pi * np.arange(period) / period
-    mesh = np.meshgrid(*([modes] * d), indexing="ij")
+    mesh = np.meshgrid(*([modes] * d), indexing="ij", sparse=True)
     s = symbol(mesh) + m2
     phase = sum(xi * k for xi, k in zip(x, mesh))
     return float(np.sum(np.cos(phase) / s) / period**d)
@@ -358,7 +358,7 @@ def torus_green_table(spec: LatticeSpec, m2: float) -> GreenEvaluation:
         raise ValueError("torus requires m2 > 0")
     P, d = spec.period, spec.d
     modes = 2.0 * np.pi * np.arange(P) / P
-    mesh = np.meshgrid(*([modes] * d), indexing="ij")
+    mesh = np.meshgrid(*([modes] * d), indexing="ij", sparse=True)
     s = symbol(mesh) + m2
     vals = np.fft.ifftn(1.0 / s).real  # kernel C(x) on the full torus
     table = {idx: float(vals[idx]) for idx in np.ndindex(*vals.shape)}

@@ -14,10 +14,11 @@ All estimators draw from counter-based Philox streams keyed by
 statistics in block order with the pairwise (Chan) update of one reducer.
 Results are therefore bit-reproducible for a given seed regardless of how
 blocks would be distributed over workers, and independent samples never
-share a stream.  Batch sampling uses the conditional representation of the
-Poisson clock (jump count ~ Poisson(2dT), jump times i.i.d. uniform on
-[0, T]), which is distributionally identical to drawing exponential(2d)
-inter-jump gaps; :func:`simulate` draws the exponential gaps literally.
+share a stream.  A block draws all jump counts ~ Poisson(2dT), then all
+jump times, i.i.d. uniform on [0, T] (distributionally identical to the
+exponential(2d) gaps that :func:`simulate` draws), then all steps.  It
+values its walks in sub-batches, and as a walk's value depends on its own
+draws only, no value depends on the sub-batch size.
 ``I(t)`` is piecewise quadratic along a walk, so :func:`susceptibility_mc`
 integrates each walk's ``e^{-nu t - g I(t)}`` over ``[0, T_max]`` exactly
 and takes its standard error across one stream of ``n`` walks;
@@ -57,6 +58,7 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 4096
+_PART_WALKS = 512   # walks valued per kernel call, so that a part stays in L2
 
 
 # ---------------------------------------------------------------------------
@@ -230,84 +232,108 @@ def fold_and_compare(sample: WalkSample, periods) -> dict:
 # Vectorized block sampling
 # ---------------------------------------------------------------------------
 
-def _row_sorted(nblock, vowner, cols, x):
-    """Sort ``x`` within each walk: one ``inf``-padded row per walk."""
-    table = np.full((nblock, cols.max() + 1), np.inf)
-    table[vowner, cols] = x
-    table.sort(axis=1)
-    return table[vowner, cols]
-
-
 def _block_intersections(spec, T, rng, nblock, g=0.0, nu=None):
     """I(T) for a block of walks, or with ``nu`` each walk's Laplace integral.
 
-    Jump counts are Poisson(2dT); conditionally the jump times are sorted
-    uniforms and steps are uniform neighbours.  Visits sit in walk order,
-    and ``cols`` places each in a padded ``(walk, visit)`` table, where the
-    times are sorted and the Laplace prefix sums taken row by row.  Local
-    times are grouped by packing (sample, site) into one int64 key.
+    The block is drawn in stream order: Poisson(2dT) jump counts, uniform
+    jump times, then uniform neighbour steps (none for the ``g = 0``
+    Laplace integral, which needs no sites); its walks are valued
+    ``_PART_WALKS`` at a time, so that a part's arrays stay in cache.
     Returns shape ``(nblock,)``: ``I(T)``, or with ``nu`` given
     ``int_0^T e^{-nu t - g I(t)} dt``.
     """
     if spec.geometry == "graph":
         raise ValueError("walks run on window or torus geometry")
-    d = spec.d
-    N = rng.poisson(2 * d * T, size=nblock)
-    # visits: one origin visit per sample plus one per jump
-    nv = int(N.sum()) + nblock
-    visit_starts = np.concatenate([[0], np.cumsum(N[:-1] + 1)])
-    vowner = np.repeat(np.arange(nblock), N + 1)
-    cols = np.arange(nv) - np.repeat(visit_starts, N + 1)
+    N = rng.poisson(2 * spec.d * T, size=nblock)
+    draws = [rng.random(int(N.sum())) * T]
+    if nu is None or g != 0:
+        draws.append(rng.integers(0, 2 * spec.d, size=draws[0].size))
+    edges = [*range(0, nblock, _PART_WALKS), nblock]
+    cut = np.concatenate([[0], np.cumsum(N)])[edges]
+    return np.concatenate([
+        _walk_values(spec, T, g, nu, N[a:b], *(x[i:j] for x in draws))
+        for a, b, i, j in zip(edges, edges[1:], cut, cut[1:])])
+
+
+def _walk_values(spec, T, g, nu, N, times, dirs=None):
+    """Values of consecutive walks with jump counts ``N`` from their draws.
+
+    Visits sit in walk order, and ``slot`` places each in a padded
+    ``(walk, visit)`` table, where the times are sorted and the Laplace
+    prefix sums taken row by row.  One sort of the packed ``(walk, site,
+    visit)`` int64 key groups the local times, each site's in visit order.
+    """
+    nb, d, nv = N.size, spec.d, times.size + N.size
+    vowner = np.repeat(np.arange(nb), N + 1)
+    first = np.repeat(np.concatenate([[0], np.cumsum(N[:-1] + 1)]), N + 1)
+    cols = np.arange(nv) - first
     jumps = np.flatnonzero(cols)   # all but starts
-    vtimes = np.zeros(nv)     # time at which the visit starts
-    vtimes[jumps] = rng.random(nv - nblock) * T
-    vtimes = _row_sorted(nblock, vowner, cols, vtimes)
-    # end of each residence interval: the next visit's start, or T
-    next_t = np.append(vtimes[1:], T)
-    next_t[visit_starts + N] = T
-    gaps = next_t - vtimes
-    if nu is not None and g == 0:
+    width = int(N.max()) + 2
+    slot = vowner * width + cols   # a visit's cell in the flat (walk, col) table
+    # each walk's visit start times sorted along one inf-padded row; an
+    # interval ends at the next visit's start, or T
+    table = np.full(nb * width, np.inf)
+    table[slot[jumps]] = times
+    table[::width] = 0.0
+    table.reshape(nb, width).sort(axis=1)
+    vtimes = table[slot]
+    gaps = np.minimum(table[slot + 1], T) - vtimes
+    if dirs is None:
         return np.bincount(vowner, np.exp(-nu * vtimes)
-                           * -np.expm1(-nu * gaps) / nu, nblock)
+                           * -np.expm1(-nu * gaps) / nu, nb)
 
-    dirs = rng.integers(0, 2 * d, size=nv - nblock)
-    vpos = np.zeros((nv, d), dtype=np.int64)
-    vpos[jumps, dirs >> 1] = 1 - 2 * (dirs & 1)
-    vpos = np.cumsum(vpos, axis=0)
-    vpos -= np.repeat(vpos[visit_starts], N + 1, axis=0)
-    if spec.geometry == "torus":
-        vpos = np.mod(vpos, spec.period)
-
-    # pack (sample, site) into one int64
-    cmax = int(np.abs(vpos).max()) + 1
-    side = 2 * cmax + 1
-    if side**d * nblock > 2**62:
-        raise OverflowError("site key would overflow; reduce T or block size")
-    key = vowner.astype(np.int64)
-    for ax in range(d):
-        key = key * side + (vpos[:, ax] + cmax)
-    sorter = np.argsort(key, kind="stable")
-    skey = key[sorter]
+    torus = spec.geometry == "torus"
+    cbits = int(N.max()).bit_length()
+    # a site is one int64 of digits, axis 0 the most significant; on a window
+    # a coordinate is a balanced digit, bounded by its axis' step count
+    base = spec.period if torus else 2 * int(np.bincount(
+        vowner[jumps] * d + (dirs >> 1)).max(initial=0)) + 1
+    if torus or (nb * base**d) << cbits > 2**63:
+        pos = np.zeros((nv, d), dtype=np.int64)
+        pos[jumps, dirs >> 1] = 1 - 2 * (dirs & 1)
+        pos = np.cumsum(pos, axis=0)
+        pos -= pos[first]
+        if not torus:   # too wide a base: take the part's coordinate range
+            base = 2 * int(np.abs(pos).max()) + 1
+            pos += base // 2
+        if nb * base**d >= 2**63:
+            raise OverflowError("site key would overflow; reduce T or block size")
+        code = np.mod(pos, base) @ base ** np.arange(d - 1, -1, -1)
+    else:
+        k = np.arange(2 * d)
+        code = np.zeros(nv, dtype=np.int64)
+        code[jumps] = ((1 - 2 * (k & 1)) * base ** (d - 1 - (k >> 1)))[dirs]
+        code = np.cumsum(code)
+        code += base**d // 2 - code[first]
+    span = base**d
+    key = vowner * span + code
+    if (nb * span) << cbits <= 2**63:
+        key = np.sort((key << cbits) | cols)
+        # walks stay in order under the sort, so first and vowner still apply
+        sorter = first + (key & ((1 << cbits) - 1))
+        key >>= cbits
+    else:   # no room for the visit index; a stable sort keeps visit order
+        sorter = np.argsort(key, kind="stable")
+        key = key[sorter]
+    seg = np.concatenate([[0], np.flatnonzero(key[1:] != key[:-1]) + 1])
     sgaps = gaps[sorter]
-    seg = np.concatenate([[0], np.flatnonzero(skey[1:] != skey[:-1]) + 1])
     if nu is None:
         lt = np.add.reduceat(sgaps, seg)
-        return np.bincount(vowner[sorter][seg], lt * lt, nblock)
+        return np.bincount(vowner[seg], lt * lt, nb)
     # prefix sums over a walk's earlier entries, one padded row per walk, so
     # roundoff scales with one walk's total rather than the block's
-    table = np.zeros((nblock, cols.max() + 2))
+    table = np.zeros(nb * width)
 
     def walk_prefix(x):
-        table[vowner, cols + 1] = x
-        return np.cumsum(table, axis=1)[vowner, cols]
+        table[slot + 1] = x
+        return np.cumsum(table.reshape(nb, width), axis=1).ravel()[slot]
 
     # the site's local time before each visit, then I(t) at its start
     c = walk_prefix(sgaps)
     ell = np.empty(nv)
     ell[sorter] = c - np.repeat(c[seg], np.diff(np.append(seg, nv)))
     I_s = walk_prefix((2.0 * ell + gaps) * gaps)
-    return np.bincount(vowner, _gaussian_pieces(g, nu, vtimes, gaps, ell, I_s),
-                       nblock)
+    return np.bincount(vowner, _gaussian_pieces(g, nu, vtimes, gaps, ell, I_s), nb)
 
 
 def _gaussian_pieces(g, nu, s, gap, ell, I_s):

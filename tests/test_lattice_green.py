@@ -206,6 +206,12 @@ class TestGreenTorusAndGraph:
         assert green_function(spec, 0.5, (1.0, 0.0)) == ref
         assert green_function(spec, 0.5, np.array([1, 0])) == ref
 
+    def test_torus_frozen_value(self):
+        # a 24^4 Fourier sum on sparse meshgrids; the dense grids gave the
+        # same bits
+        assert green_function(LatticeSpec.torus(4, 24), 0.5, (1, 0, 2, 0)) \
+            == 0.0022198795162644163
+
     def test_torus_parseval_identity(self):
         spec = LatticeSpec.torus(2, 6)
         m2 = 0.3

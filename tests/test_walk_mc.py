@@ -453,6 +453,121 @@ class TestBlockDraws:
         assert e.n_samples == n
 
 
+class RecordingRng:
+    """Wraps a Generator and records each draw as ``(method, args...)``."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def poisson(self, lam, size=None):
+        self.calls.append(("poisson", size))
+        return self.rng.poisson(lam, size=size)
+
+    def random(self, size=None):
+        self.calls.append(("random", size))
+        return self.rng.random(size)
+
+    def integers(self, low, high=None, size=None):
+        self.calls.append(("integers", low, high, size))
+        return self.rng.integers(low, high, size=size)
+
+    def __getattr__(self, name):
+        raise AssertionError(f"unexpected draw {name!r}")
+
+
+class TestBlockDrawOrder:
+    """The stream layout of a block (what keeps the manifest schema): its
+    jump counts, then all jump times, then all steps, each in one call."""
+
+    @pytest.mark.parametrize("spec,kw", [
+        (SPEC4, {}),
+        (SPEC4, dict(g=0.1, nu=0.5)),
+        (SPEC4, dict(g=0.0, nu=0.5)),
+        (LatticeSpec.torus(2, 5), {}),
+        (LatticeSpec.torus(1, 3), dict(g=0.3, nu=-0.2)),
+    ], ids=["I", "laplace", "laplace-g0", "torus-I", "torus-laplace"])
+    @pytest.mark.parametrize("nblock", [1, 600])
+    def test_draws(self, spec, kw, nblock):
+        T = 3.0
+        rec = RecordingRng(block_rng(6, 2))
+        vals = _block_intersections(spec, T, rec, nblock, **kw)
+        jumps = int(block_rng(6, 2).poisson(2 * spec.d * T, nblock).sum())
+        expected = [("poisson", nblock), ("random", jumps)]
+        if kw.get("g", 1.0) != 0:
+            expected.append(("integers", 0, 2 * spec.d, jumps))
+        assert rec.calls == expected
+        plain = _block_intersections(spec, T, block_rng(6, 2), nblock, **kw)
+        assert vals.tobytes() == plain.tobytes()
+
+
+class TestPartSize:
+    """A walk's value depends on its own draws only, so the number of walks
+    valued per kernel call changes no bit."""
+
+    @pytest.mark.parametrize("spec,T,kw", [
+        (SPEC4, 4.0, {}),
+        (SPEC4, 16.0, dict(g=0.1, nu=0.5)),
+        (SPEC4, 16.0, dict(g=0.0, nu=0.5)),
+        (LatticeSpec.torus(4, 6), 4.0, {}),
+        (LatticeSpec.torus(1, 3), 6.0, dict(g=0.3, nu=-0.2)),
+    ], ids=["window-I", "laplace", "laplace-g0", "torus(4,6)", "torus(1,3)"])
+    def test_bits_independent_of_part_size(self, monkeypatch, spec, T, kw):
+        ref = _block_intersections(spec, T, block_rng(5, 1), 600, **kw)
+        for part in (1, 7, BLOCK_SIZE):
+            monkeypatch.setattr(walk_mc, "_PART_WALKS", part)
+            vals = _block_intersections(spec, T, block_rng(5, 1), 600, **kw)
+            assert vals.tobytes() == ref.tobytes(), part
+
+    def test_bits_independent_of_part_size_long_horizon(self, monkeypatch):
+        # T = 1500: the step-count digit base overflows the key, so each
+        # part takes its base from its coordinate range
+        ref = _block_intersections(SPEC4, 1500.0, block_rng(2, 0), 10)
+        for part in (1, 3):
+            monkeypatch.setattr(walk_mc, "_PART_WALKS", part)
+            vals = _block_intersections(SPEC4, 1500.0, block_rng(2, 0), 10)
+            assert vals.tobytes() == ref.tobytes(), part
+
+    def test_key_overflow_raises(self):
+        # even one walk's sites on a torus of period 2**40 do not fit
+        with pytest.raises(OverflowError, match="site key would overflow"):
+            _block_intersections(LatticeSpec.torus(2, 2**40), 3.0,
+                                 block_rng(1, 0), 1)
+
+
+class TestHorizonReach:
+    """Long horizons, where the packed site key is widest; values frozen
+    bit for bit."""
+
+    def test_estimate_cT_long_horizon(self):
+        e = estimate_cT(SPEC4, 0.1, 100.0, n=2, seed=3)
+        assert (e.mean, e.std_error) == (0.04249317568571182,
+                                         0.00436845138003665)
+
+    def test_mean_intersection_one_dimension(self):
+        e = estimate_mean_intersection(LatticeSpec.window(1), 2000.0, n=2,
+                                       seed=3)
+        assert (e.mean, e.std_error) == (71677.57050359066,
+                                         25123.075238239173)
+
+    @pytest.mark.parametrize("spec,T,nblock,expected", [
+        (SPEC4, 4000.0, 1, [1243.7503226173023]),
+        (SPEC4, 1e5, 1, [31018.324628695333]),
+        (LatticeSpec.torus(1, 2**55), 100.0, 4,
+         [659.36096729012, 666.5026202096644, 702.8698746881807,
+          746.7171193512687]),
+    ], ids=["window-4000", "window-1e5", "torus-2**55"])
+    def test_block_values(self, spec, T, nblock, expected):
+        # the last two site keys leave no room for the visit index, so
+        # their visits are grouped by a stable sort
+        vals = _block_intersections(spec, T, block_rng(1, 0), nblock)
+        assert vals.tolist() == expected
+
+    def test_susceptibility_long_horizon(self):
+        e = susceptibility_mc(SPEC4, 0.1, 0.5, T_max=64.0, n=2, seed=3)
+        assert (e.mean, e.std_error) == (1.9123511044724986,
+                                         0.0008228067112565629)
+
+
 class TestFrozenValues:
     """Values of the block stream at one seed each; a change of the stream
     layout (block keys, draw order, reduction order) moves them."""
