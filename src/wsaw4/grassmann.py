@@ -27,11 +27,12 @@ integrands.
 Polynomials are evaluated on the factored grid, never point by point: each
 site's axis is one-dimensional, so a monomial ``prod_x phi_x^a phibar_x^b``
 is the outer product of per-axis tables ``v^a conj(v)^b`` built by repeated
-multiplication, and the sum over terms is one matrix product per chunk of
-the first axis.  A flat point set is the one-group case of the same
-evaluator.  ``W`` must be real-valued: its coefficients must satisfy
-``c_{a,b} = conj(c_{b,a})`` to 1e-12 relative (else ``ValueError``), and
-the weight is the real ``exp(-Re W)``.
+multiplication; a flat point set is the one-group case.  ``W`` must be
+real-valued: its coefficients must satisfy ``c_{a,b} = conj(c_{b,a})`` to
+1e-12 relative (else ``ValueError``), so per chunk of the first axis
+``exp(-W)`` is one real matrix product (``Re ab = Re a Re b - Im a Im b``),
+and a second contracts the top coefficient's terms against it: the
+coefficient itself is never formed on the grid.
 
 The Gaussian super-expectation ``E_C F = int exp(-S_A) F`` (``A = C^{-1}``,
 ``S_A = (phi, A phibar) + (psi, A psibar)``) needs no normalising constant:
@@ -85,6 +86,8 @@ __all__ = [
     "self_normalisation_value",
     "two_point_integral",
 ]
+
+_CHUNK_POINTS = 2_000_000  # grid points a chunk holds: 16 MB of float64
 
 
 # ---------------------------------------------------------------------------
@@ -538,23 +541,36 @@ def berezin_integral(F: GrassmannForm, exponent: FieldPolynomial, *,
     return _volume_reorder_sign(M) * _grid_integral(top, exponent, axes)
 
 
+def _weight(c, tables):
+    """exp(-W) for the real W = sum_k c_k outer_g tables[g][k], as a float64
+    (n_i, n_j) array (j the last group) by one real matrix product."""
+    a = c[:, None] * (_outer(tables[:-1]) if len(tables) > 1 else 1.0)
+    b = tables[-1]
+    E = np.concatenate([-a.real, a.imag]).T @ np.concatenate([b.real, b.imag])
+    return np.exp(E, out=E)
+
+
 def _grid_integral(f, exponent, axes):
     """pi^{-M} int f exp(-W) du dv, W real (checked), on the factored grid of
-    ``axes``: per-axis tables, in chunks along the first site's nodes."""
+    ``axes`` in chunks of the first axis.  f = sum_k A_k(i) B_k(j), j the last
+    axis, is never formed: a chunk adds sum_ik A_k(i) (exp(-W) B^T)_ik."""
     _real_exponent_check(exponent)
     groups = _axis_groups(axes)
     c, tabs = _term_tables(f, groups)
     tabs = [t * w for t, (_, w) in zip(tabs, axes)]  # fold in the weights
     cw, wtabs = _term_tables(exponent, groups)
-    rest = math.prod(len(v) for v, _ in axes[1:])
-    step = max(1, 2_000_000 // rest)
-    total = 0.0 + 0.0j
+    if len(axes) == 1:  # i is the axis, j one point: numpy sums pairwise
+        tabs.append(np.ones_like(c[:, None]))
+        wtabs.append(np.ones_like(cw[:, None]))
+    last = np.ascontiguousarray(tabs[-1].T).view(float)  # (n_j, 2K): Re, Im
+    step = max(1, _CHUNK_POINTS // math.prod(len(v) for v, _ in axes[1:]))
+    parts = []  # chunk sums, added pairwise so the chunk count costs no digits
     for lo in range(0, len(axes[0][0]), step):
         rows = slice(lo, lo + step)
-        vals = _outer_sum(c, [tabs[0][:, rows]] + tabs[1:])
-        vals *= np.exp(-_outer_sum(cw, [wtabs[0][:, rows]] + wtabs[1:]).real)
-        total += complex(vals.sum())
-    return math.pi**-len(axes) * total
+        P = _weight(cw, [wtabs[0][:, rows]] + wtabs[1:]) @ last
+        A = c[:, None] * _outer([tabs[0][:, rows]] + tabs[1:-1])
+        parts.append(np.sum(A.T * P.view(complex)))
+    return math.pi**-len(axes) * complex(np.sum(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +748,7 @@ def integrate_fluctuation(F2: GrassmannForm, C, phi_ext, *, radial_nodes=32,
     # the fluctuation weight exp(-(xi, A xibar)) on the flattened xi grid
     W = _quadratic_form(sc.A)
     _real_exponent_check(W)
-    gauss = np.exp(-_outer_sum(*_term_tables(W, fl_groups)).real).ravel()
+    gauss = _weight(*_term_tables(W, fl_groups)).ravel()
 
     # fermionic weight on the fluctuation block
     A_fl = np.zeros((2 * M, 2 * M), dtype=complex)
@@ -872,14 +888,13 @@ def interaction_form(basis, laplacian, g, nu, p=None) -> GrassmannForm:
 
 
 def _auto_rmax(g, nu):
-    g = float(np.min(g)) if np.ndim(g) else float(g)
-    nu_min = float(np.min(nu)) if np.ndim(nu) else float(nu)
-    if g > 0:
-        # quartic decay dominates; exp(-g r^4 - nu r^2) < 1e-18
-        r4 = (42.0 + abs(nu_min) ** 2 / (4 * g)) / g
-        return min(r4 ** 0.25 + 1.0, 12.0)
-    if nu_min > 0:
-        return math.sqrt(42.0 / nu_min)
+    """Radius past which exp(-g r^4 - nu r^2) < 1e-18 at every site."""
+    g, nu_min = float(np.min(g)), float(np.min(nu))
+    cuts = [math.sqrt(42.0 / nu_min)] if nu_min > 0 else []
+    if g > 0:  # the quartic decay
+        cuts.append(((42.0 + abs(nu_min) ** 2 / (4 * g)) / g) ** 0.25 + 1.0)
+    if cuts:
+        return min(cuts)
     raise ValueError("need g > 0, or g = 0 with nu > 0 (divergent integral)")
 
 

@@ -131,6 +131,23 @@ class TestReproduce:
             outs.append(manifest["outputs"])
         assert outs[0] == outs[1]
 
+    def test_blas_threads_do_not_change_results(self, tmp_path):
+        # BLAS may split the Berezin evaluator's matrix products over threads
+        env = dict(os.environ)
+        outs = []
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = threads
+            dest = tmp_path / f"b{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "wsaw4.cli", "susy-verify", "--graph",
+                 "triangle", "--g", "0.3", "--nu", "0.2", "--a", "0", "--b",
+                 "1", "--radial-nodes", "32", "--angle-nodes", "16",
+                 "--out", str(dest)],
+                check=True, env=env, capture_output=True)
+            manifest = json.loads((dest / "manifest.json").read_text())
+            outs.append(manifest["outputs"])
+        assert outs[0] == outs[1]
+
     def test_manifest_records_schema_version(self, tmp_path):
         _, manifest = run_cli(["ode-lemma", "--gamma", "0.25", "--tmin",
                                "1e-4"], tmp_path, "o")

@@ -251,6 +251,34 @@ class TestTableEvaluator:
                          angle_nodes=4)
 
 
+class TestChunkSize:
+    """The Berezin sum does not depend on how the grid is chunked."""
+
+    CASES = {
+        "triangle self-normalisation": lambda: self_normalisation_value(
+            TRIANGLE, [0.4, 0.1, 0.3], [0.8, 0.6, 1.0], [-0.2, 0.3, 0.1],
+            radial_nodes=32, angle_nodes=16),
+        "path2 grassmann": lambda: two_point_integral(
+            PATH2, 0.2, 0.1, 0, 1, "grassmann"),
+        "path2 determinant": lambda: two_point_integral(
+            PATH2, 0.2, 0.1, 0, 1, "determinant"),
+        "one site": lambda: two_point_integral(
+            np.zeros((1, 1)), 0.3, -0.2, 0, 0),
+    }
+
+    def test_default_triangle_chunks(self):
+        # 32 radial rows of 512 x 512 points: several chunks, the last partial
+        step = grassmann._CHUNK_POINTS // 512**2
+        assert 1 < step < 32 and 32 % step
+
+    @pytest.mark.parametrize("budget", [1, 10**12])  # one row; every row
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_value_independent_of_chunk_size(self, monkeypatch, case, budget):
+        ref = self.CASES[case]()
+        monkeypatch.setattr(grassmann, "_CHUNK_POINTS", budget)
+        assert abs(self.CASES[case]() - ref) <= 1e-14 * abs(ref)
+
+
 class TestSuperExpectation:
     C2 = np.array([[1.0, 0.3], [0.3, 0.8]])
 
@@ -469,6 +497,17 @@ class TestTwoPoint:
         for method in ("grassmann", "determinant"):
             v = two_point_integral(lap, g, nu, 0, 0, method)
             assert abs(v - walk_side()) < 1e-6
+
+    @pytest.mark.parametrize("g,nu", [(1e-3, -0.05), (5e-4, -0.02),
+                                      (1e-4, 0.0), (1e-4, -0.01)])
+    def test_one_site_small_quartic(self, g, nu):
+        # small g: the radius must reach exp(-g r^4 - nu r^2) < 1e-18, past 12
+        walk, _ = integrate.quad(lambda T: math.exp(-g * T * T - nu * T),
+                                 0.0, math.inf, epsabs=0.0, epsrel=1e-13,
+                                 limit=400)
+        for method in ("grassmann", "determinant"):
+            v = two_point_integral(np.zeros((1, 1)), g, nu, 0, 0, method)
+            assert abs(v / walk - 1.0) < 1e-12
 
     def test_methods_agree_two_site(self):
         for (g, nu, a, b) in [(0.2, 0.1, 0, 1), (0.5, -0.2, 0, 0),
