@@ -21,8 +21,8 @@ an observable, which always pairs psi with psibar).  The integral of a form
 is pi^{-M} times the Lebesgue integral of its top-degree coefficient times
 ``exp(-W)``, after reordering the top monomial into the volume form,
 evaluated by per-site polar quadrature (Gauss-Legendre radius times uniform
-angles), with an optional global-phase reduction for U(1)-invariant
-integrands.
+angles); site 0's phase is fixed whenever the top coefficient and ``W`` are
+both U(1)-invariant (each term has as many phi as phibar factors).
 
 Polynomials are evaluated on the factored grid, never point by point: each
 site's axis is one-dimensional, so a monomial ``prod_x phi_x^a phibar_x^b``
@@ -472,6 +472,25 @@ def _gauss_legendre_radius(n, r_max):
     return r, wr
 
 
+def _auto_rmax(g, nu):
+    """Radius past which exp(-g r^4 - nu r^2) < e^{-42} of its peak, all sites."""
+    g, nu_min = float(np.min(g)), float(np.min(nu))
+    cuts = [math.sqrt(42.0 / nu_min)] if nu_min > 0 else []
+    if g > 0:  # the quartic decay, and past the peak at r^2 = -nu/2g if nu < 0
+        peak = max(-nu_min, 0.0) / (2 * g)
+        cuts.append(max(((42.0 + abs(nu_min) ** 2 / (4 * g)) / g) ** 0.25 + 1.0,
+                        math.sqrt(peak + math.sqrt(42.0 / g))))
+    if cuts:
+        return min(cuts)
+    raise ValueError("need g > 0, or g = 0 with nu > 0 (divergent integral)")
+
+
+def _gaussian_rmax(sc):
+    """_auto_rmax for exp(-(phi, A phibar)), which decays at least like
+    exp(-lambda_min |phi|^2), lambda_min the least eigenvalue of Re A."""
+    return _auto_rmax(0.0, np.linalg.eigvalsh(0.5 * (sc.A + sc.A.conj().T)).min())
+
+
 def _boson_axes(M, radial_nodes, angle_nodes, r_max, reduce_u1):
     r, wr = _gauss_legendre_radius(radial_nodes, r_max)
     th = 2.0 * np.pi * (np.arange(angle_nodes) + 0.5) / angle_nodes
@@ -487,7 +506,16 @@ def _boson_axes(M, radial_nodes, angle_nodes, r_max, reduce_u1):
     return axes
 
 
-def _grid_from_axes(axes):
+def boson_grid(M, *, radial_nodes=48, angle_nodes=24, r_max=4.0,
+               reduce_u1=False):
+    """Tensor polar quadrature over C^M: returns (phi, weights).
+
+    phi has shape (npts, M); weights integrate du dv per site.  With
+    reduce_u1=True the global phase is fixed (first site angle = 0, weight
+    2 pi), exact only for U(1)-invariant integrands: the grid that
+    berezin_integral takes when its top coefficient and W are invariant.
+    """
+    axes = _boson_axes(M, radial_nodes, angle_nodes, r_max, reduce_u1)
     grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
     wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
     phi = np.stack([g.ravel() for g in grids], axis=-1)
@@ -495,19 +523,6 @@ def _grid_from_axes(axes):
     for wg in wgrids:
         w = w * wg.ravel().real
     return phi, w
-
-
-def boson_grid(M, *, radial_nodes=48, angle_nodes=24, r_max=4.0,
-               reduce_u1=False):
-    """Tensor polar quadrature over C^M: returns (phi, weights).
-
-    phi has shape (npts, M); weights integrate du dv per site.  With
-    reduce_u1=True the global phase is fixed (first site angle = 0, weight
-    2 pi), valid only for U(1)-invariant integrands; this cuts one angle
-    dimension, which is what makes 3-site integrals affordable.
-    """
-    return _grid_from_axes(_boson_axes(M, radial_nodes, angle_nodes, r_max,
-                                       reduce_u1))
 
 
 def _volume_reorder_sign(M):
@@ -525,20 +540,25 @@ def _volume_reorder_sign(M):
 
 
 def berezin_integral(F: GrassmannForm, exponent: FieldPolynomial, *,
-                     radial_nodes=48, angle_nodes=24, r_max=4.0,
-                     reduce_u1=False) -> complex:
+                     radial_nodes=48, angle_nodes=24, r_max) -> complex:
     """Integrate ``F exp(-W)`` over C^M with the normalisation
     ``int f prod_x psibar_x psi_x = pi^{-M} int f du dv``.
 
     ``exponent`` is the boson weight's exponent ``W``, a real-valued
     polynomial (checked).  Only the top-degree monomial of F contributes.
+    Radii run over ``[0, r_max]``; site 0's phase is fixed when the top
+    coefficient and ``W`` are both U(1)-invariant.
     """
-    M = F.basis.M
     top = F.coeffs.get((F.basis.full_mask, F.basis.full_mask))
     if top is None:
         return 0.0 + 0.0j
-    axes = _boson_axes(M, radial_nodes, angle_nodes, r_max, reduce_u1)
-    return _volume_reorder_sign(M) * _grid_integral(top, exponent, axes)
+    return _volume_reorder_sign(F.basis.M) * _grid_integral(
+        top, exponent, radial_nodes, angle_nodes, r_max)
+
+
+def _u1_invariant(poly):
+    """Whether poly(e^{it} phi) = poly(phi) (as many phi as phibar factors)."""
+    return all(sum(a) == sum(b) for a, b in poly.terms)
 
 
 def _weight(c, tables):
@@ -550,11 +570,14 @@ def _weight(c, tables):
     return np.exp(E, out=E)
 
 
-def _grid_integral(f, exponent, axes):
-    """pi^{-M} int f exp(-W) du dv, W real (checked), on the factored grid of
-    ``axes`` in chunks of the first axis.  f = sum_k A_k(i) B_k(j), j the last
-    axis, is never formed: a chunk adds sum_ik A_k(i) (exp(-W) B^T)_ik."""
+def _grid_integral(f, exponent, radial_nodes, angle_nodes, r_max):
+    """pi^{-M} int f exp(-W) du dv, W real (checked), on the polar grid (site
+    0 the radius alone if f and W are U(1)-invariant) in chunks of the first
+    axis.  f = sum_k A_k(i) B_k(j), j the last axis, is never formed: a
+    chunk adds sum_ik A_k(i) (exp(-W) B^T)_ik."""
     _real_exponent_check(exponent)
+    axes = _boson_axes(f.M, radial_nodes, angle_nodes, r_max,
+                       _u1_invariant(f) and _u1_invariant(exponent))
     groups = _axis_groups(axes)
     c, tabs = _term_tables(f, groups)
     tabs = [t * w for t, (_, w) in zip(tabs, axes)]  # fold in the weights
@@ -611,26 +634,24 @@ def _fermi_action(basis, A) -> GrassmannForm:
 
 
 def super_expectation(C, F: GrassmannForm, *, radial_nodes=64, angle_nodes=32,
-                      r_max=None, reduce_u1=False, mc_samples=200_000,
-                      seed=0) -> complex:
+                      mc_samples=200_000, seed=0) -> complex:
     """E_C F = int exp(-S_A) F with A = C^{-1}; no normalising constant.
 
     The fermion part of exp(-S_A) is expanded symbolically; the boson part
     weights the quadrature.  For Hermitian C the weight decays like
-    exp(-lambda_min |phi|^2), which sets the default radial cutoff.
+    exp(-lambda_min |phi|^2), which sets the radial cutoff.
     Beyond 3 sites tensor quadrature is replaced by Monte Carlo sampling of
     the Gaussian weight (use :func:`super_expectation_with_error` to see
     the standard error).
     """
     val, _ = super_expectation_with_error(
         C, F, radial_nodes=radial_nodes, angle_nodes=angle_nodes,
-        r_max=r_max, reduce_u1=reduce_u1, mc_samples=mc_samples, seed=seed)
+        mc_samples=mc_samples, seed=seed)
     return val
 
 
 def super_expectation_with_error(C, F: GrassmannForm, *, radial_nodes=64,
-                                 angle_nodes=32, r_max=None, reduce_u1=False,
-                                 mc_samples=200_000, seed=0):
+                                 angle_nodes=32, mc_samples=200_000, seed=0):
     """Like :func:`super_expectation`; returns (value, error_estimate).
 
     The quadrature error estimate compares against a two-thirds-resolution
@@ -647,14 +668,11 @@ def super_expectation_with_error(C, F: GrassmannForm, *, radial_nodes=64,
         return 0.0 + 0.0j, 0.0
     if M > 3:
         return _super_expectation_mc(sc, top, mc_samples, seed)
-    lam_min = float(np.linalg.eigvalsh(0.5 * (sc.A + sc.A.conj().T)).min())
-    if r_max is None:
-        r_max = math.sqrt(42.0 / lam_min)
+    r_max = _gaussian_rmax(sc)
 
     def run(rn, an):
         return berezin_integral(G, _quadratic_form(sc.A), radial_nodes=rn,
-                                angle_nodes=an, r_max=r_max,
-                                reduce_u1=reduce_u1)
+                                angle_nodes=an, r_max=r_max)
 
     fine = run(radial_nodes, angle_nodes)
     coarse = run(max(8, (2 * radial_nodes) // 3), max(8, (2 * angle_nodes) // 3))
@@ -676,7 +694,7 @@ def _super_expectation_mc(sc, top, n, seed):
     det = np.linalg.det(sc.C)
     sign = _volume_reorder_sign(M)
     mean = complex(vals.mean())
-    se = float(np.abs(vals - mean).std() / math.sqrt(n))
+    se = math.sqrt(float(np.sum(np.abs(vals - mean) ** 2)) / (n - 1) / n)
     scale = sign * det
     return scale * mean, abs(scale) * se
 
@@ -726,7 +744,7 @@ def _split_sign(A, B, M):
 
 
 def integrate_fluctuation(F2: GrassmannForm, C, phi_ext, *, radial_nodes=32,
-                          angle_nodes=16, r_max=None):
+                          angle_nodes=16):
     """E_C theta-style fluctuation integral of a doubled-basis form.
 
     ``F2`` lives on a doubled basis (2M sites: external then fluctuation);
@@ -741,9 +759,7 @@ def integrate_fluctuation(F2: GrassmannForm, C, phi_ext, *, radial_nodes=32,
     if F2.basis.M != 2 * M:
         raise ValueError("form does not live on the doubled basis")
     phi_ext = np.asarray(phi_ext, dtype=complex)
-    lam_min = float(np.linalg.eigvalsh(0.5 * (sc.A + sc.A.conj().T)).min())
-    rm = math.sqrt(42.0 / lam_min) if r_max is None else r_max
-    axes = _boson_axes(M, radial_nodes, angle_nodes, rm, False)
+    axes = _boson_axes(M, radial_nodes, angle_nodes, _gaussian_rmax(sc), False)
     fl_groups = _axis_groups(axes)
     # the fluctuation weight exp(-(xi, A xibar)) on the flattened xi grid
     W = _quadratic_form(sc.A)
@@ -887,19 +903,8 @@ def interaction_form(basis, laplacian, g, nu, p=None) -> GrassmannForm:
     return V
 
 
-def _auto_rmax(g, nu):
-    """Radius past which exp(-g r^4 - nu r^2) < 1e-18 at every site."""
-    g, nu_min = float(np.min(g)), float(np.min(nu))
-    cuts = [math.sqrt(42.0 / nu_min)] if nu_min > 0 else []
-    if g > 0:  # the quartic decay
-        cuts.append(((42.0 + abs(nu_min) ** 2 / (4 * g)) / g) ** 0.25 + 1.0)
-    if cuts:
-        return min(cuts)
-    raise ValueError("need g > 0, or g = 0 with nu > 0 (divergent integral)")
-
-
 def self_normalisation_value(laplacian, p, q, r, *, radial_nodes=48,
-                             angle_nodes=24, reduce_u1=None) -> complex:
+                             angle_nodes=24) -> complex:
     """int exp(-sum_x (p_x tau_{Delta,x} + q_x tau_x^2 + r_x tau_x)).
 
     Equals 1 identically for p_x >= 0, q_x > 0 (supersymmetry); evaluated
@@ -913,17 +918,13 @@ def self_normalisation_value(laplacian, p, q, r, *, radial_nodes=48,
     if np.any(q <= 0):
         raise ValueError("q must be positive")
     V = interaction_form(basis, lap, q, r, p=p)
-    if reduce_u1 is None:
-        reduce_u1 = M >= 3
     return berezin_integral(exp_even_form(V * -1.0), V.degree0(),
                             radial_nodes=radial_nodes,
-                            angle_nodes=angle_nodes,
-                            r_max=_auto_rmax(q, r), reduce_u1=reduce_u1)
+                            angle_nodes=angle_nodes, r_max=_auto_rmax(q, r))
 
 
 def two_point_integral(laplacian, g, nu, a, b, method="grassmann", *,
-                       radial_nodes=64, angle_nodes=32,
-                       reduce_u1=None) -> float:
+                       radial_nodes=64, angle_nodes=32) -> float:
     """Two-point function of the weakly self-avoiding walk on a graph.
 
     method="grassmann": superintegral of exp(-sum_x (tau_Delta + g tau^2 +
@@ -942,8 +943,6 @@ def two_point_integral(laplacian, g, nu, a, b, method="grassmann", *,
         raise ValueError(f"vertices a={a}, b={b} not in 0..{M - 1}")
     if g < 0 or (g == 0 and nu <= 0):
         raise ValueError("need g > 0, or g = 0 with nu > 0 (divergent)")
-    if reduce_u1 is None:
-        reduce_u1 = M >= 3
     r_max = _auto_rmax(g, nu)
     basis = FermionBasis(M)
     V = interaction_form(basis, lap, g, nu)
@@ -951,15 +950,14 @@ def two_point_integral(laplacian, g, nu, a, b, method="grassmann", *,
     if method == "grassmann":
         G = wedge_product(exp_even_form(V * -1.0), obs)
         val = berezin_integral(G, V.degree0(), radial_nodes=radial_nodes,
-                               angle_nodes=angle_nodes, r_max=r_max,
-                               reduce_u1=reduce_u1)
+                               angle_nodes=angle_nodes, r_max=r_max)
         return float(val.real)
     if method != "determinant":
         raise ValueError(f"unknown method {method!r}")
     d = [tau_form(basis, x).degree0() * (2.0 * g) + nu for x in range(M)]
     f = obs.degree0() * _shifted_det(lap, d)
-    axes = _boson_axes(M, radial_nodes, angle_nodes, r_max, reduce_u1)
-    return float(_grid_integral(f, V.degree0(), axes).real)
+    return float(_grid_integral(f, V.degree0(), radial_nodes, angle_nodes,
+                                r_max).real)
 
 
 def _shifted_det(L, d):

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import erfcx
 
 from wsaw4 import grassmann
 from wsaw4.grassmann import (
@@ -144,15 +145,23 @@ class TestBerezin:
             for x in order:
                 vol = wedge_product(vol, wedge_product(psibar(b, x), psi(b, x)))
             vals.append(berezin_integral(vol, exponent=W, radial_nodes=40,
-                                         angle_nodes=8, r_max=8.0,
-                                         reduce_u1=True))
+                                         angle_nodes=8, r_max=8.0))
         assert np.allclose(vals, vals[0], rtol=1e-12)
 
     def test_lower_degree_integrates_to_zero(self):
         b = FermionBasis(2)
         F = wedge_product(psibar(b, 0), psi(b, 0))  # degree 2 of 4
         W = FieldPolynomial.constant(2, 0.0)  # unit weight
-        assert berezin_integral(F, exponent=W) == 0
+        assert berezin_integral(F, exponent=W, r_max=4.0) == 0
+
+    def test_non_invariant_top_not_phase_reduced(self):
+        # |phi_0|^2 phi_0 changes with the global phase, so its integral is 0;
+        # fixing site 0's phase would give -1.329
+        b = FermionBasis(2)
+        top = FieldPolynomial(2, {((2, 0), (1, 0)): 1.0})
+        F = GrassmannForm(b, {(b.full_mask, b.full_mask): top})
+        W = tau_form(b, 0).degree0() + tau_form(b, 1).degree0()
+        assert abs(berezin_integral(F, exponent=W, r_max=7.0)) <= 1e-12
 
 
 def loop_evaluate(P, phi, phibar):
@@ -175,6 +184,12 @@ def random_polynomial(rng, M, n_terms=8, max_degree=6):
         key = (tuple(int(v) for v in e[:M]), tuple(int(v) for v in e[M:]))
         terms[key] = complex(rng.normal(), rng.normal())
     return FieldPolynomial(M, terms)
+
+
+def u1_part(P):
+    """The U(1)-invariant terms of P: as many phi as phibar factors."""
+    return FieldPolynomial(P.M, {(a, b): c for (a, b), c in P.terms.items()
+                                 if sum(a) == sum(b)})
 
 
 def hermitian_part(P):
@@ -220,16 +235,22 @@ class TestTableEvaluator:
                           phibar[:1].reshape(1, 1, M)).shape == (1, 1)
 
     @pytest.mark.parametrize("M", [1, 2, 3])
-    @pytest.mark.parametrize("reduce_u1", [False, True])
-    def test_integral_matches_loop(self, M, reduce_u1):
-        # top coefficient times exp(-W), W real, summed over the same grid
-        rng = np.random.default_rng(100 + 10 * M + reduce_u1)
-        P = random_polynomial(rng, M)
+    @pytest.mark.parametrize("invariant", [False, True])
+    def test_integral_matches_loop(self, M, invariant):
+        # top coefficient times exp(-W), W real, summed over the grid that
+        # the integrand picks: site 0's phase is fixed iff both are invariant
+        rng = np.random.default_rng(100 + 10 * M + invariant)
+        P = random_polynomial(rng, M, n_terms=40 if invariant else 8)
         W = hermitian_part(random_polynomial(rng, M, max_degree=4))
+        if invariant:
+            P, W = u1_part(P), u1_part(W)
+            assert P.terms and W.terms
+        assert (grassmann._u1_invariant(P)
+                and grassmann._u1_invariant(W)) == invariant
         b = FermionBasis(M)
         F = GrassmannForm(b, {(b.full_mask, b.full_mask): P})
-        val = berezin_integral(F, exponent=W, reduce_u1=reduce_u1, **self.GRID)
-        phi, w = boson_grid(M, reduce_u1=reduce_u1, **self.GRID)
+        val = berezin_integral(F, exponent=W, **self.GRID)
+        phi, w = boson_grid(M, reduce_u1=invariant, **self.GRID)
         pb = np.conj(phi)
         terms = w * loop_evaluate(P, phi, pb) \
             * np.exp(-loop_evaluate(W, phi, pb).real)
@@ -243,12 +264,12 @@ class TestTableEvaluator:
         # c phi_0 phibar_1 without its partner conj(c) phi_1 phibar_0
         W = FieldPolynomial(2, {((1, 0), (0, 1)): 0.3 + 0.1j})
         with pytest.raises(ValueError, match="not real-valued"):
-            berezin_integral(vol, exponent=W)
+            berezin_integral(vol, exponent=W, r_max=4.0)
         # with the partner it is accepted
         W = W + FieldPolynomial(2, {((0, 1), (1, 0)): 0.3 - 0.1j})
         berezin_integral(vol, exponent=W + tau_form(b, 0).degree0()
                          + tau_form(b, 1).degree0(), radial_nodes=8,
-                         angle_nodes=4)
+                         angle_nodes=4, r_max=4.0)
 
 
 class TestChunkSize:
@@ -313,6 +334,19 @@ class TestSuperExpectation:
         v, se = super_expectation_with_error(C4, F, mc_samples=200_000, seed=3)
         assert se > 0
         assert abs(v - 0.1) < 4 * se + 1e-3
+
+    def test_monte_carlo_standard_error_calibrated(self):
+        # the complex mean's squared error over se^2 averages 1 across seeds;
+        # taking the spread of |v - mean| as the error gives 2.2
+        C4 = 0.8 * np.eye(4) + 0.1
+        b = FermionBasis(4)
+        F = wedge_product(phibar_poly(b, 0), phi_poly(b, 2))
+        z2 = []
+        for seed in range(40):
+            v, se = super_expectation_with_error(C4, F, mc_samples=4000,
+                                                 seed=seed)
+            z2.append(abs(v - 0.1) ** 2 / se**2)
+        assert 0.5 <= np.mean(z2) <= 1.6
 
     def test_covariance_validation(self):
         with pytest.raises(ValueError):
@@ -462,6 +496,8 @@ class TestSelfNormalisation:
                                        [0.8, 0.6, 1.0], [-0.2, 0.3, 0.1],
                                        radial_nodes=32, angle_nodes=16)
         assert abs(val - 1.0) < 1e-8
+        # the integrand is U(1)-invariant: its fixed-phase grid value, frozen
+        assert val == complex(1.0000000000882323, 1.4372035028990956e-18)
 
     def test_branch_independence(self):
         # observables pair psi with psibar: values are real
@@ -498,6 +534,16 @@ class TestTwoPoint:
             v = two_point_integral(lap, g, nu, 0, 0, method)
             assert abs(v - walk_side()) < 1e-6
 
+    @pytest.mark.parametrize("g,nu", [(0.01, -2.0), (0.05, -2.0),
+                                      (0.02, -1.0)])
+    def test_one_site_negative_nu(self, g, nu):
+        # the weight peaks at r^2 = |nu|/2g: the radius must reach e^{-42}
+        # of the peak beyond it; int_0^inf e^{-g T^2 - nu T} dT in closed form
+        walk = math.sqrt(math.pi / (4 * g)) * erfcx(nu / (2 * math.sqrt(g)))
+        for method in ("grassmann", "determinant"):
+            v = two_point_integral(np.zeros((1, 1)), g, nu, 0, 0, method)
+            assert abs(v / walk - 1.0) < 1e-12
+
     @pytest.mark.parametrize("g,nu", [(1e-3, -0.05), (5e-4, -0.02),
                                       (1e-4, 0.0), (1e-4, -0.01)])
     def test_one_site_small_quartic(self, g, nu):
@@ -527,6 +573,15 @@ class TestTwoPoint:
             v2 = two_point_integral(TRIANGLE, g, nu, a, b, "determinant",
                                     radial_nodes=32, angle_nodes=16)
             assert abs(v1 - v2) <= 1e-12
+
+    def test_three_site_values_frozen(self):
+        # both routes' integrands are U(1)-invariant: fixed-phase grid values
+        frozen = {(0.3, 0.2, 0, 1): (0.4980374258429856, 0.49803742584298544),
+                  (0.5, -0.2, 2, 2): (0.9600221724475602, 0.9600221724475599)}
+        for (g, nu, a, b), values in frozen.items():
+            assert tuple(two_point_integral(TRIANGLE, g, nu, a, b, method,
+                                            radial_nodes=32, angle_nodes=16)
+                         for method in ("grassmann", "determinant")) == values
 
     @pytest.mark.parametrize("method", ["grassmann", "determinant"])
     def test_vertex_out_of_range_rejected(self, method):
