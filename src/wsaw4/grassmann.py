@@ -32,7 +32,9 @@ real-valued: its coefficients must satisfy ``c_{a,b} = conj(c_{b,a})`` to
 1e-12 relative (else ``ValueError``), so per chunk of the first axis
 ``exp(-W)`` is one real matrix product (``Re ab = Re a Re b - Im a Im b``),
 and a second contracts the top coefficient's terms against it: the
-coefficient itself is never formed on the grid.
+coefficient itself is never formed on the grid.  The fluctuation integral
+of :func:`integrate_fluctuation` takes its per-term sums from the same
+chunk loop, so no array spans more than a chunk of any grid.
 
 The Gaussian super-expectation ``E_C F = int exp(-S_A) F`` (``A = C^{-1}``,
 ``S_A = (phi, A phibar) + (psi, A psibar)``) needs no normalising constant:
@@ -144,7 +146,8 @@ class FieldPolynomial:
         shape = phi.shape[:-1]
         group = (phi.reshape(-1, self.M),
                  np.asarray(phibar, dtype=complex).reshape(-1, self.M))
-        return _outer_sum(*_term_tables(self, [group])).reshape(shape)
+        c, (table,) = _term_tables(self, [group])
+        return (c @ table).reshape(shape)
 
     def __add__(self, other):
         if np.isscalar(other):
@@ -272,16 +275,6 @@ def _outer(tables):
         out = (out[:, :, None] * t[:, None, :]).reshape(
             len(out), out.shape[1] * t.shape[1])
     return out
-
-
-def _outer_sum(c, tables):
-    """sum_k c_k (outer_g tables[g][k]) with shape (n_0, ..., n_{G-1}):
-    the terms x (all but the last group) table against the terms x (last
-    group) table, as one matrix product."""
-    shape = tuple(t.shape[1] for t in tables)
-    if len(tables) == 1:
-        return c @ tables[0]
-    return ((c[:, None] * _outer(tables[:-1])).T @ tables[-1]).reshape(shape)
 
 
 def _axis_groups(axes):
@@ -528,15 +521,9 @@ def boson_grid(M, *, radial_nodes=48, angle_nodes=24, r_max=4.0,
 def _volume_reorder_sign(M):
     """Sign reordering psi_0..psi_{M-1} psibar_0..psibar_{M-1} into the
     volume order (psibar_0 psi_0)(psibar_1 psi_1)...  Generators are
-    labelled psi_x -> x, psibar_x -> M + x."""
-    canonical = list(range(M)) + [M + x for x in range(M)]
-    target = []
-    for x in range(M):
-        target += [M + x, x]
-    # parity of the permutation taking canonical order to target order
-    position = {g: i for i, g in enumerate(canonical)}
-    seq = [position[g] for g in target]
-    return _perm_parity(seq)
+    labelled psi_x -> x, psibar_x -> M + x, so each label is its canonical
+    position and the volume order is itself the permutation."""
+    return _perm_parity([g for x in range(M) for g in (M + x, x)])
 
 
 def berezin_integral(F: GrassmannForm, exponent: FieldPolynomial, *,
@@ -564,35 +551,43 @@ def _u1_invariant(poly):
 def _weight(c, tables):
     """exp(-W) for the real W = sum_k c_k outer_g tables[g][k], as a float64
     (n_i, n_j) array (j the last group) by one real matrix product."""
-    a = c[:, None] * (_outer(tables[:-1]) if len(tables) > 1 else 1.0)
+    a = c[:, None] * _outer(tables[:-1])
     b = tables[-1]
     E = np.concatenate([-a.real, a.imag]).T @ np.concatenate([b.real, b.imag])
     return np.exp(E, out=E)
 
 
-def _grid_integral(f, exponent, radial_nodes, angle_nodes, r_max):
-    """pi^{-M} int f exp(-W) du dv, W real (checked), on the polar grid (site
-    0 the radius alone if f and W are U(1)-invariant) in chunks of the first
-    axis.  f = sum_k A_k(i) B_k(j), j the last axis, is never formed: a
-    chunk adds sum_ik A_k(i) (exp(-W) B^T)_ik."""
+def _chunks(tabs, axes, exponent):
+    """Per chunk of the first axis, yield ``(A, P)`` for an integrand with
+    per-axis term tables ``tabs`` against exp(-W), W real (checked).  A
+    (K, n) is the weighted outer table of all axes but the last, j, over the
+    chunk's n points; P = exp(-W) B^T (n, K), B the weighted table of axis
+    j, is one real matrix product.  Term k's chunk sum is
+    sum_i A[k, i] P[i, k]."""
     _real_exponent_check(exponent)
-    axes = _boson_axes(f.M, radial_nodes, angle_nodes, r_max,
-                       _u1_invariant(f) and _u1_invariant(exponent))
     groups = _axis_groups(axes)
-    c, tabs = _term_tables(f, groups)
     tabs = [t * w for t, (_, w) in zip(tabs, axes)]  # fold in the weights
     cw, wtabs = _term_tables(exponent, groups)
     if len(axes) == 1:  # i is the axis, j one point: numpy sums pairwise
-        tabs.append(np.ones_like(c[:, None]))
+        tabs.append(np.ones_like(tabs[0][:, :1]))
         wtabs.append(np.ones_like(cw[:, None]))
     last = np.ascontiguousarray(tabs[-1].T).view(float)  # (n_j, 2K): Re, Im
     step = max(1, _CHUNK_POINTS // math.prod(len(v) for v, _ in axes[1:]))
-    parts = []  # chunk sums, added pairwise so the chunk count costs no digits
     for lo in range(0, len(axes[0][0]), step):
         rows = slice(lo, lo + step)
         P = _weight(cw, [wtabs[0][:, rows]] + wtabs[1:]) @ last
-        A = c[:, None] * _outer([tabs[0][:, rows]] + tabs[1:-1])
-        parts.append(np.sum(A.T * P.view(complex)))
+        yield _outer([tabs[0][:, rows]] + tabs[1:-1]), P.view(complex)
+
+
+def _grid_integral(f, exponent, radial_nodes, angle_nodes, r_max):
+    """pi^{-M} int f exp(-W) du dv on the polar grid (site 0 the radius alone
+    if f and W are U(1)-invariant), f never formed on the grid.  Chunk sums
+    are added pairwise, so the chunk count costs no digits."""
+    axes = _boson_axes(f.M, radial_nodes, angle_nodes, r_max,
+                       _u1_invariant(f) and _u1_invariant(exponent))
+    c, tabs = _term_tables(f, _axis_groups(axes))
+    parts = [np.sum((c[:, None] * A).T * P)
+             for A, P in _chunks(tabs, axes, exponent)]
     return math.pi**-len(axes) * complex(np.sum(parts))
 
 
@@ -760,11 +755,7 @@ def integrate_fluctuation(F2: GrassmannForm, C, phi_ext, *, radial_nodes=32,
         raise ValueError("form does not live on the doubled basis")
     phi_ext = np.asarray(phi_ext, dtype=complex)
     axes = _boson_axes(M, radial_nodes, angle_nodes, _gaussian_rmax(sc), False)
-    fl_groups = _axis_groups(axes)
-    # the fluctuation weight exp(-(xi, A xibar)) on the flattened xi grid
-    W = _quadratic_form(sc.A)
-    _real_exponent_check(W)
-    gauss = _weight(*_term_tables(W, fl_groups)).ravel()
+    W = _quadratic_form(sc.A)  # the fluctuation weight exp(-(xi, A xibar))
 
     # fermionic weight on the fluctuation block
     A_fl = np.zeros((2 * M, 2 * M), dtype=complex)
@@ -774,19 +765,19 @@ def integrate_fluctuation(F2: GrassmannForm, C, phi_ext, *, radial_nodes=32,
     full_fl = ((1 << M) - 1) << M
     sign_vol = _volume_reorder_sign(M)
     # the external points are one group, each fluctuation axis another
-    groups = [(phi_ext, np.conj(phi_ext))] + fl_groups
+    groups = [(phi_ext, np.conj(phi_ext))] + _axis_groups(axes)
     out = {}
     for (a, b), c in G.coeffs.items():
         if (a & full_fl) != full_fl or (b & full_fl) != full_fl:
             continue  # fermionic fluctuation integral kills everything else
-        a_ext, b_ext = a & ~full_fl, b & ~full_fl
-        sign = _split_sign(a, b, M)
         cs, tabs = _term_tables(c, groups)
-        fl = _outer([t * w for t, (_, w) in zip(tabs[1:], axes)])
-        integ = tabs[0].T @ (cs * (fl @ gauss))
-        contrib = sign * sign_vol * math.pi**-M * integ
-        key = (a_ext, b_ext)
-        out[key] = out.get(key, 0) + contrib
+        # per-term fluctuation integrals; chunk sums added pairwise
+        fl = np.stack([np.sum(A * P.T, axis=1)
+                       for A, P in _chunks(tabs[1:], axes, W)], axis=1)
+        integ = tabs[0].T @ (cs * fl.sum(axis=1))
+        key = (a & ~full_fl, b & ~full_fl)
+        out[key] = out.get(key, 0) \
+            + _split_sign(a, b, M) * sign_vol * math.pi**-M * integ
     return out
 
 
@@ -903,6 +894,13 @@ def interaction_form(basis, laplacian, g, nu, p=None) -> GrassmannForm:
     return V
 
 
+def _square_laplacian(laplacian):
+    lap = np.asarray(laplacian, dtype=float)
+    if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
+        raise ValueError(f"laplacian must be square, got shape {lap.shape}")
+    return lap
+
+
 def self_normalisation_value(laplacian, p, q, r, *, radial_nodes=48,
                              angle_nodes=24) -> complex:
     """int exp(-sum_x (p_x tau_{Delta,x} + q_x tau_x^2 + r_x tau_x)).
@@ -910,7 +908,7 @@ def self_normalisation_value(laplacian, p, q, r, *, radial_nodes=48,
     Equals 1 identically for p_x >= 0, q_x > 0 (supersymmetry); evaluated
     numerically as a machinery check.
     """
-    lap = np.asarray(laplacian, dtype=float)
+    lap = _square_laplacian(laplacian)
     M = lap.shape[0]
     basis = FermionBasis(M)
     q = np.broadcast_to(np.asarray(q, dtype=float), (M,))
@@ -935,9 +933,7 @@ def two_point_integral(laplacian, g, nu, a, b, method="grassmann", *,
 
     Valid for g > 0, or g = 0 with nu > 0.
     """
-    lap = np.asarray(laplacian, dtype=float)
-    if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
-        raise ValueError(f"laplacian must be square, got shape {lap.shape}")
+    lap = _square_laplacian(laplacian)
     M = lap.shape[0]
     if not all(isinstance(v, numbers.Integral) and 0 <= v < M for v in (a, b)):
         raise ValueError(f"vertices a={a}, b={b} not in 0..{M - 1}")

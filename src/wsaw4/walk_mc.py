@@ -361,6 +361,8 @@ def _gaussian_pieces(g, nu, s, gap, ell, I_s):
 
 def _walk_stream(spec, T, n, seed, **laplace):
     """Yield :func:`_block_intersections` for each block of n walks."""
+    if not T > 0:
+        raise ValueError("T must be > 0")
     for b, start in enumerate(range(0, n, BLOCK_SIZE)):
         nb = min(BLOCK_SIZE, n - start)
         yield _block_intersections(spec, T, block_rng(seed, b), nb, **laplace)
@@ -429,6 +431,8 @@ def conditioned_intersection(T: float, n: int, n_samples: int,
     [0, T]; on the self-avoiding event every site is visited once, so
     I(T) is the sum of squared gaps.  The exact value is 2T^2/(n+2).
     """
+    if not T > 0:
+        raise ValueError("T must be > 0")
     if n < 0:
         raise ValueError("n must be >= 0")
     if n_samples < 2:
@@ -507,6 +511,8 @@ def jensen_bound_check(g: float, T: float, n: int, seed: int = 0) -> JensenRepor
 
     Both means come from one pass over the same n walks.
     """
+    if g < 0:
+        raise ValueError("g must be >= 0")
     spec = LatticeSpec.window(4)
     (mean_I, c_hat), (se_I, se_c), _ = _chan_stream(
         np.stack([I, np.exp(-g * I)]) for I in _walk_stream(spec, T, n, seed))

@@ -9,6 +9,7 @@ agreement of the symbolic-fermion and determinant routes.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,12 +214,16 @@ class TestTableEvaluator:
                                      self.GRID["angle_nodes"],
                                      self.GRID["r_max"], reduce_u1)
         groups = grassmann._axis_groups(axes)
-        vals = grassmann._outer_sum(*grassmann._term_tables(P, groups))
+
+        def grid_values(poly):
+            c, tables = grassmann._term_tables(poly, groups)
+            return c @ grassmann._outer(tables)
+
+        vals = grid_values(P)
         phi, _ = boson_grid(M, reduce_u1=reduce_u1, **self.GRID)
         ref = loop_evaluate(P, phi, np.conj(phi))
-        assert np.max(np.abs(vals.ravel() - ref)) <= 1e-13 * np.max(np.abs(ref))
-        zero = grassmann._outer_sum(*grassmann._term_tables(
-            FieldPolynomial(M), groups))
+        assert np.max(np.abs(vals - ref)) <= 1e-13 * np.max(np.abs(ref))
+        zero = grid_values(FieldPolynomial(M))
         assert zero.shape == vals.shape and not zero.any()
 
     @pytest.mark.parametrize("M", [1, 2, 3])
@@ -285,6 +290,12 @@ class TestChunkSize:
             PATH2, 0.2, 0.1, 0, 1, "determinant"),
         "one site": lambda: two_point_integral(
             np.zeros((1, 1)), 0.3, -0.2, 0, 0),
+        # the fluctuation integral's per-term chunk sums, at one point
+        "fluctuation": lambda: integrate_fluctuation(
+            theta_map(wedge_product(tau_form(FermionBasis(2), 0),
+                                    tau_form(FermionBasis(2), 1))),
+            TestThetaAndConvolution.C1, np.array([[0.3 + 0.2j, -0.4 + 0.1j]]),
+            radial_nodes=36, angle_nodes=18)[(1, 1)][0],
     }
 
     def test_default_triangle_chunks(self):
@@ -422,6 +433,22 @@ class TestThetaAndConvolution:
         res = convolution_identity_check(self.C1, self.C2, tau_form(b, 0),
                                          radial_nodes=36, angle_nodes=18)
         assert res < 1e-6
+
+    def test_memory_within_chunk_budget(self):
+        # the fluctuation integral runs through the chunk loop: its peak
+        # stays under twice the 16 MB chunk budget (a table over the whole
+        # 648^2-point fluctuation grid per monomial peaked at 247 MiB)
+        b = FermionBasis(2)
+        F = wedge_product(tau_form(b, 0), tau_form(b, 1))
+        tracemalloc.start()
+        try:
+            res = convolution_identity_check(self.C1, self.C2, F,
+                                             radial_nodes=36, angle_nodes=18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res < 1e-6
+        assert peak < 32 * 2**20
 
     def test_fully_nested_quadrature_oracle_one_site(self):
         # both stages by quadrature on one site: E_{C'+C1} theta F vs the
@@ -592,11 +619,16 @@ class TestTwoPoint:
                 two_point_integral(PATH2, 0.2, 0.1, a, b, method,
                                    radial_nodes=8, angle_nodes=4)
 
-    @pytest.mark.parametrize("method", ["grassmann", "determinant"])
-    def test_non_square_laplacian_rejected(self, method):
+    @pytest.mark.parametrize("integral", [
+        lambda lap: two_point_integral(lap, 0.2, 0.1, 0, 0, "grassmann"),
+        lambda lap: two_point_integral(lap, 0.2, 0.1, 0, 0, "determinant"),
+        # a 1-D array used to broadcast into a 2 x 2 kinetic form
+        lambda lap: self_normalisation_value(lap, 0.3, 0.5, 0.1),
+    ], ids=["grassmann", "determinant", "self_normalisation"])
+    def test_non_square_laplacian_rejected(self, integral):
         for lap in (np.ones((2, 3)), np.ones(2)):
             with pytest.raises(ValueError, match="square"):
-                two_point_integral(lap, 0.2, 0.1, 0, 0, method)
+                integral(lap)
 
     @pytest.mark.parametrize("method", ["grassmann", "determinant"])
     def test_non_symmetric_laplacian_rejected(self, method):

@@ -314,6 +314,26 @@ class TestTooFewSamples:
             estimator(n)
 
 
+class TestInvalidInputs:
+    # a negative horizon used to reach numpy's Poisson draw ("lam < 0") or,
+    # in conditioned_intersection, to return a number (1.449 where |T| = 1
+    # gives 0.4); a negative g gave jensen_bound_check a c_T_hat above 1
+    @pytest.mark.parametrize("call,match", [
+        (lambda: estimate_cT(SPEC4, 0.1, -1.0, 100), "T must be > 0"),
+        (lambda: estimate_mean_intersection(SPEC4, -1.0, 100), "T must be > 0"),
+        (lambda: susceptibility_mc(SPEC4, 0.1, 0.5, T_max=-1.0, n=100),
+         "T must be > 0"),
+        (lambda: jensen_bound_check(0.1, -1.0, 100), "T must be > 0"),
+        (lambda: jensen_bound_check(-0.1, 1.0, 100), "g must be >= 0"),
+        (lambda: conditioned_intersection(-1.0, 3, 100), "T must be > 0"),
+    ], ids=["estimate_cT", "estimate_mean_intersection", "susceptibility_mc",
+            "jensen_bound_check", "jensen_bound_check_negative_g",
+            "conditioned_intersection"])
+    def test_rejected(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
 class TestJensen:
     def test_bound_and_floor(self):
         rep = jensen_bound_check(0.2, 5.0, 40000, seed=21)
