@@ -277,7 +277,7 @@ def _stamp(files, run_id):
     return out
 
 
-def _write_run(outdir, subcommand, params, files):
+def _write_run(outdir, subcommand, params, files, threads):
     os.makedirs(outdir, exist_ok=True)
     written = []
     try:
@@ -294,7 +294,7 @@ def _write_run(outdir, subcommand, params, files):
             "seed": params.get("seed"),
             "version": __version__,
             "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "threads": os.environ.get("WSAW4_THREADS", "1"),
+            "threads": threads,
             "outputs": {name: _digest(text) for name, text in files.items()},
         }
         mpath = os.path.join(outdir, "manifest.json")
@@ -384,6 +384,7 @@ def dispatch(argv) -> int:
             return 1
         print("zero diff")
         return 0
+    threads = walk_mc._worker_limit()  # a bad WSAW4_THREADS fails before the run
     params = {k: v for k, v in vars(ns).items()
               if k not in ("subcommand", "out")}
     if ns.subcommand == "green":
@@ -391,7 +392,7 @@ def dispatch(argv) -> int:
             if params["x"] else None
     files = _stamp(_RUNNERS[ns.subcommand](params),
                    _run_id(ns.subcommand, params))
-    mpath = _write_run(ns.out, ns.subcommand, params, files)
+    mpath = _write_run(ns.out, ns.subcommand, params, files, threads)
     print(mpath)
     return 0
 

@@ -766,15 +766,20 @@ def integrate_fluctuation(F2: GrassmannForm, C, phi_ext, *, radial_nodes=32,
     sign_vol = _volume_reorder_sign(M)
     # the external points are one group, each fluctuation axis another
     groups = [(phi_ext, np.conj(phi_ext))] + _axis_groups(axes)
+    # the fermionic fluctuation integral kills all but the full monomials;
+    # one chunk loop over their stacked term tables gives every per-term
+    # fluctuation integral, chunk sums added pairwise
+    keep = [((a, b), _term_tables(c, groups)) for (a, b), c in G.coeffs.items()
+            if (a & full_fl) == full_fl and (b & full_fl) == full_fl]
+    if not keep:
+        return {}
+    stacked = [np.concatenate(t) for t in zip(*(tabs[1:] for _, (_, tabs) in keep))]
+    fl = np.stack([np.sum(A * P.T, axis=1)
+                   for A, P in _chunks(stacked, axes, W)], axis=1).sum(axis=1)
+    ends = np.cumsum([len(cs) for _, (cs, _) in keep])[:-1]
     out = {}
-    for (a, b), c in G.coeffs.items():
-        if (a & full_fl) != full_fl or (b & full_fl) != full_fl:
-            continue  # fermionic fluctuation integral kills everything else
-        cs, tabs = _term_tables(c, groups)
-        # per-term fluctuation integrals; chunk sums added pairwise
-        fl = np.stack([np.sum(A * P.T, axis=1)
-                       for A, P in _chunks(tabs[1:], axes, W)], axis=1)
-        integ = tabs[0].T @ (cs * fl.sum(axis=1))
+    for ((a, b), (cs, tabs)), part in zip(keep, np.split(fl, ends)):
+        integ = tabs[0].T @ (cs * part)
         key = (a & ~full_fl, b & ~full_fl)
         out[key] = out.get(key, 0) \
             + _split_sign(a, b, M) * sign_vol * math.pi**-M * integ

@@ -12,8 +12,9 @@ Randomness contract
 All estimators draw from counter-based Philox streams keyed by
 ``(seed, block_index)`` over fixed-size blocks of samples, and merge block
 statistics in block order with the pairwise (Chan) update of one reducer.
-Results are therefore bit-reproducible for a given seed regardless of how
-blocks would be distributed over workers, and independent samples never
+Results are therefore bit-reproducible for a given seed however blocks are
+distributed over workers (the walk estimators value ``min(cores,
+WSAW4_THREADS)`` blocks at once on threads), and independent samples never
 share a stream.  A block draws all jump counts ~ Poisson(2dT), then all
 jump times, i.i.d. uniform on [0, T] (distributionally identical to the
 exponential(2d) gaps that :func:`simulate` draws), then all steps.  It
@@ -34,6 +35,7 @@ comparisons enforce that.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -359,13 +361,50 @@ def _gaussian_pieces(g, nu, s, gap, ell, I_s):
         * np.exp(-nu * s - g * I_s + shift) * peaked
 
 
+def _worker_limit():
+    """Threads a walk stream may use: the usable cores, or fewer if
+    ``WSAW4_THREADS`` (a positive integer) says so."""
+    env = os.environ.get("WSAW4_THREADS")
+    if env is not None and not (env.strip().isdecimal() and int(env) > 0):
+        raise ValueError(f"WSAW4_THREADS must be a positive integer, not {env!r}")
+    cores = len(os.sched_getaffinity(0))
+    return min(cores, int(env)) if env else cores
+
+
+def _ordered_map(fn, jobs, workers):
+    """Yield ``fn(*job)`` for each job in order, computing up to ``workers +
+    1`` ahead on a thread pool (below 2 workers, serially with no pool).
+    Jobs are drawn on the consumer's thread; pending ones are cancelled if a
+    result raises or the consumer stops."""
+    if workers < 2:
+        yield from (fn(*job) for job in jobs)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # only pooled runs load it
+    with ThreadPoolExecutor(workers) as pool:
+        pending = []
+        try:
+            for job in jobs:
+                pending.append(pool.submit(fn, *job))
+                if len(pending) > workers:
+                    yield pending.pop(0).result()
+            while pending:
+                yield pending.pop(0).result()
+        finally:
+            for future in pending:
+                future.cancel()
+
+
 def _walk_stream(spec, T, n, seed, **laplace):
-    """Yield :func:`_block_intersections` for each block of n walks."""
+    """Yield :func:`_block_intersections` for each block of n walks, in block
+    order, valued on up to :func:`_worker_limit` threads."""
     if not T > 0:
         raise ValueError("T must be > 0")
-    for b, start in enumerate(range(0, n, BLOCK_SIZE)):
-        nb = min(BLOCK_SIZE, n - start)
-        yield _block_intersections(spec, T, block_rng(seed, b), nb, **laplace)
+    starts = range(0, n, BLOCK_SIZE)
+    jobs = ((block_rng(seed, b), min(BLOCK_SIZE, n - start))
+            for b, start in enumerate(starts))
+    yield from _ordered_map(
+        lambda rng, nb: _block_intersections(spec, T, rng, nb, **laplace),
+        jobs, min(_worker_limit(), len(starts)))
 
 
 def estimate_cT(spec: LatticeSpec, g: float, T: float, n: int, seed: int = 0) -> Estimate:

@@ -450,6 +450,36 @@ class TestThetaAndConvolution:
         assert res < 1e-6
         assert peak < 32 * 2**20
 
+    @pytest.mark.parametrize("form", [
+        lambda b: wedge_product(phibar_poly(b, 0), phi_poly(b, 1)),
+        lambda b: tau_form(b, 0),
+        lambda b: wedge_product(tau_form(b, 0), tau_form(b, 1)),
+    ], ids=["phibar0_phi1", "tau0", "tau0_tau1"])
+    def test_one_weight_per_chunk(self, monkeypatch, form):
+        # exp(-W) is formed once per chunk for all monomials together; once
+        # per chunk and monomial, it took 7, 14 and 42 weights here
+        calls = []
+        weight = grassmann._weight
+
+        def counting(*args):
+            calls.append(1)
+            return weight(*args)
+
+        monkeypatch.setattr(grassmann, "_weight", counting)
+        points = 36 * 18  # one fluctuation site's polar grid
+        monkeypatch.setattr(grassmann, "_CHUNK_POINTS", 100 * points)
+        pts = np.array([[0.3 + 0.2j, -0.4 + 0.1j]])
+        integrate_fluctuation(theta_map(form(FermionBasis(2))), self.C1, pts,
+                              radial_nodes=36, angle_nodes=18)
+        assert len(calls) == math.ceil(points / 100)
+
+    def test_no_full_monomial_integrates_to_nothing(self):
+        # psi on a fluctuation site leaves the fluctuation block one psibar
+        # short in every monomial, so the fermionic integral kills them all
+        assert integrate_fluctuation(psi(FermionBasis(4), 2), self.C1,
+                                     np.array([[0.3 + 0.2j, -0.4 + 0.1j]]),
+                                     radial_nodes=36, angle_nodes=18) == {}
+
     def test_fully_nested_quadrature_oracle_one_site(self):
         # both stages by quadrature on one site: E_{C'+C1} theta F vs the
         # two-stage route, F = tau

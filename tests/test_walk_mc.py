@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from wsaw4.lattice_green import LatticeSpec
 from wsaw4.walk_mc import (
     BLOCK_SIZE,
     _block_intersections,
+    _walk_stream,
     block_rng,
     conditioned_intersection,
     estimate_cT,
@@ -641,3 +643,123 @@ class TestFrozenValues:
                                      16268, 44100, 120292, 324932, 881500]
         assert saw_counts(3, 9) == [6, 30, 150, 726, 3534, 16926, 81390,
                                     387966, 1853886]
+
+
+class TestWorkerCount:
+    """Blocks valued on 1, 2 or 3 threads give the same bits: each block
+    keeps its own stream, and the results merge in block order."""
+
+    N = 2 * BLOCK_SIZE + 1000  # three blocks, the last partial
+    TORUS = LatticeSpec.torus(4, 4)
+
+    CASES = {
+        "cT-window": lambda n: estimate_cT(SPEC4, 0.1, 1.0, n, seed=3),
+        "cT-torus": lambda n: estimate_cT(TestWorkerCount.TORUS, 0.2, 1.0, n,
+                                          seed=8),
+        "mean-I-window": lambda n: estimate_mean_intersection(SPEC4, 1.0, n,
+                                                              seed=4),
+        "mean-I-torus": lambda n: estimate_mean_intersection(
+            TestWorkerCount.TORUS, 1.0, n, seed=4),
+        "jensen": lambda n: jensen_bound_check(0.2, 1.0, n, seed=21),
+        "chi-window": lambda n: susceptibility_mc(SPEC4, 0.1, 0.5, 4.0, n,
+                                                  seed=1),
+        "chi-window-g0": lambda n: susceptibility_mc(SPEC4, 0.0, 0.5, 4.0, n,
+                                                     seed=1),
+        "chi-torus": lambda n: susceptibility_mc(LatticeSpec.torus(1, 3), 0.3,
+                                                 -0.2, 4.0, n, seed=5),
+        "chi-torus-g0": lambda n: susceptibility_mc(TestWorkerCount.TORUS, 0.0,
+                                                    0.5, 4.0, n, seed=5),
+    }
+
+    @pytest.fixture(autouse=True)
+    def four_cores(self, monkeypatch):
+        # so that WSAW4_THREADS=3 runs three threads on a smaller machine
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bits_independent_of_worker_count(self, monkeypatch, case):
+        out = []
+        for k in ("1", "2", "3"):
+            monkeypatch.setenv("WSAW4_THREADS", k)
+            out.append(self.CASES[case](self.N))
+        assert out[0] == out[1] == out[2]
+
+    @pytest.mark.parametrize("env,limit", [(None, 4), ("1", 1), ("3", 3),
+                                           ("8", 4), (" 2 ", 2)])
+    def test_worker_limit(self, monkeypatch, env, limit):
+        if env is None:
+            monkeypatch.delenv("WSAW4_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("WSAW4_THREADS", env)
+        assert walk_mc._worker_limit() == limit
+
+    @pytest.mark.parametrize("env", ["0", "-1", "two", "1.5", ""])
+    def test_bad_thread_count_rejected(self, monkeypatch, env):
+        monkeypatch.setenv("WSAW4_THREADS", env)
+        with pytest.raises(ValueError, match="WSAW4_THREADS"):
+            estimate_cT(SPEC4, 0.1, 1.0, 10, seed=0)
+
+
+class TestBlockPool:
+    """The thread pool of the walk stream: errors surface, an early stop
+    cancels what is pending, no thread outlives a call, and every stream is
+    made on the calling thread."""
+
+    @pytest.fixture(autouse=True)
+    def threads_joined(self, monkeypatch):
+        monkeypatch.setenv("WSAW4_THREADS", "2")
+        baseline = threading.active_count()
+        yield
+        assert threading.active_count() == baseline
+
+    @pytest.fixture
+    def kernel_threads(self, monkeypatch):
+        idents, kernel = [], walk_mc._block_intersections
+
+        def recording(spec, T, rng, nblock, **kw):
+            idents.append(threading.get_ident())
+            return kernel(spec, T, rng, nblock, **kw)
+
+        monkeypatch.setattr(walk_mc, "_block_intersections", recording)
+        return idents
+
+    def test_site_key_overflow_surfaces(self):
+        with pytest.raises(OverflowError, match="site key would overflow"):
+            estimate_mean_intersection(LatticeSpec.torus(2, 2**40), 3.0,
+                                       3 * BLOCK_SIZE, seed=1)
+
+    def test_error_in_last_block_surfaces(self, monkeypatch):
+        kernel = walk_mc._block_intersections
+
+        def failing(spec, T, rng, nblock, **kw):
+            if nblock < BLOCK_SIZE:
+                raise RuntimeError("last block failed")
+            return kernel(spec, T, rng, nblock, **kw)
+
+        monkeypatch.setattr(walk_mc, "_block_intersections", failing)
+        with pytest.raises(RuntimeError, match="last block failed"):
+            estimate_cT(SPEC4, 0.1, 1.0, 4 * BLOCK_SIZE + 5, seed=2)
+
+    def test_early_close_cancels_pending(self, kernel_threads):
+        stream = _walk_stream(SPEC4, 1.0, 20 * BLOCK_SIZE, seed=3)
+        first = next(stream)
+        stream.close()
+        assert first.shape == (BLOCK_SIZE,)
+        assert len(kernel_threads) <= 3  # workers + 1 blocks in flight
+
+    def test_streams_made_on_calling_thread(self, monkeypatch, kernel_threads):
+        rng_threads = []
+
+        def recording(seed, block_index):
+            rng_threads.append(threading.get_ident())
+            return block_rng(seed, block_index)
+
+        monkeypatch.setattr(walk_mc, "block_rng", recording)
+        e = susceptibility_mc(SPEC4, 0.1, 0.5, 2.0, 5 * BLOCK_SIZE, seed=4)
+        assert e.n_samples == 5 * BLOCK_SIZE
+        assert rng_threads == [threading.get_ident()] * 5
+        assert threading.get_ident() not in kernel_threads  # a pool ran them
+
+    def test_one_block_starts_no_thread(self, kernel_threads):
+        estimate_cT(SPEC4, 0.1, 1.0, BLOCK_SIZE, seed=5)
+        assert kernel_threads == [threading.get_ident()]
