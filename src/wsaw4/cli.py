@@ -277,7 +277,7 @@ def _stamp(files, run_id):
     return out
 
 
-def _write_run(outdir, subcommand, params, files, threads):
+def _write_run(outdir, subcommand, params, files):
     os.makedirs(outdir, exist_ok=True)
     written = []
     try:
@@ -294,7 +294,7 @@ def _write_run(outdir, subcommand, params, files, threads):
             "seed": params.get("seed"),
             "version": __version__,
             "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "threads": threads,
+            "threads": walk_mc._cores(),  # the walk estimators' worker limit
             "outputs": {name: _digest(text) for name, text in files.items()},
         }
         mpath = os.path.join(outdir, "manifest.json")
@@ -384,7 +384,6 @@ def dispatch(argv) -> int:
             return 1
         print("zero diff")
         return 0
-    threads = walk_mc._worker_limit()  # a bad WSAW4_THREADS fails before the run
     params = {k: v for k, v in vars(ns).items()
               if k not in ("subcommand", "out")}
     if ns.subcommand == "green":
@@ -392,7 +391,7 @@ def dispatch(argv) -> int:
             if params["x"] else None
     files = _stamp(_RUNNERS[ns.subcommand](params),
                    _run_id(ns.subcommand, params))
-    mpath = _write_run(ns.out, ns.subcommand, params, files, threads)
+    mpath = _write_run(ns.out, ns.subcommand, params, files)
     print(mpath)
     return 0
 

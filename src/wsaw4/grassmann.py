@@ -766,9 +766,8 @@ def integrate_fluctuation(F2: GrassmannForm, C, phi_ext, *, radial_nodes=32,
     sign_vol = _volume_reorder_sign(M)
     # the external points are one group, each fluctuation axis another
     groups = [(phi_ext, np.conj(phi_ext))] + _axis_groups(axes)
-    # the fermionic fluctuation integral kills all but the full monomials;
-    # one chunk loop over their stacked term tables gives every per-term
-    # fluctuation integral, chunk sums added pairwise
+    # only full monomials survive the fermionic fluctuation integral; one
+    # chunk loop values all their stacked terms, chunk sums added pairwise
     keep = [((a, b), _term_tables(c, groups)) for (a, b), c in G.coeffs.items()
             if (a & full_fl) == full_fl and (b & full_fl) == full_fl]
     if not keep:

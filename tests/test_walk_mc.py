@@ -671,33 +671,25 @@ class TestWorkerCount:
                                                     0.5, 4.0, n, seed=5),
     }
 
-    @pytest.fixture(autouse=True)
-    def four_cores(self, monkeypatch):
-        # so that WSAW4_THREADS=3 runs three threads on a smaller machine
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
-
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_bits_independent_of_worker_count(self, monkeypatch, case):
         out = []
-        for k in ("1", "2", "3"):
-            monkeypatch.setenv("WSAW4_THREADS", k)
+        for k in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, k=k: set(range(k)))
             out.append(self.CASES[case](self.N))
         assert out[0] == out[1] == out[2]
 
-    @pytest.mark.parametrize("env,limit", [(None, 4), ("1", 1), ("3", 3),
-                                           ("8", 4), (" 2 ", 2)])
-    def test_worker_limit(self, monkeypatch, env, limit):
-        if env is None:
-            monkeypatch.delenv("WSAW4_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("WSAW4_THREADS", env)
-        assert walk_mc._worker_limit() == limit
-
-    @pytest.mark.parametrize("env", ["0", "-1", "two", "1.5", ""])
-    def test_bad_thread_count_rejected(self, monkeypatch, env):
-        monkeypatch.setenv("WSAW4_THREADS", env)
-        with pytest.raises(ValueError, match="WSAW4_THREADS"):
-            estimate_cT(SPEC4, 0.1, 1.0, 10, seed=0)
+    def test_no_affinity_mask(self, monkeypatch):
+        # platforms without sched_getaffinity count cores with cpu_count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = self.CASES["cT-window"](self.N)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert walk_mc._cores() == 3
+        assert self.CASES["cT-window"](self.N) == serial
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert walk_mc._cores() == 1
 
 
 class TestBlockPool:
@@ -707,7 +699,7 @@ class TestBlockPool:
 
     @pytest.fixture(autouse=True)
     def threads_joined(self, monkeypatch):
-        monkeypatch.setenv("WSAW4_THREADS", "2")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         baseline = threading.active_count()
         yield
         assert threading.active_count() == baseline
