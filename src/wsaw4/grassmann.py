@@ -38,11 +38,12 @@ chunk loop, so no array spans more than a chunk of any grid.
 
 The Gaussian super-expectation ``E_C F = int exp(-S_A) F`` (``A = C^{-1}``,
 ``S_A = (phi, A phibar) + (psi, A psibar)``) needs no normalising constant:
-supersymmetry makes ``E_C 1 = 1`` automatic.  ``theta`` doubles the field
+supersymmetry makes ``E_C 1 = 1`` automatic.  For the polynomial forms held
+here ``E_C`` is the exact Wick operator: ``E_C F`` is ``exp(Delta_C) F``, a
+terminating heat-kernel series, at zero fields.  ``theta`` doubles the field
 (``phi -> phi + xi``, ``psi -> psi + eta``) and integrating out the
-fluctuation realises progressive integration; for polynomial forms the
-fluctuation integral is also available exactly through the heat-kernel
-(Wick) operator ``exp(Delta_C)``.
+fluctuation realises progressive integration, by quadrature or exactly by
+the same operator ``exp(Delta_C)``.
 
 The two-point function of the weakly self-avoiding walk on a finite graph
 is the superintegral of ``exp(-sum_x (tau_Delta_x + g tau_x^2 + nu tau_x))
@@ -79,7 +80,6 @@ __all__ = [
     "berezin_integral",
     "SuperCovariance",
     "super_expectation",
-    "super_expectation_with_error",
     "theta_map",
     "integrate_fluctuation",
     "gaussian_convolve_poly",
@@ -628,70 +628,15 @@ def _fermi_action(basis, A) -> GrassmannForm:
     return GrassmannForm(basis, coeffs)
 
 
-def super_expectation(C, F: GrassmannForm, *, radial_nodes=64, angle_nodes=32,
-                      mc_samples=200_000, seed=0) -> complex:
+def super_expectation(C, F: GrassmannForm) -> complex:
     """E_C F = int exp(-S_A) F with A = C^{-1}; no normalising constant.
 
-    The fermion part of exp(-S_A) is expanded symbolically; the boson part
-    weights the quadrature.  For Hermitian C the weight decays like
-    exp(-lambda_min |phi|^2), which sets the radial cutoff.
-    Beyond 3 sites tensor quadrature is replaced by Monte Carlo sampling of
-    the Gaussian weight (use :func:`super_expectation_with_error` to see
-    the standard error).
-    """
-    val, _ = super_expectation_with_error(
-        C, F, radial_nodes=radial_nodes, angle_nodes=angle_nodes,
-        mc_samples=mc_samples, seed=seed)
-    return val
-
-
-def super_expectation_with_error(C, F: GrassmannForm, *, radial_nodes=64,
-                                 angle_nodes=32, mc_samples=200_000, seed=0):
-    """Like :func:`super_expectation`; returns (value, error_estimate).
-
-    The quadrature error estimate compares against a two-thirds-resolution
-    grid; the Monte Carlo route reports the standard error.
+    Exact by Wick's rule: the value of ``exp(Delta_C) F``
+    (:func:`gaussian_convolve_poly`) at zero fields.
     """
     sc = C if isinstance(C, SuperCovariance) else SuperCovariance.from_matrix(C)
-    basis = F.basis
-    M = basis.M
-    if M != sc.C.shape[0]:
-        raise ValueError("covariance size does not match basis")
-    G = wedge_product(exp_even_form(_fermi_action(basis, -sc.A)), F)
-    top = G.coeffs.get((basis.full_mask, basis.full_mask))
-    if top is None:
-        return 0.0 + 0.0j, 0.0
-    if M > 3:
-        return _super_expectation_mc(sc, top, mc_samples, seed)
-    r_max = _gaussian_rmax(sc)
-
-    def run(rn, an):
-        return berezin_integral(G, _quadratic_form(sc.A), radial_nodes=rn,
-                                angle_nodes=an, r_max=r_max)
-
-    fine = run(radial_nodes, angle_nodes)
-    coarse = run(max(8, (2 * radial_nodes) // 3), max(8, (2 * angle_nodes) // 3))
-    return fine, abs(fine - coarse)
-
-
-def _super_expectation_mc(sc, top, n, seed):
-    """Importance-sample the Gaussian weight: E_C F = sign det(C) E_mu[top]
-    with phi ~ mu_C, times the Berezin volume sign and pi factors folded in.
-
-    Derivation: int e^{-(phi, A phibar)} f du dv = pi^M det(C) E_mu[f].
-    """
-    M = sc.C.shape[0]
-    L = np.linalg.cholesky(sc.C)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    z = (rng.normal(size=(n, M)) + 1j * rng.normal(size=(n, M))) / math.sqrt(2.0)
-    phi = z @ L.T
-    vals = top.evaluate(phi, np.conj(phi))
-    det = np.linalg.det(sc.C)
-    sign = _volume_reorder_sign(M)
-    mean = complex(vals.mean())
-    se = math.sqrt(float(np.sum(np.abs(vals - mean) ** 2)) / (n - 1) / n)
-    scale = sign * det
-    return scale * mean, abs(scale) * se
+    zero = ((0,) * F.basis.M,) * 2
+    return complex(gaussian_convolve_poly(F, sc.C).degree0().terms.get(zero, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -832,20 +777,21 @@ def gaussian_convolve_poly(F: GrassmannForm, C) -> GrassmannForm:
 
     Wick's rule as a terminating heat-kernel series; the fermionic and
     bosonic contractions cancel on supersymmetric combinations (e.g.
-    E_C theta tau_x = tau_x).
+    E_C theta tau_x = tau_x).  Each Delta_C lowers the total (boson plus
+    fermion) degree by 2, so a form of degree D needs D // 2 of them.
     """
     C = np.asarray(C, dtype=complex)
-    result = F
-    term = F
-    k = 0
-    while True:
-        k += 1
+    M = F.basis.M
+    if C.shape != (M, M):
+        raise ValueError(f"covariance shape {C.shape} does not match "
+                         f"the basis of {M} sites")
+    D = max((a.bit_count() + b.bit_count()
+             + max(sum(p) + sum(q) for p, q in c.terms)
+             for (a, b), c in F.coeffs.items()), default=0)
+    result = term = F
+    for k in range(1, D // 2 + 1):
         term = _laplacian_C(term, C) * (1.0 / k)
-        if not term.coeffs:
-            break
         result = result + term
-        if k > 4 * F.basis.M + 8:
-            raise RuntimeError("heat-kernel series failed to terminate")
     return result
 
 

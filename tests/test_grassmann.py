@@ -34,7 +34,6 @@ from wsaw4.grassmann import (
     psibar,
     self_normalisation_value,
     super_expectation,
-    super_expectation_with_error,
     tau_delta_form,
     tau_form,
     tau_squared_form,
@@ -311,53 +310,111 @@ class TestChunkSize:
         assert abs(self.CASES[case]() - ref) <= 1e-14 * abs(ref)
 
 
+def expectation(C, F):
+    """super_expectation(C, F), checked to 1e-10 on up to 3 sites against
+    the direct Berezin quadrature of exp(-S_A) F, A = C^{-1}: an independent
+    route through the fermion action and the Berezin volume sign."""
+    val = super_expectation(C, F)
+    if F.basis.M <= 3:
+        sc = SuperCovariance.from_matrix(C)
+        G = wedge_product(
+            exp_even_form(grassmann._fermi_action(F.basis, -sc.A)), F)
+        quad = berezin_integral(G, grassmann._quadratic_form(sc.A),
+                                r_max=grassmann._gaussian_rmax(sc))
+        assert abs(val - quad) < 1e-10
+    return val
+
+
 class TestSuperExpectation:
     C2 = np.array([[1.0, 0.3], [0.3, 0.8]])
+    CH = np.array([[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 0.8]])  # complex Hermitian
+    C3 = np.array([[1.0, 0.3, 0.1], [0.3, 0.8, 0.2], [0.1, 0.2, 0.9]])
+    C4 = 0.8 * np.eye(4) + 0.1
 
     def test_normalised_to_one(self):
-        val = super_expectation(self.C2, GrassmannForm.from_scalar(FermionBasis(2), 1.0))
-        assert abs(val - 1.0) < 1e-8
+        for C in (self.C2, self.CH):
+            val = expectation(C, GrassmannForm.from_scalar(FermionBasis(2), 1.0))
+            assert abs(val - 1.0) < 1e-14
 
     def test_boson_covariance(self):
         b = FermionBasis(2)
-        for a, bb in itertools.product(range(2), range(2)):
-            F = wedge_product(phibar_poly(b, a), phi_poly(b, bb))
-            v = super_expectation(self.C2, F)
-            assert abs(v - self.C2[a, bb]) < 1e-8
+        for C in (self.C2, self.CH):
+            for a, bb in itertools.product(range(2), range(2)):
+                F = wedge_product(phibar_poly(b, a), phi_poly(b, bb))
+                assert abs(expectation(C, F) - C[a, bb]) < 1e-14
 
     def test_fermion_covariance_and_sign(self):
         b = FermionBasis(2)
         F = wedge_product(psibar(b, 0), psi(b, 1))
         G = wedge_product(psi(b, 1), psibar(b, 0))
-        assert abs(super_expectation(self.C2, F) - self.C2[0, 1]) < 1e-10
-        assert abs(super_expectation(self.C2, G) + self.C2[0, 1]) < 1e-10
+        for C in (self.C2, self.CH):
+            assert abs(expectation(C, F) - C[0, 1]) < 1e-14
+            assert abs(expectation(C, G) + C[0, 1]) < 1e-14
 
-    def test_error_estimate_reported(self):
+    def test_one_site_variance(self):
         b = FermionBasis(1)
         F = wedge_product(phibar_poly(b, 0), phi_poly(b, 0))
-        v, err = super_expectation_with_error(np.array([[0.7]]), F)
-        assert abs(v - 0.7) < max(err, 1e-10) + 1e-12
+        assert abs(expectation(np.array([[0.7]]), F) - 0.7) < 1e-14
 
-    def test_monte_carlo_beyond_three_sites(self):
-        C4 = 0.8 * np.eye(4) + 0.1
+    def test_four_point(self):
+        # C_00 C_11 + |C_01|^2
+        b = FermionBasis(2)
+        F = wedge_product(wedge_product(phibar_poly(b, 0), phi_poly(b, 1)),
+                          wedge_product(phibar_poly(b, 1), phi_poly(b, 0)))
+        assert abs(expectation(self.CH, F) - 0.93) < 1e-14
+
+    def test_three_sites(self):
+        b = FermionBasis(3)
+        F = wedge_product(phibar_poly(b, 0), phi_poly(b, 2))
+        assert abs(expectation(self.C3, F) - 0.1) < 1e-14
+
+    def test_tau_products_vanish(self):
+        # supersymmetry: E_C of a product of taus is 0
+        b2, b3 = FermionBasis(2), FermionBasis(3)
+        F2 = wedge_product(tau_form(b2, 0), tau_form(b2, 1))
+        F3 = wedge_product(wedge_product(tau_form(b3, 0), tau_form(b3, 1)),
+                           tau_form(b3, 2))
+        assert abs(expectation(self.CH, F2)) < 1e-14
+        assert abs(expectation(self.C3, F3)) < 1e-14
+
+    def test_boson_covariance_four_sites(self):
         b = FermionBasis(4)
         F = wedge_product(phibar_poly(b, 0), phi_poly(b, 2))
-        v, se = super_expectation_with_error(C4, F, mc_samples=200_000, seed=3)
-        assert se > 0
-        assert abs(v - 0.1) < 4 * se + 1e-3
+        assert abs(expectation(self.C4, F) - 0.1) < 1e-14
 
-    def test_monte_carlo_standard_error_calibrated(self):
-        # the complex mean's squared error over se^2 averages 1 across seeds;
-        # taking the spread of |v - mean| as the error gives 2.2
-        C4 = 0.8 * np.eye(4) + 0.1
+    def test_tau_product_four_sites(self):
         b = FermionBasis(4)
-        F = wedge_product(phibar_poly(b, 0), phi_poly(b, 2))
-        z2 = []
-        for seed in range(40):
-            v, se = super_expectation_with_error(C4, F, mc_samples=4000,
-                                                 seed=seed)
-            z2.append(abs(v - 0.1) ** 2 / se**2)
-        assert 0.5 <= np.mean(z2) <= 1.6
+        F = wedge_product(wedge_product(tau_form(b, 0), tau_form(b, 1)),
+                          tau_form(b, 3))
+        assert abs(expectation(self.C4, F)) < 1e-14
+
+    def test_odd_form_vanishes(self):
+        b = FermionBasis(2)
+        F = psi(b, 0) + wedge_product(wedge_product(phibar_poly(b, 0),
+                                                    psi(b, 1)),
+                                      wedge_product(psi(b, 0), psibar(b, 1)))
+        assert F.parity() == "odd"
+        assert expectation(self.CH, F) == 0
+
+    @pytest.mark.parametrize("k", range(1, 16))
+    def test_one_site_moments(self, k):
+        # E |phi_0|^{2k} = k! C^k: degree 2k takes k heat-kernel steps,
+        # however many sites the basis has
+        F = GrassmannForm(FermionBasis(1),
+                          {(0, 0): FieldPolynomial(1, {((k,), (k,)): 1.0})})
+        ref = math.factorial(k) * 0.7**k
+        assert abs(super_expectation(np.array([[0.7]]), F) - ref) < 1e-14 * ref
+
+    @pytest.mark.parametrize("C, match", [
+        (np.eye(3), "does not match"),
+        (np.array([[1.0, 0.5], [0.2, 1.0]]), "Hermitian"),
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), "positive-definite"),
+    ], ids=["wrong_size", "not_hermitian", "not_positive_definite"])
+    def test_invalid_covariance(self, C, match):
+        b = FermionBasis(2)
+        with pytest.raises(ValueError, match=match):
+            super_expectation(C, wedge_product(phibar_poly(b, 0),
+                                               phi_poly(b, 1)))
 
     def test_covariance_validation(self):
         with pytest.raises(ValueError):
@@ -401,6 +458,13 @@ class TestThetaAndConvolution:
         b = FermionBasis(2)
         conv = gaussian_convolve_poly(tau_form(b, 0), self.C1)
         assert poly_terms(conv) == poly_terms(tau_form(b, 0))
+
+    def test_heat_kernel_covariance_shape_checked(self):
+        # a 1x1 covariance would leave site 1's fields unconvolved
+        b = FermionBasis(2)
+        F = wedge_product(phibar_poly(b, 1), phi_poly(b, 1))
+        with pytest.raises(ValueError, match="does not match"):
+            gaussian_convolve_poly(F, np.array([[0.5]]))
 
     def test_heat_kernel_vs_quadrature(self):
         b = FermionBasis(2)
