@@ -81,10 +81,9 @@ def _run_green(p):
 
 
 def _run_bubble(p):
-    val, err = lattice_green.bubble_diagram_with_error(
-        p["dim"], p["mass2"], method=p["method"], grid=p["grid"])
-    out = {"value": val, "abs_error_estimate": err, "grid": p["grid"],
-           "dim": p["dim"], "mass2": p["mass2"], "method": p["method"]}
+    val, err = lattice_green.bubble_diagram_with_error(p["dim"], p["mass2"])
+    out = {"value": val, "abs_error_estimate": err,
+           "dim": p["dim"], "mass2": p["mass2"]}
     return {"bubble.json": _json_dumps(out)}
 
 
@@ -97,7 +96,7 @@ def _load_tables(p):
 def _coeffs_from_params(p):
     spec = lattice_green.LatticeSpec.window(p["dim"])
     dec = cov_decomp.build_decomposition(spec, L=p["L"], m2=p["mass2"],
-                                         J=p["scales"], grid=p["grid"])
+                                         J=p["scales"])
     th, xi, pi = _load_tables(p)
     return dec, cov_decomp.coefficient_sequences(
         dec, Omega=p.get("omega", 2.0), theta=th, xi=xi, pi=pi)
@@ -344,18 +343,16 @@ def _build_parser():
 
     add("green", dim=(int, 4, False), mass2=(float, None, True),
         grid=(int, 32, False), x=(str, "", False))
-    add("bubble", dim=(int, 4, False), mass2=(float, None, True),
-        grid=(int, 32, False), method=(str, "schwinger", False))
+    add("bubble", dim=(int, 4, False), mass2=(float, None, True))
     dp = add("decompose", dim=(int, 4, False), L=(int, 2, False),
              mass2=(float, None, True), scales=(int, 16, False),
-             omega=(float, 2.0, False), grid=(int, 32, False),
-             coeff_table=(str, None, False))
+             omega=(float, 2.0, False), coeff_table=(str, None, False))
     dp.add_argument("--measure-tails", dest="measure_tails",
                     action="store_true")
     add("flow", dim=(int, 4, False), g0=(float, None, True),
         mass2=(float, None, True), L=(int, 2, False),
-        scales=(int, 48, False), grid=(int, 32, False),
-        omega=(float, 2.0, False), coeff_table=(str, None, False))
+        scales=(int, 48, False), omega=(float, 2.0, False),
+        coeff_table=(str, None, False))
     add("predict", g=(float, None, True), eps=(float, None, True),
         mode=(str, "leading", False))
     add("ode-lemma", gamma=(float, 0.25, False), tmin=(float, 1e-8, False),

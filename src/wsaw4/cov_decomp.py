@@ -119,18 +119,17 @@ class Decomposition:
         return _f(t, j) - _f(t, j - 1)
 
 
-def build_decomposition(spec: LatticeSpec, L: int, m2: float, J: int = 16, *,
-                        grid: int = 32) -> Decomposition:
+def build_decomposition(spec: LatticeSpec, L: int, m2: float,
+                        J: int = 16) -> Decomposition:
     """Build the scale decomposition and its shared-pass integrals.
 
     Parameters
     ----------
-    spec : LatticeSpec (window or torus geometry)
+    spec : LatticeSpec (window or torus geometry; a window is integrated
+        on the graded quadrature's default 32 points per axis and level)
     L : scale base >= 2
     m2 : killing rate; on a torus, must be > 0 (zero mode)
     J : number of slices
-    grid : points per axis per dyadic quadrature level (window geometry; a
-        positive multiple of 4)
     """
     if L < 2:
         raise ValueError("scale base L must be >= 2")
@@ -142,9 +141,6 @@ def build_decomposition(spec: LatticeSpec, L: int, m2: float, J: int = 16, *,
         raise ValueError("torus decomposition requires m2 > 0 (zero mode)")
     if spec.geometry == "graph":
         raise ValueError("decomposition supports window and torus geometries")
-    if spec.geometry == "window" and (grid <= 0 or grid % 4):
-        # the graded quadrature's half-box must fall on cell edges
-        raise ValueError(f"grid must be a positive multiple of 4, got {grid}")
 
     d = spec.d
 
@@ -198,7 +194,7 @@ def build_decomposition(spec: LatticeSpec, L: int, m2: float, J: int = 16, *,
             raise ValueError("J too deep for float64 multipliers at this L")
         if m2 > 0:
             k_floor = max(k_floor, 0.125 * np.sqrt(m2) * float(L) ** -2)
-        vals, _ = graded_bz_sum(d, reducer=reducer, n=grid, max_levels=250,
+        vals, _ = graded_bz_sum(d, reducer=reducer, max_levels=250,
                                 min_halfwidth=0.25 * k_floor, rtol=1e-13)
     else:
         P = spec.period

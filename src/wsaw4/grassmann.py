@@ -62,6 +62,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import lambertw
 
 __all__ = [
     "FermionBasis",
@@ -478,10 +479,17 @@ def _auto_rmax(g, nu):
     raise ValueError("need g > 0, or g = 0 with nu > 0 (divergent integral)")
 
 
-def _gaussian_rmax(sc):
-    """_auto_rmax for exp(-(phi, A phibar)), which decays at least like
-    exp(-lambda_min |phi|^2), lambda_min the least eigenvalue of Re A."""
-    return _auto_rmax(0.0, np.linalg.eigvalsh(0.5 * (sc.A + sc.A.conj().T)).min())
+def _gaussian_rmax(sc, degree=0):
+    """Radius past which ``r^(degree+1) exp(-lambda_min r^2)`` is e^{-42}
+    below its peak: the polar weight of a degree-``degree`` integrand
+    against exp(-(phi, A phibar)), lambda_min the least eigenvalue of Re A.
+    """
+    lam = np.linalg.eigvalsh(0.5 * (sc.A + sc.A.conj().T)).min()
+    if lam <= 0:
+        raise ValueError("Gaussian weight needs a positive-definite Re A")
+    # x = lam r^2 solves x - a log x = a - a log a + 42 past the peak x = a
+    a = 0.5 * (degree + 1)
+    return math.sqrt(-a * lambertw(-math.exp(-1.0 - 42.0 / a), -1).real / lam)
 
 
 def _boson_axes(M, radial_nodes, angle_nodes, r_max, reduce_u1):
@@ -699,8 +707,6 @@ def integrate_fluctuation(F2: GrassmannForm, C, phi_ext, *, radial_nodes=32,
     if F2.basis.M != 2 * M:
         raise ValueError("form does not live on the doubled basis")
     phi_ext = np.asarray(phi_ext, dtype=complex)
-    axes = _boson_axes(M, radial_nodes, angle_nodes, _gaussian_rmax(sc), False)
-    W = _quadratic_form(sc.A)  # the fluctuation weight exp(-(xi, A xibar))
 
     # fermionic weight on the fluctuation block
     A_fl = np.zeros((2 * M, 2 * M), dtype=complex)
@@ -708,15 +714,21 @@ def integrate_fluctuation(F2: GrassmannForm, C, phi_ext, *, radial_nodes=32,
     G = wedge_product(exp_even_form(_fermi_action(F2.basis, A_fl)), F2)
 
     full_fl = ((1 << M) - 1) << M
-    sign_vol = _volume_reorder_sign(M)
-    # the external points are one group, each fluctuation axis another
-    groups = [(phi_ext, np.conj(phi_ext))] + _axis_groups(axes)
-    # only full monomials survive the fermionic fluctuation integral; one
-    # chunk loop values all their stacked terms, chunk sums added pairwise
-    keep = [((a, b), _term_tables(c, groups)) for (a, b), c in G.coeffs.items()
-            if (a & full_fl) == full_fl and (b & full_fl) == full_fl]
-    if not keep:
+    # only full monomials survive the fermionic fluctuation integral
+    full = {(a, b): c for (a, b), c in G.coeffs.items()
+            if (a & full_fl) == full_fl and (b & full_fl) == full_fl}
+    if not full:
         return {}
+    degree = max((sum(p[M:]) + sum(q[M:])
+                  for c in full.values() for p, q in c.terms), default=0)
+    axes = _boson_axes(M, radial_nodes, angle_nodes,
+                       _gaussian_rmax(sc, degree), False)
+    W = _quadratic_form(sc.A)  # the fluctuation weight exp(-(xi, A xibar))
+    sign_vol = _volume_reorder_sign(M)
+    # the external points are one group, each fluctuation axis another; one
+    # chunk loop values all stacked terms, chunk sums added pairwise
+    groups = [(phi_ext, np.conj(phi_ext))] + _axis_groups(axes)
+    keep = [(key, _term_tables(c, groups)) for key, c in full.items()]
     stacked = [np.concatenate(t) for t in zip(*(tabs[1:] for _, (_, tabs) in keep))]
     fl = np.stack([np.sum(A * P.T, axis=1)
                    for A, P in _chunks(stacked, axes, W)], axis=1).sum(axis=1)

@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -46,13 +46,11 @@ from scipy.special import ive
 
 __all__ = [
     "LatticeSpec",
-    "GreenEvaluation",
     "green_function",
     "green_function_with_error",
     "bubble_diagram",
     "bubble_diagram_with_error",
     "constant_a",
-    "torus_green_table",
     "symbol",
     "heat_kernel_diagonal",
 ]
@@ -106,15 +104,6 @@ class LatticeSpec:
         """Explicit finite graph given by its (positive semidefinite) Laplacian."""
         lap = np.asarray(laplacian, dtype=float)
         return LatticeSpec(d=1, geometry="graph", laplacian=lap)
-
-
-@dataclass(frozen=True)
-class GreenEvaluation:
-    """Green-function values at a set of displacements, with error estimates."""
-
-    m2: float
-    value_at: dict = field(default_factory=dict)
-    abs_error: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +241,7 @@ def _check_richardson_grid(grid):
         raise ValueError(f"grid must be a positive multiple of 8, got {grid}")
 
 
-def _auto_levels(d, m2):
+def _auto_levels(m2):
     # resolve structure down to the mass scale; 50 dyadic levels suffice for
     # m2 >= 1e-28, the singular m2 = 0 case stops via rtol instead
     if m2 <= 0.0:
@@ -309,7 +298,7 @@ def green_function_with_error(spec: LatticeSpec, m2: float, x=None, *,
         if m2 == 0.0 and spec.d <= 2:
             raise ValueError("massless Green function diverges for d <= 2")
         _check_richardson_grid(grid)
-        levels = _auto_levels(spec.d, m2)
+        levels = _auto_levels(m2)
         coarse = _window_green_raw(spec.d, m2, x, grid // 2, levels)
         fine = _window_green_raw(spec.d, m2, x, grid, levels)
         extrap = fine + (fine - coarse) / 3.0
@@ -348,21 +337,6 @@ def _torus_green(d, period, m2, x):
     s = symbol(mesh) + m2
     phase = sum(xi * k for xi, k in zip(x, mesh))
     return float(np.sum(np.cos(phase) / s) / period**d)
-
-
-def torus_green_table(spec: LatticeSpec, m2: float) -> GreenEvaluation:
-    """All Green values on a torus, as a GreenEvaluation keyed by displacement."""
-    if spec.geometry != "torus":
-        raise ValueError("torus_green_table needs torus geometry")
-    if m2 <= 0:
-        raise ValueError("torus requires m2 > 0")
-    P, d = spec.period, spec.d
-    modes = 2.0 * np.pi * np.arange(P) / P
-    mesh = np.meshgrid(*([modes] * d), indexing="ij", sparse=True)
-    s = symbol(mesh) + m2
-    vals = np.fft.ifftn(1.0 / s).real  # kernel C(x) on the full torus
-    table = {idx: float(vals[idx]) for idx in np.ndindex(*vals.shape)}
-    return GreenEvaluation(m2=m2, value_at=table, abs_error=1e-14 * abs(vals.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -437,47 +411,26 @@ def _bubble_schwinger(d, m2):
     return 8.0 * val, 8.0 * err
 
 
-def _bubble_grid(d, m2, n, max_levels):
-    def f(ks):
-        return (symbol(ks) + m2) ** -2
+def bubble_diagram(d: int, m2: float) -> float:
+    """Bubble diagram ``Bsf = 8 sum_x C_{m2}(x)^2``, by its exact
+    one-dimensional representation ``8 int t e^{-m2 t} P_t(0,0) dt``.
 
-    val, _ = graded_bz_sum(d, f, n=n, max_levels=max_levels)
-    return 8.0 * float(val)
-
-
-def bubble_diagram(d: int, m2: float, *, method: str = "schwinger",
-                   grid: int = 32) -> float:
-    """Bubble diagram ``Bsf = 8 sum_x C_{m2}(x)^2``.
-
-    Parameters
-    ----------
-    d, m2 : dimension and killing rate.  ``m2 = 0`` is rejected for d = 4
-        (logarithmic divergence) and requires d > 4 otherwise.
-    method : {"schwinger", "grid"}
-        "schwinger" evaluates the exact one-dimensional representation
-        ``8 int t e^{-m2 t} P_t(0,0) dt`` (fast and accurate down to tiny
-        m2); "grid" does the d-dimensional Brillouin-zone quadrature of
-        ``8 |lam(k)+m2|^{-2}`` directly.
+    ``d >= 1``; ``m2 = 0`` requires ``d > 4`` (the bubble diverges
+    logarithmically in d = 4 and faster below).
     """
-    val, _ = bubble_diagram_with_error(d, m2, method=method, grid=grid)
+    val, _ = bubble_diagram_with_error(d, m2)
     return val
 
 
-def bubble_diagram_with_error(d: int, m2: float, *, method: str = "schwinger",
-                              grid: int = 32):
+def bubble_diagram_with_error(d: int, m2: float):
+    """Like :func:`bubble_diagram` but returns ``(value, abs_error_estimate)``."""
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
     if m2 < 0:
         raise ValueError("m2 must be >= 0")
     if m2 == 0.0 and d <= 4:
         raise ValueError("bubble diverges at m2 = 0 for d <= 4")
-    if method == "schwinger":
-        return _bubble_schwinger(d, m2)
-    if method == "grid":
-        _check_richardson_grid(grid)
-        levels = _auto_levels(d, m2)
-        coarse = _bubble_grid(d, m2, grid // 2, levels)
-        fine = _bubble_grid(d, m2, grid, levels)
-        return fine + (fine - coarse) / 3.0, abs(fine - coarse) / 3.0
-    raise ValueError(f"unknown method {method!r}")
+    return _bubble_schwinger(d, m2)
 
 
 # ---------------------------------------------------------------------------

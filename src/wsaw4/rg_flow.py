@@ -191,27 +191,25 @@ def solve_boundary_value(g0: float, coeffs: CoefficientSequences,
                           m2=coeffs.m2, gamma=gamma)
 
 
-def g_infinity(g0: float, coeffs: CoefficientSequences, *,
-               max_scales: int | None = None) -> float:
+def g_infinity(g0: float, coeffs: CoefficientSequences) -> float:
     """Forward-iterate g until |g_{j+1} - g_j| < 1e-14; the limit coupling.
 
     Requires a summable beta sequence (m2 > 0), otherwise the iteration
     exhausts the coefficient table and a non-convergence error is raised.
     """
     tol = 1e-14
-    max_scales = len(coeffs.beta) if max_scales is None else max_scales
     g = g0
-    for j in range(min(max_scales, len(coeffs.beta))):
-        g_next = g - coeffs.beta[j] * g * g
+    for b in coeffs.beta:
+        g_next = g - b * g * g
         if abs(g_next - g) < tol:
             return g_next
         g = g_next
     # beta may have decayed to exactly zero inside the table; then g is final
-    tail = coeffs.beta[min(max_scales, len(coeffs.beta)) - 1]
+    tail = coeffs.beta[-1]
     if abs(tail * g * g) < tol:
         return g
     raise RuntimeError(
-        f"g-iteration did not converge within {max_scales} scales "
+        f"g-iteration did not converge within {len(coeffs.beta)} scales "
         f"(last increment {tail * g * g:.2e}); is m2 > 0?")
 
 

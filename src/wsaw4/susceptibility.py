@@ -42,13 +42,11 @@ from . import cov_decomp, lattice_green, rg_flow
 __all__ = [
     "BUBBLE_LOG_COEFF",
     "ParameterTuple",
-    "Prediction",
     "default_flow_coefficients",
     "predict_nu_c",
     "predict_susceptibility",
     "m2_of_eps",
     "amplitude",
-    "make_prediction",
     "change_variables",
     "invert_g",
     "ode_asymptotics",
@@ -198,28 +196,6 @@ def m2_of_eps(g: float, eps: float, *, z0c: float = 0.0) -> float:
     return (1.0 + z0c) / amplitude(g) * eps * math.log(1.0 / eps) ** -GAMMA
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """Bundle of headline predictions at fixed g."""
-
-    nu_c: float
-    A_g: float
-    gamma: float
-    chi_of_eps: Callable[[float], float]
-    m2_of_eps: Callable[[float], float]
-
-
-def make_prediction(g: float, *, mode: str = "leading",
-                    coeffs=None) -> Prediction:
-    return Prediction(
-        nu_c=predict_nu_c(g, mode, coeffs),
-        A_g=amplitude(g),
-        gamma=GAMMA,
-        chi_of_eps=lambda eps: predict_susceptibility(g, eps),
-        m2_of_eps=lambda eps: m2_of_eps(g, eps),
-    )
-
-
 # ---------------------------------------------------------------------------
 # The ODE asymptotics lemma
 # ---------------------------------------------------------------------------
@@ -238,6 +214,8 @@ def ode_asymptotics(gamma: float, t_min: float, *, points: int = 9):
         raise ValueError("gamma must lie in [0, 1)")
     if not 0.0 < t_min < math.exp(-2.0):
         raise ValueError("t_min must lie in (0, e^-2)")
+    if points < 1:
+        raise ValueError(f"points must be >= 1, got {points}")
     t_max = 0.9 * math.exp(-2.0)
     ts = np.geomspace(t_min, t_max, points)
     rows = []

@@ -14,7 +14,7 @@ def spec4():
 @pytest.fixture(scope="session")
 def dec0_J48(spec4):
     """Massless d=4 decomposition, L=2, J=48."""
-    return build_decomposition(spec4, L=2, m2=0.0, J=48, grid=32)
+    return build_decomposition(spec4, L=2, m2=0.0, J=48)
 
 
 @pytest.fixture(scope="session")
@@ -24,13 +24,13 @@ def coeffs0(dec0_J48):
 
 @pytest.fixture(scope="session")
 def decomp_at(spec4):
-    """Factory with a session cache: decomposition at (m2, J, grid)."""
+    """Factory with a session cache: decomposition at (m2, J)."""
     cache = {}
 
-    def get(m2, J=32, grid=32):
-        key = (m2, J, grid)
+    def get(m2, J=32):
+        key = (m2, J)
         if key not in cache:
-            cache[key] = build_decomposition(spec4, L=2, m2=m2, J=J, grid=grid)
+            cache[key] = build_decomposition(spec4, L=2, m2=m2, J=J)
         return cache[key]
 
     return get
@@ -40,10 +40,10 @@ def decomp_at(spec4):
 def coeffs_at(decomp_at):
     cache = {}
 
-    def get(m2, J=32, grid=32):
-        key = (m2, J, grid)
+    def get(m2, J=32):
+        key = (m2, J)
         if key not in cache:
-            cache[key] = coefficient_sequences(decomp_at(m2, J, grid))
+            cache[key] = coefficient_sequences(decomp_at(m2, J))
         return cache[key]
 
     return get

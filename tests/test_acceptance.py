@@ -133,7 +133,7 @@ class TestAcceptance:
 
     def test_criterion_02_beta_sum(self):
         t0 = time.monotonic()
-        dec = cov_decomp.build_decomposition(SPEC4, L=2, m2=1e-3, J=24, grid=32)
+        dec = cov_decomp.build_decomposition(SPEC4, L=2, m2=1e-3, J=24)
         beta = cov_decomp.beta_sequence(dec)
         bub = bubble_diagram(4, 1e-3)
         rel = abs(beta.sum() - bub) / bub

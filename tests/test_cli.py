@@ -5,8 +5,12 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 import wsaw4
+from wsaw4 import cli
 from wsaw4.cli import SCHEMA_VERSION, dispatch
 
 
@@ -30,7 +34,7 @@ class TestArtifacts:
 
     def test_flow_row_count(self, tmp_path):
         out, _ = run_cli(["flow", "--g0", "0.05", "--mass2", "1e-3",
-                          "--L", "2", "--scales", "48", "--grid", "16"],
+                          "--L", "2", "--scales", "48"],
                          tmp_path, "f")
         lines = (out / "flow.csv").read_text().strip().splitlines()
         data = [l for l in lines if not l.startswith(("#", "j,"))]
@@ -41,8 +45,8 @@ class TestArtifacts:
         assert summary["nu_prime_limit"] is not None
 
     def test_decompose_outputs(self, tmp_path):
-        out, _ = run_cli(["decompose", "--mass2", "1e-2", "--scales", "8",
-                          "--grid", "16"], tmp_path, "d")
+        out, _ = run_cli(["decompose", "--mass2", "1e-2", "--scales", "8"],
+                         tmp_path, "d")
         seq = json.loads((out / "sequences.json").read_text())
         assert len(seq["beta"]) == 8
         assert seq["j_m"] == 4
@@ -183,6 +187,19 @@ class TestImports:
         assert proc.stdout.split() == []
 
 
+class TestReadme:
+    def test_command_lines_parse(self):
+        # a flag dropped from the parser but left in the README fails here
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+        lines = [line.split()[1:] for line in block.split("```", 1)[0].splitlines()
+                 if line.startswith("wsaw4 ")]
+        assert len(lines) == 9
+        parser = cli._build_parser()
+        for argv in lines:
+            parser.parse_args(argv)
+
+
 class TestExitCodes:
     def run_proc(self, args):
         return subprocess.run([sys.executable, "-m", "wsaw4.cli"] + args,
@@ -213,14 +230,38 @@ class TestExitCodes:
         assert not (tmp_path / "x").exists()
 
     def test_user_error_bad_grid(self, tmp_path):
-        for args in (["decompose", "--mass2", "1e-2", "--scales", "4",
-                      "--grid", "6"],
-                     ["decompose", "--mass2", "1e-2", "--grid", "0"],
-                     ["flow", "--g0", "0.05", "--mass2", "1e-3",
-                      "--grid", "-4"]):
-            r = self.run_proc(args + ["--out", str(tmp_path / "x")])
+        # the Richardson pass at grid // 2 needs a positive multiple of 8
+        for grid in ("6", "0", "-4"):
+            r = self.run_proc(["green", "--mass2", "0.5", "--grid", grid,
+                               "--out", str(tmp_path / "x")])
             assert r.returncode == 1
             assert "grid" in r.stderr
+            assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["bubble", "--mass2", "1e-2", "--method", "grid"],
+        ["bubble", "--mass2", "1e-2", "--grid", "32"],
+        ["decompose", "--mass2", "1e-2", "--grid", "32"],
+        ["flow", "--g0", "0.05", "--mass2", "1e-3", "--grid", "32"],
+    ], ids=["bubble-method", "bubble-grid", "decompose-grid", "flow-grid"])
+    def test_removed_flags_rejected(self, args, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv",
+                            ["wsaw4"] + args + ["--out", str(tmp_path / "x")])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_user_error_bubble_dimension(self, tmp_path, monkeypatch, capsys):
+        for dim in ("0", "-1"):
+            monkeypatch.setattr(sys, "argv", [
+                "wsaw4", "bubble", "--dim", dim, "--mass2", "1",
+                "--out", str(tmp_path / "x")])
+            with pytest.raises(SystemExit) as exc:
+                cli.main()
+            assert exc.value.code == 1
+            assert "dimension" in capsys.readouterr().err
             assert not (tmp_path / "x").exists()
 
     def test_coeff_table_missing_column(self, tmp_path):

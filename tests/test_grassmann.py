@@ -454,6 +454,18 @@ class TestThetaAndConvolution:
         exact = np.conj(pts[:, 0]) * pts[:, 1] + self.C1[0, 1]
         assert np.max(np.abs(out[(0, 0)] - exact)) < 1e-8
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_fluctuation_moments_one_site(self, k):
+        # E |xi|^{2k} = k! C^k at zero external field and the default
+        # nodes: the radius must grow with the degree, or the tail of
+        # r^{2k+1} e^{-r^2/C} is cut (5e-12 at k = 6 with a fixed radius)
+        F = GrassmannForm(FermionBasis(1),
+                          {(0, 0): FieldPolynomial(1, {((k,), (k,)): 1.0})})
+        out = integrate_fluctuation(theta_map(F), np.array([[0.7]]),
+                                    np.zeros((1, 1)))
+        ref = math.factorial(k) * 0.7**k
+        assert abs(out[(0, 0)][0] - ref) < 1e-12 * ref
+
     def test_heat_kernel_leaves_tau_invariant(self):
         b = FermionBasis(2)
         conv = gaussian_convolve_poly(tau_form(b, 0), self.C1)

@@ -10,12 +10,12 @@ from mpmath import mp, mpf
 from wsaw4.lattice_green import constant_a
 from wsaw4.susceptibility import (
     BUBBLE_LOG_COEFF,
+    GAMMA,
     ParameterTuple,
     amplitude,
     change_variables,
     invert_g,
     m2_of_eps,
-    make_prediction,
     ode_asymptotics,
     predict_nu_c,
     predict_susceptibility,
@@ -110,11 +110,12 @@ class TestSusceptibilityFormulas:
         assert np.allclose(amps / (BUBBLE_LOG_COEFF * gs) ** 0.25, 1.0)
 
     def test_prediction_bundle(self, coeffs0):
-        pred = make_prediction(0.02, mode="flow", coeffs=coeffs0)
-        assert pred.A_g > 0
-        assert pred.gamma == 0.25
-        assert pred.chi_of_eps(1e-6) * pred.m2_of_eps(1e-6) == pytest.approx(1.0)
-        assert -constant_a() * 0.02 - 0.05 * 0.02**2 <= pred.nu_c <= 0.0
+        assert amplitude(0.02) > 0
+        assert GAMMA == 0.25
+        assert predict_susceptibility(0.02, 1e-6) * m2_of_eps(0.02, 1e-6) \
+            == pytest.approx(1.0)
+        nu_c = predict_nu_c(0.02, "flow", coeffs0)
+        assert -constant_a() * 0.02 - 0.05 * 0.02**2 <= nu_c <= 0.0
 
 
 class TestChangeVariables:
@@ -190,3 +191,9 @@ class TestOdeLemma:
             ode_asymptotics(1.0, 1e-8)
         with pytest.raises(ValueError):
             ode_asymptotics(0.25, 0.5)
+
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_no_points_rejected(self, points):
+        # an empty table left the CLI's summary to fail on rows[0]
+        with pytest.raises(ValueError, match="points"):
+            ode_asymptotics(0.25, 1e-8, points=points)
