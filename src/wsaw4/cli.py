@@ -130,7 +130,11 @@ def _run_flow(p):
                "g0": p["g0"], "mass2": p["mass2"],
                "L": p["L"], "scales": p["scales"]}
     massive = p["mass2"] > 0
-    summary["g_inf"] = rg_flow.g_infinity(p["g0"], co) if massive else None
+    try:
+        summary["g_inf"] = rg_flow.g_infinity(p["g0"], co) if massive else None
+    except RuntimeError as exc:  # the beta table ran out before g settled
+        raise _UserError(f"--scales {p['scales']} is too few for g_inf to "
+                         "converge; raise it") from exc
     summary["nu_prime_limit"] = \
         rg_flow.nu_prime_limit(traj) if massive else None
     return {"flow.csv": fcsv, "flow.json": _json_dumps(summary)}

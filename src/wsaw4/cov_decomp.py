@@ -135,8 +135,8 @@ def build_decomposition(spec: LatticeSpec, L: int, m2: float,
         raise ValueError("scale base L must be >= 2")
     if J < 1:
         raise ValueError("J must be >= 1")
-    if m2 < 0:
-        raise ValueError("m2 must be >= 0")
+    if not 0.0 <= m2 < np.inf:
+        raise ValueError(f"m2 must be finite and >= 0, got {m2}")
     if spec.geometry == "torus" and m2 == 0.0:
         raise ValueError("torus decomposition requires m2 > 0 (zero mode)")
     if spec.geometry == "graph":

@@ -62,7 +62,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lambertw
 
 __all__ = [
     "FermionBasis",
@@ -484,6 +483,7 @@ def _gaussian_rmax(sc, degree=0):
     below its peak: the polar weight of a degree-``degree`` integrand
     against exp(-(phi, A phibar)), lambda_min the least eigenvalue of Re A.
     """
+    from scipy.special import lambertw  # only fluctuation integrals load it
     lam = np.linalg.eigvalsh(0.5 * (sc.A + sc.A.conj().T)).min()
     if lam <= 0:
         raise ValueError("Gaussian weight needs a positive-definite Re A")

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ive
 
 __all__ = [
     "LatticeSpec",
@@ -286,8 +285,8 @@ def green_function_with_error(spec: LatticeSpec, m2: float, x=None, *,
     against the half-resolution grid with the innermost-box contribution;
     torus and graph values are exact up to roundoff.
     """
-    if m2 < 0:
-        raise ValueError("m2 must be >= 0")
+    if not 0.0 <= m2 < np.inf:
+        raise ValueError(f"m2 must be finite and >= 0, got {m2}")
     if spec.geometry in ("window", "torus") and x is not None:
         if np.size(x) != spec.d:
             raise ValueError(f"displacement x has {np.size(x)} coordinates, "
@@ -345,21 +344,27 @@ def _torus_green(d, period, m2, x):
 # kernel  P_t(0,0) = (e^{-2t} I_0(2t))^d ).
 # ---------------------------------------------------------------------------
 
-_T_SERIES = 1e7  # from here on P_t comes from the large-t series
+_T_SERIES = 300.0  # from here on P_t comes from the large-t series
+# sqrt(2 pi z) e^{-z} I_0(z) ~ sum_k a_k z^{-k}, a_k = a_{k-1} (2k-1)^2/(8k)
+_HANKEL = np.cumprod([1.0] + [(2 * k - 1) ** 2 / (8.0 * k) for k in range(1, 8)])
 
 
 def _bessel_series(w):
-    """``sqrt(2 pi z) e^{-z} I_0(z)`` at ``w = 1/z``; relative error < 1e-25
-    for ``z >= 2e7``."""
-    return 1.0 + w / 8.0 + 9.0 * w**2 / 128.0 + 225.0 * w**3 / 3072.0
+    """``sqrt(2 pi z) e^{-z} I_0(z)`` at ``w = 1/z`` from eight terms of its
+    Hankel series.  At the cut ``z = 600`` the truncation is 3.6e-22
+    relative; the value is within 1.1e-16 of mpmath from there on."""
+    return np.polynomial.polynomial.polyval(w, _HANKEL)
 
 
 def heat_kernel_diagonal(d: int, t) -> np.ndarray:
     """Return probability density ``P_t(0,0)`` of the rate-2d walk on Z^d."""
     t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("t must be >= 0")
     out = np.empty_like(t)
     small = t < _T_SERIES
-    out[small] = ive(0, 2.0 * t[small]) ** d
+    z = 2.0 * t[small]
+    out[small] = (np.exp(-z) * np.i0(z)) ** d
     tl = t[~small]
     if tl.size:
         out[~small] = (_bessel_series(0.5 / tl) / np.sqrt(4.0 * np.pi * tl)) ** d
@@ -387,24 +392,24 @@ def _bubble_schwinger(d, m2):
 
     The sum runs from ``min(-40, top - 60)`` to ``top = log(60/m2)``, where
     ``e^{-m2 t} = e^{-60}`` (200 at ``m2 = 0``, d > 4).  Past the series
-    threshold the integrand is formed in log space, so the result stays
+    threshold the integrand is ``h^(4-d) e^{-m2 h^2} (h p)^d`` with ``h =
+    sqrt(t)`` and ``p = e^{-2t} I_0(2t)`` from the large-t series, and the
+    binary exponent of ``h^(4-d)`` is applied last, so the result stays
     accurate down to the smallest subnormal m2, whose tail runs where ``t``
     overflows and ``P_t`` underflows float64.
     """
-    log_m2 = math.log(m2) if m2 > 0 else -math.inf
-    top = math.log(60.0) - log_m2 if m2 > 0 else 200.0
+    top = math.log(60.0) - math.log(m2) if m2 > 0 else 200.0
 
     def f(u):  # t^2 e^{-m2 t} P_t, the t from dt = t du included
         out = np.empty_like(u)
         small = u < math.log(_T_SERIES)
         t = np.exp(u[small])
         out[small] = t * t * np.exp(-m2 * t) * heat_kernel_diagonal(d, t)
-        # log_tp = log(t^{d/2} P_t) from the large-t series
-        ul = u[~small]
-        log_tp = d * np.log(_bessel_series(0.5 * np.exp(-ul))
-                            / np.sqrt(4.0 * np.pi))
-        out[~small] = np.exp((2.0 - 0.5 * d) * ul + log_tp
-                             - np.exp(ul + log_m2))
+        h = np.exp(0.5 * u[~small])
+        mant, e = np.frexp(h)
+        hp = _bessel_series(0.5 / h / h) / np.sqrt(4.0 * np.pi)
+        out[~small] = np.ldexp(mant ** (4 - d) * np.exp(-(m2 * h) * h) * hp ** d,
+                               e * (4 - d))
         return out
 
     val, err = _panel_rule(f, min(-40.0, top - 60.0), top)
@@ -426,8 +431,8 @@ def bubble_diagram_with_error(d: int, m2: float):
     """Like :func:`bubble_diagram` but returns ``(value, abs_error_estimate)``."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    if m2 < 0:
-        raise ValueError("m2 must be >= 0")
+    if not 0.0 <= m2 < np.inf:
+        raise ValueError(f"m2 must be finite and >= 0, got {m2}")
     if m2 == 0.0 and d <= 4:
         raise ValueError("bubble diverges at m2 = 0 for d <= 4")
     return _bubble_schwinger(d, m2)

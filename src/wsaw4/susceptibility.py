@@ -35,7 +35,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from . import cov_decomp, lattice_green, rg_flow
 
@@ -225,9 +224,10 @@ def ode_asymptotics(gamma: float, t_min: float, *, points: int = 9):
         else:
             # int_0^{e^{-x}} (-log v)^gamma dv = Gamma(1 + gamma, x) falls
             # with x; bisecting in x keeps tiny t clear of underflow
-            c, x0 = special.gamma(1.0 + gamma), -math.log(t)
+            from scipy.special import gamma as gamma_fn, gammaincc  # gamma > 0 only
+            c, x0 = gamma_fn(1.0 + gamma), -math.log(t)
             u = math.exp(-_bisect(
-                lambda x: c * special.gammaincc(1.0 + gamma, x) > t,
+                lambda x: c * gammaincc(1.0 + gamma, x) > t,
                 max(1e-12, 0.3 * x0), 3.0 * x0 + 20.0, 0.0))
         asym = t * (-math.log(t)) ** -gamma
         # the defining integral with v = u e^{-s}, summed up to s = 40

@@ -39,7 +39,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, erfcx
 
 from .lattice_green import LatticeSpec, constant_a
 
@@ -347,6 +346,7 @@ def _gaussian_pieces(g, nu, s, gap, ell, I_s):
     the integrand peaks: ``e^{m^2} (erfc(x) - erfc(y))`` lies in ``[0, 2]``,
     so no factor overflows where the integral is finite.
     """
+    from scipy.special import erfc, erfcx  # only Laplace estimates load it
     x = math.sqrt(g) * (ell + nu / (2.0 * g))
     w = math.sqrt(g) * gap
     y = x + w
@@ -429,6 +429,7 @@ def susceptibility_mc(spec: LatticeSpec, g: float, nu: float, T_max: float,
     Otherwise nu <= 0 (near-critical, out of Monte Carlo reach) is rejected.
     """
     if spec.geometry == "torus" and g > 0:
+        from scipy.special import erfcx  # only the torus tail loads it here
         ra = math.sqrt(g / spec.period**spec.d)
         tail = 0.5 * math.sqrt(math.pi) / ra \
             * float(erfcx(ra * T_max + nu / (2.0 * ra))) \

@@ -174,26 +174,41 @@ class TestReproduce:
         assert rc == 1
 
 
+def readme_lines():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    return [line.split()[1:] for line in block.split("```", 1)[0].splitlines()
+            if line.startswith("wsaw4 ")]
+
+
 class TestImports:
-    def test_cli_loads_no_scipy_integrate_or_optimize(self):
-        # at run time the package needs numpy and scipy.special only; the
-        # tests keep scipy.integrate as an independent oracle
-        code = ("import sys, wsaw4.cli; print(*sorted(m for m in sys.modules "
-                "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+    # importing the package loads numpy only: scipy.special costs ~0.3 s
+    # and loads where walk-mc --nu, ode-lemma and fluctuation integrals
+    # first call it; the tests keep scipy as an independent oracle
+    def scipy_after(self, code, cwd=None):
+        code = ("import sys\n" + code + "\nprint(*sorted(m for m in "
+                "sys.modules if m.split('.')[0] == 'scipy'))")
         src = os.path.dirname(os.path.dirname(wsaw4.__file__))
         proc = subprocess.run([sys.executable, "-c", code], check=True,
-                              capture_output=True, text=True,
+                              capture_output=True, text=True, cwd=cwd,
                               env=dict(os.environ, PYTHONPATH=src))
-        assert proc.stdout.split() == []
+        return proc.stdout.splitlines()[-1].split()
+
+    def test_cli_loads_no_scipy(self):
+        assert self.scipy_after("import wsaw4.cli") == []
+
+    def test_readme_lines_load_no_scipy(self, tmp_path):
+        lines = [argv for argv in readme_lines() if argv[0] in (
+            "green", "bubble", "decompose", "flow", "predict", "susy-verify")]
+        assert len(lines) == 6
+        code = f"from wsaw4 import cli\nfor a in {lines!r}: assert cli.dispatch(a) == 0"
+        assert self.scipy_after(code, cwd=tmp_path) == []
 
 
 class TestReadme:
     def test_command_lines_parse(self):
         # a flag dropped from the parser but left in the README fails here
-        readme = (Path(__file__).parents[1] / "README.md").read_text()
-        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
-        lines = [line.split()[1:] for line in block.split("```", 1)[0].splitlines()
-                 if line.startswith("wsaw4 ")]
+        lines = readme_lines()
         assert len(lines) == 9
         parser = cli._build_parser()
         for argv in lines:
@@ -263,6 +278,25 @@ class TestExitCodes:
             assert exc.value.code == 1
             assert "dimension" in capsys.readouterr().err
             assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["bubble", "--mass2", "nan"],
+        ["green", "--mass2", "nan"],
+        ["decompose", "--mass2", "inf"],
+        ["flow", "--g0", "0.05", "--mass2", "1e-3", "--scales", "4"],
+    ], ids=["bubble-nan", "green-nan", "decompose-inf", "flow-short-table"])
+    def test_user_error_names_parameter(self, args, tmp_path, monkeypatch,
+                                        capsys):
+        # a non-finite m2 and a beta table too short for g_inf are the
+        # user's input: exit 1, naming the parameter
+        monkeypatch.setattr(sys, "argv",
+                            ["wsaw4"] + args + ["--out", str(tmp_path / "x")])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert ("--scales" if args[0] == "flow" else "m2 must be finite") in err
+        assert not (tmp_path / "x").exists()
 
     def test_coeff_table_missing_column(self, tmp_path):
         table = tmp_path / "t.csv"

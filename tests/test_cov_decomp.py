@@ -80,6 +80,9 @@ class TestPartition:
             build_decomposition(spec4, L=1, m2=0.1, J=4)
         with pytest.raises(ValueError):
             build_decomposition(LatticeSpec.torus(2, 8), L=2, m2=0.0, J=4)
+        for m2 in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="m2"):
+                build_decomposition(spec4, L=2, m2=m2, J=4)
 
 
 class TestBetaSequence:

@@ -8,17 +8,21 @@ Independent oracles used here:
   * a discrete-time return-probability series summed by dynamic programming
     with a fitted 1/n^2 + 1/n^3 tail;
   * grid refinement (half vs full resolution must agree to 4 significant
-    digits).
+    digits);
+  * mpmath's ``besseli`` for the heat kernel, and the closed-form d = 1
+    bubble.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from mpmath import besseli, exp, mp, mpf
 from scipy import integrate
 from scipy.special import ive, polygamma
 
 from wsaw4.lattice_green import (
+    _T_SERIES,
     LatticeSpec,
     _orbit_table,
     _window_green_raw,
@@ -28,6 +32,7 @@ from wsaw4.lattice_green import (
     graded_bz_sum,
     green_function,
     green_function_with_error,
+    heat_kernel_diagonal,
     symbol,
 )
 
@@ -178,6 +183,11 @@ class TestGreenWindow:
         with pytest.raises(ValueError):
             green_function(LatticeSpec.window(2), 0.0)
 
+    @pytest.mark.parametrize("m2", [np.nan, np.inf])
+    def test_nonfinite_mass_rejected(self, spec4, m2):
+        with pytest.raises(ValueError, match="m2"):
+            green_function_with_error(spec4, m2)
+
 
 class TestGreenTorusAndGraph:
     def test_torus_zero_mode_rejected(self):
@@ -298,15 +308,47 @@ class TestBubble:
                    1e-307):
             assert abs(offset(m2) - c) < 1e-9
 
+    def test_d1_closed_form(self):
+        # in d = 1, B = -dC(0)/dm2 with C(0) = (m2 (m2 + 4))^{-1/2}; the
+        # integrand's mass t^{3/2} e^{-m2 t} sits past the series cut
+        for m2 in (1e-4, 1e-20, 1e-40, 1e-120, 1e-200):
+            m = mpf(m2)
+            exact = 8 * (m + 2) / (m * (m + 4)) ** 1.5
+            v, err = bubble_diagram_with_error(1, m2)
+            assert abs(v - exact) <= err
+
     def test_divergent_rejected(self):
         with pytest.raises(ValueError):
             bubble_diagram(4, 0.0)
+
+    @pytest.mark.parametrize("m2", [np.nan, np.inf])
+    def test_nonfinite_mass_rejected(self, m2):
+        # NaN fails every comparison, so an m2 < 0 check alone lets it through
+        with pytest.raises(ValueError, match="m2"):
+            bubble_diagram_with_error(4, m2)
 
     @pytest.mark.parametrize("d", [0, -1])
     def test_dimension_below_one_rejected(self, d):
         # P_t^d is 1 at d = 0 and grows with t below, which gave a value
         with pytest.raises(ValueError, match="dimension"):
             bubble_diagram_with_error(d, 1.0)
+
+
+class TestHeatKernel:
+    def test_vs_mpmath_across_the_series_cut(self):
+        # np.i0 below _T_SERIES, the Hankel series from there on
+        c = _T_SERIES
+        ts = [1e-3, 0.5, 4.0, 50.0, c * (1 - 1e-9), c, c * (1 + 1e-9),
+              2.0 * c, 1e4, 1e7 - 1.0, 1e7, 1e7 + 1.0, 1e9]
+        with mp.workdps(30):
+            for t, got in zip(ts, heat_kernel_diagonal(1, ts)):
+                ref = besseli(0, 2 * mpf(t)) * exp(-2 * mpf(t))
+                assert abs(got / ref - 1) <= 2e-15
+
+    def test_negative_time_rejected(self):
+        # e^{-z} I_0(z) grows without bound for z < 0
+        with pytest.raises(ValueError, match="t must be"):
+            heat_kernel_diagonal(4, [1.0, -0.5])
 
 
 class TestConstantA:
