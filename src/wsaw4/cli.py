@@ -43,17 +43,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, default=_jsonable) + "\n"
+    return json.dumps(_jsonable(obj), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 def _jsonable(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if x is None or (isinstance(x, float) and not np.isfinite(x)):
-        return None
-    raise TypeError(f"not serializable: {type(x)}")
+    """x with numpy values as Python ones and non-finite floats as None."""
+    if isinstance(x, (np.generic, np.ndarray)):
+        x = x.tolist()
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    return None if isinstance(x, float) and not np.isfinite(x) else x
 
 
 def _csv_text(header, rows) -> str:

@@ -34,7 +34,11 @@ real-valued: its coefficients must satisfy ``c_{a,b} = conj(c_{b,a})`` to
 and a second contracts the top coefficient's terms against it: the
 coefficient itself is never formed on the grid.  The fluctuation integral
 of :func:`integrate_fluctuation` takes its per-term sums from the same
-chunk loop, so no array spans more than a chunk of any grid.
+chunk loop, so no array spans more than a chunk of any grid.  When ``W``
+has real coefficients, ``exp(-W)`` and every monomial's conjugate are their
+values at ``conj(phi)``, a grid point: each term's grid sum is twice the
+real part of its sum over half the grid, ``theta <= pi`` on the first
+angular axis.  A complex-coefficient ``W`` keeps the full grid.
 
 The Gaussian super-expectation ``E_C F = int exp(-S_A) F`` (``A = C^{-1}``,
 ``S_A = (phi, A phibar) + (psi, A psibar)``) needs no normalising constant:
@@ -458,13 +462,6 @@ def exp_even_form(F: GrassmannForm) -> GrassmannForm:
 # Berezin integration
 # ---------------------------------------------------------------------------
 
-def _gauss_legendre_radius(n, r_max):
-    x, w = np.polynomial.legendre.leggauss(n)
-    r = 0.5 * r_max * (x + 1.0)
-    wr = 0.5 * r_max * w * r  # includes the polar Jacobian r dr
-    return r, wr
-
-
 def _auto_rmax(g, nu):
     """Radius past which exp(-g r^4 - nu r^2) < e^{-42} of its peak, all sites."""
     g, nu_min = float(np.min(g)), float(np.min(nu))
@@ -492,18 +489,28 @@ def _gaussian_rmax(sc, degree=0):
     return math.sqrt(-a * lambertw(-math.exp(-1.0 - 42.0 / a), -1).real / lam)
 
 
-def _boson_axes(M, radial_nodes, angle_nodes, r_max, reduce_u1):
-    r, wr = _gauss_legendre_radius(radial_nodes, r_max)
-    th = 2.0 * np.pi * (np.arange(angle_nodes) + 0.5) / angle_nodes
-    wth = 2.0 * np.pi / angle_nodes
-    axes = []
-    for site in range(M):
-        if reduce_u1 and site == 0:
-            axes.append((r.astype(complex), wr * 2.0 * np.pi))
-        else:
-            vals = (r[:, None] * np.exp(1j * th)[None, :]).ravel()
-            ws = (wr[:, None] * wth * np.ones(angle_nodes)[None, :]).ravel()
-            axes.append((vals, ws))
+def _boson_axes(M, radial_nodes, angle_nodes, r_max, reduce_u1, fold=False):
+    """Per-site ``(values, weights)`` of the polar grid; ``fold`` keeps one
+    point of each conjugate pair: ``theta <= pi`` on the first angular axis
+    (k pairs with n - 1 - k; ``theta = pi`` is its own, at half weight)."""
+    for name, n in (("radial_nodes", radial_nodes),
+                    ("angle_nodes", angle_nodes)):
+        if n < 1:
+            raise ValueError(f"{name} must be >= 1, got {n}")
+    x, w = np.polynomial.legendre.leggauss(radial_nodes)
+    r = 0.5 * r_max * (x + 1.0)
+    wr = 0.5 * r_max * w * r  # includes the polar Jacobian r dr
+    axes = [(r.astype(complex), wr * 2.0 * np.pi)] if reduce_u1 else []
+    for site in range(len(axes), M):
+        half = fold and site == reduce_u1
+        k = np.arange((angle_nodes + 1) // 2 if half else angle_nodes)
+        th = 2.0 * np.pi * (k + 0.5) / angle_nodes
+        wth = np.where(half & (2 * k + 1 == angle_nodes), 0.5, 1.0) \
+            * (2.0 * np.pi / angle_nodes)
+        axes.append(((r[:, None] * np.exp(1j * th)).ravel(),
+                     (wr[:, None] * wth).ravel()))
+    if fold and M == reduce_u1:  # no angles: every point is its own pair
+        axes[0] = (axes[0][0], 0.5 * axes[0][1])
     return axes
 
 
@@ -515,15 +522,14 @@ def boson_grid(M, *, radial_nodes=48, angle_nodes=24, r_max=4.0,
     reduce_u1=True the global phase is fixed (first site angle = 0, weight
     2 pi), exact only for U(1)-invariant integrands: the grid that
     berezin_integral takes when its top coefficient and W are invariant.
+    Always the full grid (the tests' oracle): berezin_integral sums half of
+    it when W has real coefficients.
     """
     axes = _boson_axes(M, radial_nodes, angle_nodes, r_max, reduce_u1)
     grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
     wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
     phi = np.stack([g.ravel() for g in grids], axis=-1)
-    w = np.ones(phi.shape[0])
-    for wg in wgrids:
-        w = w * wg.ravel().real
-    return phi, w
+    return phi, math.prod(wg.ravel() for wg in wgrids)
 
 
 def _volume_reorder_sign(M):
@@ -565,13 +571,18 @@ def _weight(c, tables):
     return np.exp(E, out=E)
 
 
-def _chunks(tabs, axes, exponent):
-    """Per chunk of the first axis, yield ``(A, P)`` for an integrand with
-    per-axis term tables ``tabs`` against exp(-W), W real (checked).  A
-    (K, n) is the weighted outer table of all axes but the last, j, over the
-    chunk's n points; P = exp(-W) B^T (n, K), B the weighted table of axis
-    j, is one real matrix product.  Term k's chunk sum is
-    sum_i A[k, i] P[i, k]."""
+def _real_coefficients(poly):
+    """Whether poly(conj phi) = conj poly(phi): every coefficient is real."""
+    return all(complex(c).imag == 0 for c in poly.terms.values())
+
+
+def _term_sums(tabs, axes, exponent, fold):
+    """Each term's grid sum against exp(-W), W real (checked), from per-axis
+    term tables ``tabs``.  Per chunk of the first axis, A (K, n) is the
+    weighted outer table of all axes but the last, j; P = exp(-W) B^T
+    (n, K), B the weighted table of axis j, is one real matrix product; term
+    k's chunk sum is sum_i A[k, i] P[i, k], chunk sums added pairwise.  On
+    a folded grid the full grid's sum is twice the real part."""
     _real_exponent_check(exponent)
     groups = _axis_groups(axes)
     tabs = [t * w for t, (_, w) in zip(tabs, axes)]  # fold in the weights
@@ -581,22 +592,26 @@ def _chunks(tabs, axes, exponent):
         wtabs.append(np.ones_like(cw[:, None]))
     last = np.ascontiguousarray(tabs[-1].T).view(float)  # (n_j, 2K): Re, Im
     step = max(1, _CHUNK_POINTS // math.prod(len(v) for v, _ in axes[1:]))
+    parts = []
     for lo in range(0, len(axes[0][0]), step):
         rows = slice(lo, lo + step)
-        P = _weight(cw, [wtabs[0][:, rows]] + wtabs[1:]) @ last
-        yield _outer([tabs[0][:, rows]] + tabs[1:-1]), P.view(complex)
+        P = (_weight(cw, [wtabs[0][:, rows]] + wtabs[1:]) @ last).view(complex)
+        A = _outer([tabs[0][:, rows]] + tabs[1:-1])
+        parts.append(np.sum(A * P.T, axis=1))
+    S = np.stack(parts, axis=1).sum(axis=1)
+    return 2.0 * S.real if fold else S
 
 
 def _grid_integral(f, exponent, radial_nodes, angle_nodes, r_max):
     """pi^{-M} int f exp(-W) du dv on the polar grid (site 0 the radius alone
-    if f and W are U(1)-invariant), f never formed on the grid.  Chunk sums
-    are added pairwise, so the chunk count costs no digits."""
+    if f and W are U(1)-invariant, folded if W has real coefficients), f
+    never formed on the grid: its coefficients meet the per-term sums."""
+    fold = _real_coefficients(exponent)
     axes = _boson_axes(f.M, radial_nodes, angle_nodes, r_max,
-                       _u1_invariant(f) and _u1_invariant(exponent))
+                       _u1_invariant(f) and _u1_invariant(exponent), fold)
     c, tabs = _term_tables(f, _axis_groups(axes))
-    parts = [np.sum((c[:, None] * A).T * P)
-             for A, P in _chunks(tabs, axes, exponent)]
-    return math.pi**-len(axes) * complex(np.sum(parts))
+    return math.pi**-len(axes) * complex(c @ _term_sums(tabs, axes, exponent,
+                                                        fold))
 
 
 # ---------------------------------------------------------------------------
@@ -721,17 +736,16 @@ def integrate_fluctuation(F2: GrassmannForm, C, phi_ext, *, radial_nodes=32,
         return {}
     degree = max((sum(p[M:]) + sum(q[M:])
                   for c in full.values() for p, q in c.terms), default=0)
-    axes = _boson_axes(M, radial_nodes, angle_nodes,
-                       _gaussian_rmax(sc, degree), False)
     W = _quadratic_form(sc.A)  # the fluctuation weight exp(-(xi, A xibar))
+    fold = _real_coefficients(W)
+    axes = _boson_axes(M, radial_nodes, angle_nodes,
+                       _gaussian_rmax(sc, degree), False, fold)
     sign_vol = _volume_reorder_sign(M)
-    # the external points are one group, each fluctuation axis another; one
-    # chunk loop values all stacked terms, chunk sums added pairwise
+    # the external points are one group, each fluctuation axis another
     groups = [(phi_ext, np.conj(phi_ext))] + _axis_groups(axes)
     keep = [(key, _term_tables(c, groups)) for key, c in full.items()]
     stacked = [np.concatenate(t) for t in zip(*(tabs[1:] for _, (_, tabs) in keep))]
-    fl = np.stack([np.sum(A * P.T, axis=1)
-                   for A, P in _chunks(stacked, axes, W)], axis=1).sum(axis=1)
+    fl = _term_sums(stacked, axes, W, fold)
     ends = np.cumsum([len(cs) for _, (cs, _) in keep])[:-1]
     out = {}
     for ((a, b), (cs, tabs)), part in zip(keep, np.split(fl, ends)):

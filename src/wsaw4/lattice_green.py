@@ -435,7 +435,11 @@ def bubble_diagram_with_error(d: int, m2: float):
         raise ValueError(f"m2 must be finite and >= 0, got {m2}")
     if m2 == 0.0 and d <= 4:
         raise ValueError("bubble diverges at m2 = 0 for d <= 4")
-    return _bubble_schwinger(d, m2)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        val, err = _bubble_schwinger(d, m2)
+    if not math.isfinite(val):
+        raise ValueError(f"bubble overflows float64 at d = {d}, m2 = {m2}")
+    return val, err
 
 
 # ---------------------------------------------------------------------------

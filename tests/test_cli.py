@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wsaw4
@@ -31,6 +32,19 @@ class TestArtifacts:
         assert manifest["subcommand"] == "bubble"
         assert set(manifest["outputs"]) == {"bubble.json"}
         assert data["run_id"] == manifest["run_id"]  # artifacts carry the run digest
+
+    def test_json_is_strict(self):
+        # JSON has no Infinity or NaN: non-finite floats, Python or numpy,
+        # in a value, a list or an array, are written as null
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        obj = {"inf": float("inf"), "nan": np.float64("nan"),
+               "neg": [1.5, -np.inf], "arr": np.array([np.nan, 2.0]),
+               "f32": np.float32(0.25), "n": np.int64(3)}
+        data = json.loads(cli._json_dumps(obj), parse_constant=refuse)
+        assert data == {"inf": None, "nan": None, "neg": [1.5, None],
+                        "arr": [None, 2.0], "f32": 0.25, "n": 3}
 
     def test_flow_row_count(self, tmp_path):
         out, _ = run_cli(["flow", "--g0", "0.05", "--mass2", "1e-3",
@@ -279,23 +293,32 @@ class TestExitCodes:
             assert "dimension" in capsys.readouterr().err
             assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("args", [
-        ["bubble", "--mass2", "nan"],
-        ["green", "--mass2", "nan"],
-        ["decompose", "--mass2", "inf"],
-        ["flow", "--g0", "0.05", "--mass2", "1e-3", "--scales", "4"],
-    ], ids=["bubble-nan", "green-nan", "decompose-inf", "flow-short-table"])
-    def test_user_error_names_parameter(self, args, tmp_path, monkeypatch,
-                                        capsys):
-        # a non-finite m2 and a beta table too short for g_inf are the
-        # user's input: exit 1, naming the parameter
+    SUSY = ["susy-verify", "--graph", "path2", "--g", "0.2", "--nu", "0.1"]
+
+    @pytest.mark.parametrize("args,named", [
+        (["bubble", "--mass2", "nan"], "m2 must be finite"),
+        (["green", "--mass2", "nan"], "m2 must be finite"),
+        (["decompose", "--mass2", "inf"], "m2 must be finite"),
+        (["flow", "--g0", "0.05", "--mass2", "1e-3", "--scales", "4"],
+         "--scales"),
+        (SUSY + ["--angle-nodes", "0"], "angle_nodes must be >= 1"),
+        (SUSY + ["--angle-nodes", "-3"], "angle_nodes must be >= 1"),
+        (SUSY + ["--radial-nodes", "0"], "radial_nodes must be >= 1"),
+        (["bubble", "--dim", "1", "--mass2", "1e-300"], "bubble overflows"),
+    ], ids=["bubble-nan", "green-nan", "decompose-inf", "flow-short-table",
+            "susy-angle-nodes-0", "susy-angle-nodes-negative",
+            "susy-radial-nodes-0", "bubble-overflow"])
+    def test_user_error_names_parameter(self, args, named, tmp_path,
+                                        monkeypatch, capsys):
+        # a non-finite m2, a beta table too short for g_inf, a node count
+        # below 1 and a bubble past float64 are the user's input: exit 1,
+        # naming the parameter or the overflow
         monkeypatch.setattr(sys, "argv",
                             ["wsaw4"] + args + ["--out", str(tmp_path / "x")])
         with pytest.raises(SystemExit) as exc:
             cli.main()
         assert exc.value.code == 1
-        err = capsys.readouterr().err
-        assert ("--scales" if args[0] == "flow" else "m2 must be finite") in err
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_coeff_table_missing_column(self, tmp_path):

@@ -201,6 +201,20 @@ def hermitian_part(P):
     return FieldPolynomial(P.M, terms)
 
 
+def grid_points(monkeypatch):
+    """A list that receives the point count of every grid the integrators
+    build."""
+    points, axes_of = [], grassmann._boson_axes
+
+    def recording(*args):
+        axes = axes_of(*args)
+        points.append(math.prod(len(v) for v, _ in axes))
+        return axes
+
+    monkeypatch.setattr(grassmann, "_boson_axes", recording)
+    return points
+
+
 class TestTableEvaluator:
     GRID = dict(radial_nodes=5, angle_nodes=4, r_max=1.5)
 
@@ -240,7 +254,7 @@ class TestTableEvaluator:
 
     @pytest.mark.parametrize("M", [1, 2, 3])
     @pytest.mark.parametrize("invariant", [False, True])
-    def test_integral_matches_loop(self, M, invariant):
+    def test_integral_matches_loop(self, M, invariant, monkeypatch):
         # top coefficient times exp(-W), W real, summed over the grid that
         # the integrand picks: site 0's phase is fixed iff both are invariant
         rng = np.random.default_rng(100 + 10 * M + invariant)
@@ -253,8 +267,48 @@ class TestTableEvaluator:
                 and grassmann._u1_invariant(W)) == invariant
         b = FermionBasis(M)
         F = GrassmannForm(b, {(b.full_mask, b.full_mask): P})
+        points = grid_points(monkeypatch)
         val = berezin_integral(F, exponent=W, **self.GRID)
+        (n,) = points
         phi, w = boson_grid(M, reduce_u1=invariant, **self.GRID)
+        if not grassmann._real_coefficients(W):  # the full grid, never folded
+            assert n == len(phi)
+        pb = np.conj(phi)
+        terms = w * loop_evaluate(P, phi, pb) \
+            * np.exp(-loop_evaluate(W, phi, pb).real)
+        ref = grassmann._volume_reorder_sign(M) * math.pi**-M * terms.sum()
+        scale = math.pi**-M * np.abs(terms).sum()
+        assert abs(val - ref) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    @pytest.mark.parametrize("invariant", [False, True])
+    @pytest.mark.parametrize("angle_nodes", [4, 5])
+    def test_folded_integral_matches_loop(self, M, invariant, angle_nodes,
+                                          monkeypatch):
+        # W with real coefficients: the sum over one point of each conjugate
+        # pair, doubled in its real part, against the full grid's loop, for
+        # a complex top coefficient; at 5 angles the theta = pi node is its
+        # own partner, and on one invariant site no axis has angles
+        rng = np.random.default_rng(200 + 10 * M + invariant + angle_nodes)
+        P = random_polynomial(rng, M, n_terms=40 if invariant else 8)
+        W = random_polynomial(rng, M, max_degree=4)
+        W = hermitian_part(FieldPolynomial(M, {k: c.real
+                                               for k, c in W.terms.items()}))
+        if invariant:
+            P, W = u1_part(P), u1_part(W)
+            assert P.terms and W.terms
+        assert grassmann._real_coefficients(W)
+        grid = dict(self.GRID, angle_nodes=angle_nodes)
+        b = FermionBasis(M)
+        F = GrassmannForm(b, {(b.full_mask, b.full_mask): P})
+        points = grid_points(monkeypatch)
+        val = berezin_integral(F, exponent=W, **grid)
+        (n,) = points
+        phi, w = boson_grid(M, reduce_u1=invariant, **grid)
+        if M > invariant:  # the first angular axis keeps (n + 1) // 2 angles
+            assert n == len(phi) // angle_nodes * ((angle_nodes + 1) // 2)
+        else:
+            assert n == len(phi)
         pb = np.conj(phi)
         terms = w * loop_evaluate(P, phi, pb) \
             * np.exp(-loop_evaluate(W, phi, pb).real)
@@ -533,7 +587,9 @@ class TestThetaAndConvolution:
     ], ids=["phibar0_phi1", "tau0", "tau0_tau1"])
     def test_one_weight_per_chunk(self, monkeypatch, form):
         # exp(-W) is formed once per chunk for all monomials together; once
-        # per chunk and monomial, it took 7, 14 and 42 weights here
+        # per chunk and monomial, it took 7, 14 and 42 weights here on the
+        # unfolded grid.  C1 is real, so the first fluctuation axis is
+        # folded to 36 x 9 points
         calls = []
         weight = grassmann._weight
 
@@ -547,7 +603,26 @@ class TestThetaAndConvolution:
         pts = np.array([[0.3 + 0.2j, -0.4 + 0.1j]])
         integrate_fluctuation(theta_map(form(FermionBasis(2))), self.C1, pts,
                               radial_nodes=36, angle_nodes=18)
-        assert len(calls) == math.ceil(points / 100)
+        assert len(calls) == math.ceil(36 * 9 / 100)
+
+    @pytest.mark.parametrize("C", [C1, TestSuperExpectation.CH],
+                             ids=["real", "complex_hermitian"])
+    def test_folded_fluctuation_matches_unfolded(self, monkeypatch, C):
+        # a real C gives W = (xi, A xibar) real coefficients and a folded
+        # grid; a complex-Hermitian C keeps the full grid
+        F2 = theta_map(wedge_product(tau_form(FermionBasis(2), 0),
+                                     phi_poly(FermionBasis(2), 1)))
+        pts = np.array([[0.3 + 0.2j, -0.4 + 0.1j], [0.5 - 0.3j, 0.2j]])
+        grid = dict(radial_nodes=12, angle_nodes=7)
+        assert grassmann._real_coefficients(grassmann._quadratic_form(
+            SuperCovariance.from_matrix(C).A)) == (C is self.C1)
+        val = integrate_fluctuation(F2, C, pts, **grid)
+        monkeypatch.setattr(grassmann, "_real_coefficients", lambda W: False)
+        ref = integrate_fluctuation(F2, C, pts, **grid)
+        assert val.keys() == ref.keys()
+        scale = max(np.max(np.abs(v)) for v in ref.values())
+        for key, v in ref.items():
+            assert np.max(np.abs(val[key] - v)) <= 1e-13 * scale
 
     def test_no_full_monomial_integrates_to_nothing(self):
         # psi on a fluctuation site leaves the fluctuation block one psibar
@@ -629,8 +704,9 @@ class TestSelfNormalisation:
                                        [0.8, 0.6, 1.0], [-0.2, 0.3, 0.1],
                                        radial_nodes=32, angle_nodes=16)
         assert abs(val - 1.0) < 1e-8
-        # the integrand is U(1)-invariant: its fixed-phase grid value, frozen
-        assert val == complex(1.0000000000882323, 1.4372035028990956e-18)
+        # the integrand is U(1)-invariant: its fixed-phase grid value, frozen;
+        # W has real coefficients, so the folded sum is exactly real
+        assert val == complex(1.0000000000882323, 0.0)
 
     def test_branch_independence(self):
         # observables pair psi with psibar: values are real
@@ -708,9 +784,10 @@ class TestTwoPoint:
             assert abs(v1 - v2) <= 1e-12
 
     def test_three_site_values_frozen(self):
-        # both routes' integrands are U(1)-invariant: fixed-phase grid values
-        frozen = {(0.3, 0.2, 0, 1): (0.4980374258429856, 0.49803742584298544),
-                  (0.5, -0.2, 2, 2): (0.9600221724475602, 0.9600221724475599)}
+        # both routes' integrands are U(1)-invariant: fixed-phase grid values,
+        # folded (W has real coefficients)
+        frozen = {(0.3, 0.2, 0, 1): (0.49803742584298577, 0.49803742584298555),
+                  (0.5, -0.2, 2, 2): (0.9600221724475605, 0.9600221724475602)}
         for (g, nu, a, b), values in frozen.items():
             assert tuple(two_point_integral(TRIANGLE, g, nu, a, b, method,
                                             radial_nodes=32, angle_nodes=16)

@@ -327,6 +327,12 @@ class TestBubble:
         with pytest.raises(ValueError, match="m2"):
             bubble_diagram_with_error(4, m2)
 
+    def test_overflow_rejected(self):
+        # the d = 1 bubble grows like m2^{-3/2}: past float64 it is an error,
+        # not an infinite value with a NaN error estimate
+        with pytest.raises(ValueError, match="overflows"):
+            bubble_diagram_with_error(1, 1e-300)
+
     @pytest.mark.parametrize("d", [0, -1])
     def test_dimension_below_one_rejected(self, d):
         # P_t^d is 1 at d = 0 and grows with t below, which gave a value
