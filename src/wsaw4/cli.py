@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from . import cov_decomp, grassmann, lattice_green, rg_flow, susceptibility, walk_mc
 
-SCHEMA_VERSION = 2  # bumped when the RNG stream layout for a seed changes
+SCHEMA_VERSION = 3  # bumped when the RNG stream layout for a seed changes
 _TAIL_PERIOD_CAP = 64  # largest torus period 4 L^j --measure-tails uses
 
 
@@ -69,7 +69,7 @@ def _csv_text(header, rows) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations: params dict -> {filename: text}
+# Subcommand implementations: params dict -> {filename: JSON object or CSV}
 # ---------------------------------------------------------------------------
 
 def _run_green(p):
@@ -79,14 +79,14 @@ def _run_green(p):
         spec, p["mass2"], x, grid=p["grid"])
     out = {"value": val, "abs_error_estimate": err, "grid": p["grid"],
            "dim": p["dim"], "mass2": p["mass2"], "x": x}
-    return {"green.json": _json_dumps(out)}
+    return {"green.json": out}
 
 
 def _run_bubble(p):
     val, err = lattice_green.bubble_diagram_with_error(p["dim"], p["mass2"])
     out = {"value": val, "abs_error_estimate": err,
            "dim": p["dim"], "mass2": p["mass2"]}
-    return {"bubble.json": _json_dumps(out)}
+    return {"bubble.json": out}
 
 
 def _load_tables(p):
@@ -116,17 +116,15 @@ def _run_decompose(p):
            "j_m": None if np.isinf(co.j_m) else int(co.j_m),
            "j_omega": co.j_Omega, "Omega": co.Omega,
            "L": co.L, "mass2": co.m2, "scales": dec.J}
-    return {"slices.csv": fcsv, "sequences.json": _json_dumps(out)}
+    return {"slices.csv": fcsv, "sequences.json": out}
 
 
 def _run_flow(p):
     _, co = _coeffs_from_params(p)
     traj = rg_flow.solve_boundary_value(p["g0"], co, p["scales"])
-    traj = rg_flow.derivative_flow(traj)
     # chi_j beyond the table repeats its last entry
     chi = co.chi[np.minimum(np.arange(traj.J + 1), len(co.chi) - 1)]
-    rows = [(j, traj.g[j], traj.z[j], traj.mu[j], traj.Pi[j], chi[j])
-            for j in range(traj.J + 1)]
+    rows = zip(range(traj.J + 1), traj.g, traj.z, traj.mu, traj.Pi, chi)
     fcsv = _csv_text(["j", "g", "z", "mu", "Pi", "chi_j"], rows)
     summary = {"mu0_c": float(traj.mu[0]), "z0_c": float(traj.z[0]),
                "g0": p["g0"], "mass2": p["mass2"],
@@ -139,7 +137,7 @@ def _run_flow(p):
                          "converge; raise it") from exc
     summary["nu_prime_limit"] = \
         rg_flow.nu_prime_limit(traj) if massive else None
-    return {"flow.csv": fcsv, "flow.json": _json_dumps(summary)}
+    return {"flow.csv": fcsv, "flow.json": summary}
 
 
 def _run_predict(p):
@@ -152,7 +150,7 @@ def _run_predict(p):
     eps_grid = np.geomspace(p["eps"], 0.3, 17)
     rows = [(e, susceptibility.predict_susceptibility(p["g"], e),
              susceptibility.m2_of_eps(p["g"], e)) for e in eps_grid]
-    return {"predict.json": _json_dumps(out),
+    return {"predict.json": out,
             "predict.csv": _csv_text(["eps", "chi", "m2"], rows)}
 
 
@@ -162,7 +160,7 @@ def _run_ode_lemma(p):
     fcsv = _csv_text(["t", "u", "asymptote", "ratio", "residual"], rows)
     out = {"gamma": p["gamma"], "tmin": p["tmin"],
            "final_ratio": rows[0][3], "max_residual": max(r[4] for r in rows)}
-    return {"ode_lemma.csv": fcsv, "ode_lemma.json": _json_dumps(out)}
+    return {"ode_lemma.csv": fcsv, "ode_lemma.json": out}
 
 
 _GRAPHS = {
@@ -191,6 +189,9 @@ def _graph_laplacian(name):
 
 
 def _run_susy_verify(p):
+    for name in ("g", "nu"):
+        if not np.isfinite(p[name]):
+            raise _UserError(f"{name} must be finite, got {p[name]}")
     lap = _graph_laplacian(p["graph"])
     M = lap.shape[0]
     if M > 3:
@@ -210,7 +211,7 @@ def _run_susy_verify(p):
            "method": p["method"], "value": value,
            "residual_vs_alt_method": residual,
            "self_norm_residual": abs(sn - 1.0)}
-    return {"susy.json": _json_dumps(out)}
+    return {"susy.json": out}
 
 
 def _run_walk_mc(p):
@@ -238,7 +239,7 @@ def _run_walk_mc(p):
     for i in range(p["detail_samples"]):
         s = walk_mc.simulate(spec, p["T"], p["seed"], i)
         rows.append((i, len(s.jump_times), s.I_T))
-    return {"walk.json": _json_dumps(out),
+    return {"walk.json": out,
             "samples.csv": _csv_text(["sample", "n_jumps", "I_T"], rows)}
 
 
@@ -268,18 +269,11 @@ def _run_id(subcommand, params) -> str:
 
 
 def _stamp(files, run_id):
-    """Embed the run digest: a key in JSON artifacts, a comment in CSVs."""
-    out = {}
-    for name, text in files.items():
-        if name.endswith(".json"):
-            data = json.loads(text)
-            data["run_id"] = run_id
-            out[name] = _json_dumps(data)
-        elif name.endswith(".csv"):
-            out[name] = f"# run_id {run_id}\n" + text
-        else:
-            out[name] = text
-    return out
+    """Artifact texts with the run digest embedded: a key in JSON objects,
+    a comment line heading CSV texts."""
+    return {name: _json_dumps({**data, "run_id": run_id})
+            if name.endswith(".json") else f"# run_id {run_id}\n" + data
+            for name, data in files.items()}
 
 
 def _write_run(outdir, subcommand, params, files):

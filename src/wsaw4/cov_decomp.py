@@ -83,9 +83,16 @@ def _tau(s, L):
 
 
 def _f(tau, j):
-    """Cumulative multiplier f_j(tau) = step(tau - j + 1); f_0 = 0."""
+    """Cumulative multiplier f_j(tau) = step(tau - j + 1); f_0 = 0.
+
+    The float 1.0 or 0.0 when every tau lies on one side of the step.
+    """
     if j == 0:
-        return np.zeros_like(tau)
+        return 0.0
+    if np.max(tau, initial=-np.inf) <= j - 1.0:
+        return 1.0
+    if np.min(tau, initial=np.inf) >= float(j):
+        return 0.0
     return smooth_step(tau - j + 1.0)
 
 
@@ -114,9 +121,8 @@ class Decomposition:
         if j not in range(1, self.J + 2):
             raise ValueError(f"slice j={j} not in 1..{self.J + 1}")
         t = _tau(np.asarray(s, dtype=float), self.L)
-        if j > self.J:
-            return 1.0 - _f(t, self.J)
-        return _f(t, j) - _f(t, j - 1)
+        u = 1.0 - _f(t, self.J) if j > self.J else _f(t, j) - _f(t, j - 1)
+        return u + np.zeros_like(t)
 
 
 def build_decomposition(spec: LatticeSpec, L: int, m2: float,
@@ -148,12 +154,10 @@ def build_decomposition(spec: LatticeSpec, L: int, m2: float,
         # Rows 0 .. J:   C_hat^2 f_j^2, and rows J+1 .. 2J: C_hat u_j,
         # reduced to weighted (shell, inner) sums without materializing the
         # stack.  Within one dyadic level the symbol spans only a few scale
-        # units, so most cutoffs f_j are constant 0 or 1 there; classify
-        # them and reuse the base sums of C_hat^2 and C_hat for the
-        # constant rows.
+        # units, so most cutoffs f_j are the constant 0.0 or 1.0 there; the
+        # constant rows reuse the base sums of C_hat^2 and C_hat.
         s = symbol(ks) + m2
         t = _tau(s, L)
-        tmin, tmax = float(t.min()), float(t.max())
         chat = 1.0 / s
         chat2 = chat * chat
         # columns: shell weights, inner weights
@@ -162,28 +166,18 @@ def build_decomposition(spec: LatticeSpec, L: int, m2: float,
         base2 = chat2 @ wmat
         base1 = chat @ wmat
         out = np.zeros((2 * J + 1, 2))
-        fs = {0: 0.0}
-        for j in range(1, J + 1):
-            if tmax <= j - 1.0:
-                fs[j] = 1.0
-            elif tmin >= float(j):
-                fs[j] = 0.0
-            else:
-                fs[j] = smooth_step(t - j + 1.0)
-        for j in range(J + 1):
-            f = fs[j]
-            if isinstance(f, float):
-                if f == 1.0:
-                    out[j] = base2
-            else:
+        fs = [_f(t, j) for j in range(J + 1)]
+        for j, f in enumerate(fs):
+            if not isinstance(f, float):
                 out[j] = (chat2 * f * f) @ wmat
+            elif f == 1.0:
+                out[j] = base2
         for j in range(1, J + 1):
-            hi, lo = fs[j], fs[j - 1]
-            if isinstance(hi, float) and isinstance(lo, float):
-                if hi != lo:
-                    out[J + j] = (hi - lo) * base1
-            else:
-                out[J + j] = (chat * (hi - lo)) @ wmat
+            u = fs[j] - fs[j - 1]   # a float when both cutoffs are
+            if not isinstance(u, float):
+                out[J + j] = (chat * u) @ wmat
+            elif u != 0.0:
+                out[J + j] = u * base1
         return out[:, 0], out[:, 1]
 
     if spec.geometry == "window":
@@ -270,6 +264,18 @@ class ScaleIndices:
     chi: np.ndarray  # chi_j = Omega^{-(j - j_Omega)_+}
 
 
+def _mass_scale(m2, L):
+    """The mass scale: the smallest j with L^{2j} m2 >= 1, or INF_SCALE."""
+    if m2 <= 0:
+        return INF_SCALE
+    j_m = max(0, int(np.ceil(np.log(1.0 / m2) / (2.0 * np.log(L)))))
+    while L ** (2 * j_m) * m2 < 1.0:  # guard against roundoff at edges
+        j_m += 1
+    while j_m > 0 and L ** (2 * (j_m - 1)) * m2 >= 1.0:
+        j_m -= 1
+    return j_m
+
+
 def scale_indices(m2: float, L: int, Omega: float, beta: np.ndarray) -> ScaleIndices:
     """Mass scale, Omega-scale, and the decay profile chi_j.
 
@@ -277,17 +283,10 @@ def scale_indices(m2: float, L: int, Omega: float, beta: np.ndarray) -> ScaleInd
     j_Omega is the smallest k such that |beta_j| <= Omega^{-(j-k)} max|beta|
     for every j in the list.
     """
-    if Omega <= 1:
-        raise ValueError("Omega must be > 1")
+    if not 1.0 < Omega < np.inf:
+        raise ValueError(f"Omega must be > 1 and finite, got {Omega}")
     beta = np.asarray(beta, dtype=float)
-    if m2 <= 0:
-        j_m = INF_SCALE
-    else:
-        j_m = max(0, int(np.ceil(np.log(1.0 / m2) / (2.0 * np.log(L)))))
-        while L ** (2 * j_m) * m2 < 1.0:  # guard against roundoff at edges
-            j_m += 1
-        while j_m > 0 and L ** (2 * (j_m - 1)) * m2 >= 1.0:
-            j_m -= 1
+    j_m = _mass_scale(m2, L)
     bmax = np.max(np.abs(beta)) if beta.size else 0.0
     if bmax == 0.0:
         j_Omega = 0

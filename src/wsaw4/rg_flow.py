@@ -19,8 +19,8 @@ backward from ``z_inf = 0`` and iterate the mu-recursion backward from
 roundoff.  The resulting ``(z_0, mu_0)`` are the critical initial data of
 the quadratic truncation.
 
-The derivative flow propagates ``d/dmu_0`` along a trajectory, starting
-from ``(g', z', mu') = (0, 0, 1)``; g and z do not depend on mu_0, so
+A trajectory's derivative track is ``d/dmu_0`` along it, starting from
+``(g', z', mu') = (0, 0, 1)``; g and z do not depend on mu_0, so
 ``(g', z')`` stays 0 and ``mu'_j`` is
 
     Pi_j = L^{2j} prod_{l<j} (1 - GAMMA beta_l g_l),
@@ -37,11 +37,11 @@ and untransformed coupling coordinates coincide at this order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cov_decomp import CoefficientSequences
+from .cov_decomp import CoefficientSequences, _mass_scale
 
 __all__ = [
     "GAMMA",
@@ -51,7 +51,6 @@ __all__ = [
     "iterate_g",
     "solve_boundary_value",
     "g_infinity",
-    "derivative_flow",
     "nu_prime_limit",
     "g_tilde_sequence",
 ]
@@ -74,7 +73,7 @@ class FlowState:
 
 @dataclass(frozen=True)
 class FlowTrajectory:
-    """A flow (g_j, z_j, mu_j), j = 0..J, plus an optional derivative Pi."""
+    """A flow (g_j, z_j, mu_j), j = 0..J, and its derivative track Pi."""
 
     g: np.ndarray
     z: np.ndarray
@@ -82,12 +81,20 @@ class FlowTrajectory:
     coeffs: CoefficientSequences
     g0: float
     m2: float
-    gamma: float = GAMMA
-    Pi: np.ndarray | None = None
 
     @property
     def J(self) -> int:
         return len(self.g) - 1
+
+    @property
+    def Pi(self) -> np.ndarray:
+        """The derivative track Pi_j = d mu_j / d mu_0 (module docstring)."""
+        beta, L2 = self.coeffs.beta, float(self.coeffs.L) ** 2
+        Pi = np.empty(self.J + 1)
+        Pi[0] = 1.0
+        for j in range(self.J):
+            Pi[j + 1] = Pi[j] * L2 * (1.0 - GAMMA * beta[j] * self.g[j])
+        return Pi
 
     def state(self, j: int) -> FlowState:
         return FlowState(g=float(self.g[j]), z=float(self.z[j]),
@@ -104,7 +111,7 @@ class FlowTrajectory:
         """
         worst = 0.0
         for j in range(self.J):
-            nxt = step_forward(self.state(j), self.coeffs, gamma=self.gamma)
+            nxt = step_forward(self.state(j), self.coeffs)
             worst = max(worst,
                         abs(nxt.g - self.g[j + 1]),
                         abs(nxt.z - self.z[j + 1]),
@@ -117,8 +124,7 @@ class FlowTrajectory:
         Bit-exact: solving the boundary-value problem again with the same
         coefficients reproduces every stored number identically.
         """
-        return solve_boundary_value(self.g0, self.coeffs, self.J,
-                                    gamma=self.gamma)
+        return solve_boundary_value(self.g0, self.coeffs, self.J)
 
 
 def _check_scale(coeffs, j):
@@ -127,8 +133,7 @@ def _check_scale(coeffs, j):
             f"scale {j} beyond coefficient table length {len(coeffs.beta)}")
 
 
-def step_forward(state: FlowState, coeffs: CoefficientSequences, *,
-                 gamma: float = GAMMA) -> FlowState:
+def step_forward(state: FlowState, coeffs: CoefficientSequences) -> FlowState:
     """One application of the quadratic recursion."""
     j = state.j
     _check_scale(coeffs, j)
@@ -139,7 +144,7 @@ def step_forward(state: FlowState, coeffs: CoefficientSequences, *,
     return FlowState(
         g=g - b * g * g,
         z=z - th * g * g,
-        mu=L2 * mu * (1.0 - gamma * b * g) + et * g - xi * g * g - pi * g * z,
+        mu=L2 * mu * (1.0 - GAMMA * b * g) + et * g - xi * g * g - pi * g * z,
         j=j + 1,
     )
 
@@ -154,8 +159,7 @@ def iterate_g(g0: float, beta, J: int) -> np.ndarray:
 
 
 def solve_boundary_value(g0: float, coeffs: CoefficientSequences,
-                         J: int | None = None, *,
-                         gamma: float = GAMMA) -> FlowTrajectory:
+                         J: int | None = None) -> FlowTrajectory:
     """Solve the two-sided boundary-value problem of the quadratic flow.
 
     g iterates forward from g0; z_j = sum_{k>=j} theta_k g_k^2 (backward
@@ -163,15 +167,21 @@ def solve_boundary_value(g0: float, coeffs: CoefficientSequences,
     mu_J = 0.  The returned (z_0, mu_0) are the critical initial data of the
     quadratic truncation.
 
-    Raises if 1 - gamma*beta_j*g_j <= 0 at any scale (the recursion leaves
-    its contraction regime; reduce g0).
+    Raises if beta_j g_j >= 1 at any scale, where g_{j+1} would leave
+    (0, g_j): the quadratic recursion no longer holds; reduce g0.
     """
-    if g0 < 0:
-        raise ValueError("g0 must be >= 0")
+    if not 0.0 <= g0 < np.inf:
+        raise ValueError(f"g0 must be >= 0 and finite, got {g0}")
     J = len(coeffs.beta) if J is None else J
     if J > len(coeffs.beta):
         raise IndexError(f"J={J} beyond coefficient table length {len(coeffs)}")
-    g = iterate_g(g0, coeffs.beta, J)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        g = iterate_g(g0, coeffs.beta, J)
+        bg = coeffs.beta[:J] * g[:J]
+    if np.any(bg >= 1.0):
+        j = int(np.argmax(bg >= 1.0))
+        raise ValueError(f"g0 too large: beta*g = {bg[j]:.4g} >= 1 at scale "
+                         f"{j}, where the coupling turns negative")
     gg = g[:J] * g[:J]
     # z by backward summation, z_J treated as 0
     z = np.zeros(J + 1)
@@ -180,15 +190,11 @@ def solve_boundary_value(g0: float, coeffs: CoefficientSequences,
     L2 = float(coeffs.L) ** 2
     mu = np.zeros(J + 1)
     for j in range(J - 1, -1, -1):
-        contraction = 1.0 - gamma * coeffs.beta[j] * g[j]
-        if contraction <= 0.0:
-            raise ValueError(
-                f"1 - gamma*beta*g <= 0 at scale {j}: g0 too large for the "
-                "quadratic recursion's validity regime")
         mu[j] = (mu[j + 1] - coeffs.eta[j] * g[j] + coeffs.xi[j] * gg[j]
-                 + coeffs.pi[j] * g[j] * z[j]) / (L2 * contraction)
+                 + coeffs.pi[j] * g[j] * z[j]) \
+            / (L2 * (1.0 - GAMMA * coeffs.beta[j] * g[j]))
     return FlowTrajectory(g=g, z=z, mu=mu, coeffs=coeffs, g0=g0,
-                          m2=coeffs.m2, gamma=gamma)
+                          m2=coeffs.m2)
 
 
 def g_infinity(g0: float, coeffs: CoefficientSequences) -> float:
@@ -213,34 +219,14 @@ def g_infinity(g0: float, coeffs: CoefficientSequences) -> float:
         f"(last increment {tail * g * g:.2e}); is m2 > 0?")
 
 
-def derivative_flow(traj: FlowTrajectory) -> FlowTrajectory:
-    """Evolve d/dmu_0 of the quadratic recursion along a trajectory.
-
-    Starts from (g', z', mu')_0 = (0, 0, 1).  The g- and z-recursions do not
-    involve mu, so (g', z') stays (0, 0) and mu' is
-    Pi_j = L^{2j} prod_{l<j} (1 - gamma beta_l g_l), with the trajectory's
-    own ``gamma``; the returned trajectory carries it as ``Pi``.
-    """
-    c = traj.coeffs
-    L2 = float(c.L) ** 2
-    Pi = np.empty(traj.J + 1)
-    Pi[0] = 1.0
-    for j in range(traj.J):
-        Pi[j + 1] = Pi[j] * L2 * (1.0 - traj.gamma * c.beta[j] * traj.g[j])
-    return replace(traj, Pi=Pi)
-
-
 def nu_prime_limit(traj: FlowTrajectory) -> float:
     """lim_j L^{-2j} Pi_j, the quadratic-truncation mass-derivative limit.
 
-    Equals prod_l (1 - gamma beta_l g_l); with gamma = 1/4 this is
-    asymptotically (g_inf / g_0)^{1/4} as the bubble diverges.
-    Needs the derivative track (run :func:`derivative_flow` first) and a
-    convergent product (m2 > 0, or a truncation scale deep enough that the
-    remaining beta-tail is negligible).
+    Equals prod_l (1 - GAMMA beta_l g_l), asymptotically (g_inf /
+    g_0)^{1/4} as the bubble diverges.  Needs a convergent product (m2 > 0,
+    or a truncation scale deep enough that the remaining beta-tail is
+    negligible).
     """
-    if traj.Pi is None:
-        raise ValueError("derivative track missing: run derivative_flow first")
     return float(traj.Pi[-1] / float(traj.coeffs.L) ** (2 * traj.J))
 
 
@@ -257,12 +243,7 @@ def g_tilde_sequence(m2: float, g0: float,
         raise ValueError("g_tilde_sequence needs the massless beta table")
     J = len(coeffs_massless.beta) if J is None else J
     g = iterate_g(g0, coeffs_massless.beta, J)
-    if m2 <= 0:
-        return g
-    L = coeffs_massless.L
-    j_m = 0
-    while float(L) ** (2 * j_m) * m2 < 1.0:
-        j_m += 1
+    j_m = _mass_scale(m2, coeffs_massless.L)
     out = g.copy()
     if j_m < J:
         out[j_m + 1:] = g[j_m]

@@ -88,22 +88,20 @@ def change_variables(m2: float, g0: float, z0c: float, nu0c: float):
 
 
 def invert_g(m2: float, g: float,
-             z0c_of_g0: Callable[[float, float], float] | None = None) -> float:
+             z0c_of_g0: Callable[[float, float], float]) -> float:
     """Invert g = g0 / (1 + z0_c(m2, g0))^2 for g0 by monotone bisection.
 
-    Bisects g0 over [0, 1/2] down to a bracket of 1e-12.  ``z0c_of_g0(m2,
-    g0)`` defaults to zero (the default coefficient tables give z0_c = 0,
-    making the map the identity).  Fails when g lies outside the image
-    interval [0, s(1/2)].
+    Bisects g0 over [0, 1/2] down to a bracket of 1e-12, with z0_c given
+    by ``z0c_of_g0(m2, g0)``.  Fails when g lies outside the image interval
+    [0, s(1/2)].
     """
-    if g < 0:
-        raise ValueError("g must be >= 0")
+    if not 0.0 <= g < math.inf:
+        raise ValueError(f"g must be >= 0 and finite, got {g}")
     if g == 0.0:
         return 0.0
-    zfn = (lambda m, u: 0.0) if z0c_of_g0 is None else z0c_of_g0
 
     def s(u):
-        return u / (1.0 + zfn(m2, u)) ** 2
+        return u / (1.0 + z0c_of_g0(m2, u)) ** 2
 
     if s(0.5) < g:
         raise ValueError(f"g={g} outside the image interval [0, {s(0.5):.4g}]")
@@ -137,14 +135,14 @@ def default_flow_coefficients() -> cov_decomp.CoefficientSequences:
     return cov_decomp.coefficient_sequences(dec)
 
 
-def predict_nu_c(g: float, mode: str = "leading",
-                 coeffs: cov_decomp.CoefficientSequences | None = None) -> float:
+def predict_nu_c(g: float, mode: str = "leading") -> float:
     """Critical value nu_c(g).
 
     mode="leading": -a g with a = 2 C_0(0).
-    mode="flow": solve the massless boundary-value problem for the critical
-    initial data (mu0_c, z0_c) at the g0 matching g, and change variables at
-    m2 = 0:  nu_c = nu0_c / (1 + z0_c).
+    mode="flow": solve the massless boundary-value problem on
+    :func:`default_flow_coefficients` for the critical initial data
+    (mu0_c, z0_c) at the g0 matching g, and change variables at m2 = 0:
+    nu_c = nu0_c / (1 + z0_c).
     """
     if not 0.0 <= g <= 0.1:
         raise ValueError("g outside the validated range [0, 0.1]")
@@ -154,9 +152,7 @@ def predict_nu_c(g: float, mode: str = "leading",
         return -lattice_green.constant_a() * g
     if mode != "flow":
         raise ValueError(f"unknown mode {mode!r}")
-    co = default_flow_coefficients() if coeffs is None else coeffs
-    if co.m2 != 0.0:
-        raise ValueError("flow mode needs massless coefficient tables")
+    co = default_flow_coefficients()
 
     def z0c(_m2, g0):
         return float(rg_flow.solve_boundary_value(g0, co).z[0])

@@ -16,9 +16,9 @@ Results are therefore bit-reproducible for a given seed however blocks are
 distributed over workers (the walk estimators value one block per usable
 core at once on threads), and independent samples never
 share a stream.  A block draws all jump counts ~ Poisson(2dT), then all
-jump times, i.i.d. uniform on [0, T] (distributionally identical to the
-exponential(2d) gaps that :func:`simulate` draws), then all steps.  It
-values its walks in sub-batches, and as a walk's value depends on its own
+jump times, i.i.d. uniform on [0, T], then all steps; :func:`simulate`
+draws the one-walk block of its stream.  A block values its walks in
+sub-batches, and as a walk's value depends on its own
 draws only, no value depends on the sub-batch size.
 ``I(t)`` is piecewise quadratic along a walk, so :func:`susceptibility_mc`
 integrates each walk's ``e^{-nu t - g I(t)}`` over ``[0, T_max]`` exactly
@@ -166,9 +166,9 @@ def intersection_local_time(sites: np.ndarray, gaps: np.ndarray) -> float:
 
 
 def simulate(spec: LatticeSpec, T: float, seed: int, sample_index: int = 0) -> WalkSample:
-    """Simulate one walk: exponential(2d) gaps, uniform neighbour steps.
-
-    The draws come from the Philox stream keyed by ``(seed, sample_index)``.
+    """Simulate one walk, the one-walk block of ``block_rng(seed,
+    sample_index)``: drawn as :func:`_block_intersections` draws a block,
+    so its ``I_T`` is that block's value up to roundoff.
     """
     if T <= 0:
         raise ValueError("T must be > 0")
@@ -176,25 +176,15 @@ def simulate(spec: LatticeSpec, T: float, seed: int, sample_index: int = 0) -> W
         raise ValueError("walks run on window or torus geometry")
     rng = block_rng(seed, sample_index)
     d = spec.d
-    rate = 2.0 * d
-    times = []
-    t = rng.exponential(1.0 / rate)
-    while t < T:
-        times.append(t)
-        t += rng.exponential(1.0 / rate)
-    n = len(times)
-    jump_times = np.array(times)
+    n = int(rng.poisson(2 * d * T, size=1)[0])
+    jump_times = np.sort(rng.random(n) * T)
     dirs = rng.integers(0, 2 * d, size=n)
-    steps = np.zeros((n, d), dtype=np.int64)
-    if n:
-        steps[np.arange(n), dirs >> 1] = 1 - 2 * (dirs & 1)
-    sites = np.zeros((n + 1, d), dtype=np.int64)
-    if n:
-        sites[1:] = np.cumsum(steps, axis=0)
+    sites = np.zeros((n + 1, d), dtype=np.int64)   # start, then the steps
+    sites[np.arange(1, n + 1), dirs >> 1] = 1 - 2 * (dirs & 1)
+    sites = np.cumsum(sites, axis=0)
     if spec.geometry == "torus":
         sites = np.mod(sites, spec.period)
-    bounds = np.concatenate([[0.0], jump_times, [T]])
-    gaps = np.diff(bounds)
+    gaps = np.diff(np.concatenate([[0.0], jump_times, [T]]))
     lt = _local_times_from_visits(sites, gaps)
     I_T = float(sum(v * v for v in lt.values()))
     return WalkSample(T=T, jump_times=jump_times, sites=sites, gaps=gaps,
@@ -396,8 +386,8 @@ def _walk_stream(spec, T, n, seed, **laplace):
 
 def estimate_cT(spec: LatticeSpec, g: float, T: float, n: int, seed: int = 0) -> Estimate:
     """Monte Carlo estimate of ``c_T = E exp(-g I(T))``."""
-    if g < 0:
-        raise ValueError("g must be >= 0")
+    if not 0.0 <= g < np.inf:
+        raise ValueError(f"g must be >= 0 and finite, got {g}")
     mean, se, count = _chan_stream(
         np.exp(-g * I) for I in _walk_stream(spec, T, n, seed))
     return Estimate(mean=float(mean), std_error=float(se), n_samples=count,
@@ -538,8 +528,8 @@ def jensen_bound_check(g: float, T: float, n: int, seed: int = 0) -> JensenRepor
 
     Both means come from one pass over the same n walks.
     """
-    if g < 0:
-        raise ValueError("g must be >= 0")
+    if not 0.0 <= g < np.inf:
+        raise ValueError(f"g must be >= 0 and finite, got {g}")
     spec = LatticeSpec.window(4)
     (mean_I, c_hat), (se_I, se_c), _ = _chan_stream(
         np.stack([I, np.exp(-g * I)]) for I in _walk_stream(spec, T, n, seed))

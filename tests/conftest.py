@@ -1,7 +1,11 @@
-"""Shared fixtures: the expensive scale decompositions are built once."""
+"""Shared fixtures: the expensive scale decompositions are built once, and
+child Python processes find the package under test."""
+
+import os
 
 import pytest
 
+import wsaw4
 from wsaw4.cov_decomp import build_decomposition, coefficient_sequences
 from wsaw4.lattice_green import LatticeSpec
 
@@ -47,3 +51,13 @@ def coeffs_at(decomp_at):
         return cache[key]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """The environment for a child Python process: the directory this
+    package was imported from leads PYTHONPATH, so that ``python -m
+    wsaw4.cli`` also runs from a checkout without the install."""
+    src = os.path.dirname(os.path.dirname(wsaw4.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)

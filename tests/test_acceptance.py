@@ -200,7 +200,7 @@ class TestAcceptance:
         xs, xs_fc, ys, products, corrected = [], [], [], [], []
         for m2 in (1e-1, 1e-2, 1e-3, 1e-4):
             co = coeffs_at(m2, J=32)
-            traj = rg_flow.derivative_flow(rg_flow.solve_boundary_value(g0, co, 32))
+            traj = rg_flow.solve_boundary_value(g0, co, 32)
             npl = rg_flow.nu_prime_limit(traj)
             bub = bubble_diagram(4, m2)
             xs.append(math.log(bub))
@@ -317,25 +317,30 @@ class TestAcceptance:
                       f"jensen={jensen_ok} t={elapsed:.0f}s")
         assert ok
 
-    def test_criterion_10_determinism(self, tmp_path):
-        outs = []
-        env = dict(os.environ)
-        for threads in ("1", "4"):
-            env["WSAW4_THREADS"] = threads
-            dest = tmp_path / f"run{threads}"
+    def test_criterion_10_determinism(self, tmp_path, child_env):
+        # one run on one core, one on all of this process's cores
+        cores = os.sched_getaffinity(0)
+        outs, threads = [], []
+        for mask in ({min(cores)}, cores):
+            dest = tmp_path / f"run{len(mask)}"
             subprocess.run(
                 [sys.executable, "-m", "wsaw4.cli", "walk-mc", "--g", "0.1",
                  "--T", "2.0", "--samples", "20000", "--seed", "31",
                  "--out", str(dest)],
-                check=True, env=env, capture_output=True)
-            outs.append(json.loads((dest / "manifest.json").read_text())["outputs"])
+                check=True, env=child_env, capture_output=True,
+                preexec_fn=lambda mask=mask: os.sched_setaffinity(0, mask))
+            manifest = json.loads((dest / "manifest.json").read_text())
+            outs.append(manifest["outputs"])
+            threads.append(manifest["threads"])
         identical = outs[0] == outs[1]
+        varied = threads == [1, len(cores)] and (
+            len(cores) == 1 or threads[0] != threads[1])
         r = subprocess.run(
             [sys.executable, "-m", "wsaw4.cli", "reproduce",
              str(tmp_path / "run1" / "manifest.json")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env)
         replay_ok = r.returncode == 0 and "zero diff" in r.stdout
-        ok = identical and replay_ok
-        report(10, ok, f"digests identical across thread counts={identical} "
-                       f"replay zero-diff={replay_ok}")
+        ok = identical and varied and replay_ok
+        report(10, ok, f"digests identical across thread counts {threads}="
+                       f"{identical} replay zero-diff={replay_ok}")
         assert ok

@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import wsaw4
 from wsaw4 import cli
 from wsaw4.cli import SCHEMA_VERSION, dispatch
 
@@ -134,19 +133,25 @@ class TestReproduce:
         assert rc == 0
         assert "zero diff" in capsys.readouterr().out
 
-    def test_thread_env_does_not_change_results(self, tmp_path):
-        env = dict(os.environ)
-        outs = []
-        for threads in ("1", "8"):
-            env["WSAW4_THREADS"] = threads
-            dest = tmp_path / f"t{threads}"
+    def test_thread_env_does_not_change_results(self, tmp_path, child_env):
+        # one child runs on one core, the other on all of this process's;
+        # 10000 samples are three blocks, so the second runs on a pool
+        cores = os.sched_getaffinity(0)
+        outs, threads = [], []
+        for mask in ({min(cores)}, cores):
+            dest = tmp_path / f"t{len(mask)}"
             subprocess.run(
                 [sys.executable, "-m", "wsaw4.cli", "walk-mc", "--g", "0.1",
-                 "--T", "1.0", "--samples", "2000", "--seed", "7",
+                 "--T", "1.0", "--samples", "10000", "--seed", "7",
                  "--out", str(dest)],
-                check=True, env=env, capture_output=True)
+                check=True, env=child_env, capture_output=True,
+                preexec_fn=lambda mask=mask: os.sched_setaffinity(0, mask))
             manifest = json.loads((dest / "manifest.json").read_text())
             outs.append(manifest["outputs"])
+            threads.append(manifest["threads"])
+        assert threads == [1, len(cores)]
+        if len(cores) > 1:
+            assert threads[0] != threads[1]
         assert outs[0] == outs[1]
 
     def test_manifest_records_worker_limit(self, tmp_path, monkeypatch):
@@ -157,9 +162,9 @@ class TestReproduce:
             _, manifest = run_cli(args, tmp_path, f"w{k}")
             assert manifest["threads"] == k
 
-    def test_blas_threads_do_not_change_results(self, tmp_path):
+    def test_blas_threads_do_not_change_results(self, tmp_path, child_env):
         # BLAS may split the Berezin evaluator's matrix products over threads
-        env = dict(os.environ)
+        env = dict(child_env)
         outs = []
         for threads in ("1", "2"):
             env["OPENBLAS_NUM_THREADS"] = threads
@@ -199,24 +204,23 @@ class TestImports:
     # importing the package loads numpy only: scipy.special costs ~0.3 s
     # and loads where walk-mc --nu, ode-lemma and fluctuation integrals
     # first call it; the tests keep scipy as an independent oracle
-    def scipy_after(self, code, cwd=None):
+    def scipy_after(self, code, env, cwd=None):
         code = ("import sys\n" + code + "\nprint(*sorted(m for m in "
                 "sys.modules if m.split('.')[0] == 'scipy'))")
-        src = os.path.dirname(os.path.dirname(wsaw4.__file__))
         proc = subprocess.run([sys.executable, "-c", code], check=True,
                               capture_output=True, text=True, cwd=cwd,
-                              env=dict(os.environ, PYTHONPATH=src))
+                              env=env)
         return proc.stdout.splitlines()[-1].split()
 
-    def test_cli_loads_no_scipy(self):
-        assert self.scipy_after("import wsaw4.cli") == []
+    def test_cli_loads_no_scipy(self, child_env):
+        assert self.scipy_after("import wsaw4.cli", child_env) == []
 
-    def test_readme_lines_load_no_scipy(self, tmp_path):
+    def test_readme_lines_load_no_scipy(self, tmp_path, child_env):
         lines = [argv for argv in readme_lines() if argv[0] in (
             "green", "bubble", "decompose", "flow", "predict", "susy-verify")]
         assert len(lines) == 6
         code = f"from wsaw4 import cli\nfor a in {lines!r}: assert cli.dispatch(a) == 0"
-        assert self.scipy_after(code, cwd=tmp_path) == []
+        assert self.scipy_after(code, child_env, cwd=tmp_path) == []
 
 
 class TestReadme:
@@ -229,40 +233,44 @@ class TestReadme:
             parser.parse_args(argv)
 
 
-class TestExitCodes:
-    def run_proc(self, args):
+@pytest.fixture
+def run_proc(child_env):
+    def run(args):
         return subprocess.run([sys.executable, "-m", "wsaw4.cli"] + args,
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=child_env)
+    return run
 
-    def test_ok(self, tmp_path):
-        r = self.run_proc(["ode-lemma", "--gamma", "0", "--tmin", "1e-4",
-                           "--out", str(tmp_path / "x")])
+
+class TestExitCodes:
+    def test_ok(self, run_proc, tmp_path):
+        r = run_proc(["ode-lemma", "--gamma", "0", "--tmin", "1e-4",
+                      "--out", str(tmp_path / "x")])
         assert r.returncode == 0
 
-    def test_user_error_bad_value(self, tmp_path):
-        r = self.run_proc(["bubble", "--dim", "4", "--mass2", "0",
-                           "--out", str(tmp_path / "x")])
+    def test_user_error_bad_value(self, run_proc, tmp_path):
+        r = run_proc(["bubble", "--dim", "4", "--mass2", "0",
+                      "--out", str(tmp_path / "x")])
         assert r.returncode == 1
         assert "error" in r.stderr
 
-    def test_user_error_unknown_flag(self, tmp_path):
-        r = self.run_proc(["bubble", "--dim", "4", "--mass2", "1", "--nope",
-                           "1", "--out", str(tmp_path / "x")])
+    def test_user_error_unknown_flag(self, run_proc, tmp_path):
+        r = run_proc(["bubble", "--dim", "4", "--mass2", "1", "--nope",
+                      "1", "--out", str(tmp_path / "x")])
         assert r.returncode == 1
         assert "usage" in r.stderr
 
-    def test_user_error_wrong_length_displacement(self, tmp_path):
-        r = self.run_proc(["green", "--dim", "4", "--mass2", "0.5", "--x",
-                           "0,0,0,0,3", "--out", str(tmp_path / "x")])
+    def test_user_error_wrong_length_displacement(self, run_proc, tmp_path):
+        r = run_proc(["green", "--dim", "4", "--mass2", "0.5", "--x",
+                      "0,0,0,0,3", "--out", str(tmp_path / "x")])
         assert r.returncode == 1
         assert "coordinates" in r.stderr
         assert not (tmp_path / "x").exists()
 
-    def test_user_error_bad_grid(self, tmp_path):
+    def test_user_error_bad_grid(self, run_proc, tmp_path):
         # the Richardson pass at grid // 2 needs a positive multiple of 8
         for grid in ("6", "0", "-4"):
-            r = self.run_proc(["green", "--mass2", "0.5", "--grid", grid,
-                               "--out", str(tmp_path / "x")])
+            r = run_proc(["green", "--mass2", "0.5", "--grid", grid,
+                          "--out", str(tmp_path / "x")])
             assert r.returncode == 1
             assert "grid" in r.stderr
             assert not (tmp_path / "x").exists()
@@ -305,14 +313,27 @@ class TestExitCodes:
         (SUSY + ["--angle-nodes", "-3"], "angle_nodes must be >= 1"),
         (SUSY + ["--radial-nodes", "0"], "radial_nodes must be >= 1"),
         (["bubble", "--dim", "1", "--mass2", "1e-300"], "bubble overflows"),
+        (["walk-mc", "--T", "1", "--g", "nan"], "g must be >= 0 and finite"),
+        (["susy-verify", "--graph", "path2", "--g", "nan", "--nu", "0.1"],
+         "g must be finite"),
+        (["susy-verify", "--graph", "path2", "--g", "0.1", "--nu", "nan"],
+         "nu must be finite"),
+        (["flow", "--g0", "nan", "--mass2", "0.1"],
+         "g0 must be >= 0 and finite"),
+        (["flow", "--g0", "5", "--mass2", "0.1"], "g0 too large"),
+        (["decompose", "--mass2", "1e-2", "--omega", "nan"],
+         "Omega must be > 1 and finite"),
     ], ids=["bubble-nan", "green-nan", "decompose-inf", "flow-short-table",
             "susy-angle-nodes-0", "susy-angle-nodes-negative",
-            "susy-radial-nodes-0", "bubble-overflow"])
+            "susy-radial-nodes-0", "bubble-overflow", "walk-mc-g-nan",
+            "susy-g-nan", "susy-nu-nan", "flow-g0-nan", "flow-g0-too-large",
+            "decompose-omega-nan"])
     def test_user_error_names_parameter(self, args, named, tmp_path,
                                         monkeypatch, capsys):
-        # a non-finite m2, a beta table too short for g_inf, a node count
-        # below 1 and a bubble past float64 are the user's input: exit 1,
-        # naming the parameter or the overflow
+        # a non-finite m2, g, nu, g0 or Omega, a g0 whose coupling turns
+        # negative, a beta table too short for g_inf, a node count below 1
+        # and a bubble past float64 are the user's input: exit 1, naming
+        # the parameter or the overflow
         monkeypatch.setattr(sys, "argv",
                             ["wsaw4"] + args + ["--out", str(tmp_path / "x")])
         with pytest.raises(SystemExit) as exc:
@@ -321,45 +342,45 @@ class TestExitCodes:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    def test_coeff_table_missing_column(self, tmp_path):
+    def test_coeff_table_missing_column(self, run_proc, tmp_path):
         table = tmp_path / "t.csv"
         table.write_text("j,theta,pi\n3,0.5,0.2\n")
-        r = self.run_proc(["decompose", "--mass2", "1e-2", "--scales", "4",
-                           "--coeff-table", str(table),
-                           "--out", str(tmp_path / "x")])
+        r = run_proc(["decompose", "--mass2", "1e-2", "--scales", "4",
+                      "--coeff-table", str(table),
+                      "--out", str(tmp_path / "x")])
         assert r.returncode == 1
         assert "missing column(s) xi" in r.stderr
         assert not (tmp_path / "x").exists()
 
-    def test_walk_mc_too_few_samples(self, tmp_path):
+    def test_walk_mc_too_few_samples(self, run_proc, tmp_path):
         # no c_T = 0.0 +- 0.0 in walk.json: c_T lies in (0, 1]
         for flags in (["--samples", "0"], ["--nu", "0.5", "--samples-chi", "1"]):
-            r = self.run_proc(["walk-mc", "--dim", "2", "--T", "1"] + flags
-                              + ["--out", str(tmp_path / "x")])
+            r = run_proc(["walk-mc", "--dim", "2", "--T", "1"] + flags
+                         + ["--out", str(tmp_path / "x")])
             assert r.returncode == 1
             assert "need >= 2" in r.stderr
             assert not (tmp_path / "x").exists()
 
-    def test_walk_mc_nonpositive_nu(self, tmp_path):
+    def test_walk_mc_nonpositive_nu(self, run_proc, tmp_path):
         # a torus bounds the Laplace tail at g > 0 for every nu; Z^d does not
         flags = ["walk-mc", "--dim", "1", "--g", "0.3", "--nu", "-0.2"]
-        r = self.run_proc(flags + ["--geometry", "torus:3",
-                                   "--out", str(tmp_path / "t")])
+        r = run_proc(flags + ["--geometry", "torus:3",
+                              "--out", str(tmp_path / "t")])
         assert r.returncode == 0
-        r = self.run_proc(flags + ["--out", str(tmp_path / "w")])
+        r = run_proc(flags + ["--out", str(tmp_path / "w")])
         assert r.returncode == 1
         assert "nu > 0" in r.stderr
         assert not (tmp_path / "w").exists()
 
-    def test_susy_verify_vertex_out_of_range(self, tmp_path):
+    def test_susy_verify_vertex_out_of_range(self, run_proc, tmp_path):
         for a in ("-1", "2"):
-            r = self.run_proc(["susy-verify", "--graph", "path2", "--g",
-                               "0.2", "--nu", "0.1", "--a", a, "--b", "0",
-                               "--out", str(tmp_path / "x")])
+            r = run_proc(["susy-verify", "--graph", "path2", "--g",
+                          "0.2", "--nu", "0.1", "--a", a, "--b", "0",
+                          "--out", str(tmp_path / "x")])
             assert r.returncode == 1
             assert "not in 0..1" in r.stderr
             assert not (tmp_path / "x").exists()
 
-    def test_missing_manifest(self):
-        r = self.run_proc(["reproduce", "/nonexistent/manifest.json"])
+    def test_missing_manifest(self, run_proc):
+        r = run_proc(["reproduce", "/nonexistent/manifest.json"])
         assert r.returncode == 1

@@ -69,6 +69,13 @@ class TestPartition:
         with pytest.raises(ValueError, match="not in 1..49"):
             slice_kernel_on_torus(dec0_J48, j, 4)
 
+    def test_multiplier_shape_follows_s(self, dec0_J48):
+        # a cutoff constant over every s is a float inside; the multiplier
+        # still has the shape of s, empty included
+        for s in (np.array([]), 1.0, np.full((2, 3), 1e-30)):
+            for j in (1, 30, 49):
+                assert np.shape(dec0_J48.multiplier(j, s)) == np.shape(s)
+
     def test_multipliers_nonnegative(self, dec0_J48):
         s = np.geomspace(1e-25, 16.0, 400)
         for j in range(1, dec0_J48.J + 2):

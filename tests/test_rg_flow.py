@@ -1,10 +1,13 @@
-"""Quadratic flow, boundary-value problem, and derivative-flow checks.
+"""Quadratic flow, boundary-value problem, and derivative-track checks.
 
 Oracles: a 50-digit mpmath re-run of the recursions on the same coefficient
 tables (frozen where the tables are synthetic and exact), the bubble
 diagram through the independent Schwinger route, and closed-form limits for
 degenerate coefficient tables.
 """
+
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +18,6 @@ from wsaw4.lattice_green import bubble_diagram, constant_a
 from wsaw4.rg_flow import (
     GAMMA,
     FlowState,
-    derivative_flow,
     g_infinity,
     g_tilde_sequence,
     iterate_g,
@@ -121,6 +123,27 @@ class TestBoundaryValue:
         with pytest.raises(ValueError):
             solve_boundary_value(5.0, co)
 
+    def test_negative_coupling_rejected(self):
+        # beta_1 g_1 = 2 * 0.819 >= 1 would make g_2 < 0; the old guard,
+        # 1 - GAMMA beta g <= 0, needs beta g >= 4 and stays silent here
+        co = replace(synthetic_coeffs(4), beta=np.array([0.1, 2.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="g0 too large.* at scale 1,"):
+            solve_boundary_value(0.9, co)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # g overflows past the bad scale
+            with pytest.raises(ValueError, match="at scale 0,"):
+                solve_boundary_value(1e200, co)
+
+    def test_largest_accepted_coupling_stays_positive(self):
+        co = synthetic_coeffs(8, beta=1.0)
+        traj = solve_boundary_value(np.nextafter(1.0, 0.0), co)
+        assert np.all(traj.g > 0)
+
+    @pytest.mark.parametrize("g0", [np.nan, np.inf, -0.01])
+    def test_g0_must_be_finite_and_nonnegative(self, g0):
+        with pytest.raises(ValueError, match="g0 must be >= 0 and finite"):
+            solve_boundary_value(g0, synthetic_coeffs(4))
+
     def test_critical_trajectory_envelope_and_instability(self, coeffs_at):
         co = coeffs_at(1e-3, J=48)
         traj = solve_boundary_value(0.05, co, 48)
@@ -175,7 +198,7 @@ class TestDerivativeFlow:
     def test_pure_rescaling(self):
         # beta = 0: Pi_j = L^{2j} exactly, so the limit is 1
         co = synthetic_coeffs(16)
-        traj = derivative_flow(solve_boundary_value(0.03, co, 16))
+        traj = solve_boundary_value(0.03, co, 16)
         assert np.array_equal(traj.Pi, 4.0 ** np.arange(17))
         assert nu_prime_limit(traj) == 1.0
 
@@ -183,25 +206,17 @@ class TestDerivativeFlow:
         # prod(1 - gamma beta g) (g0/g_J)^gamma = 1 + O(g0)
         g0 = 0.05
         co = coeffs_at(1e-3, J=48)
-        traj = derivative_flow(solve_boundary_value(g0, co, 48))
+        traj = solve_boundary_value(g0, co, 48)
         prod = traj.Pi[48] * 4.0**-48.0
         check = prod * (g0 / traj.g[48]) ** GAMMA
         assert abs(check - 1.0) <= 5.0 * g0
-
-    def test_gamma_zero_hook(self, coeffs_at):
-        # gamma = 0 drops every product factor whatever beta is: Pi_j =
-        # L^{2j} exactly and the limit is 1
-        co = coeffs_at(1e-3, J=48)
-        traj = derivative_flow(solve_boundary_value(0.05, co, 48, gamma=0.0))
-        assert np.array_equal(traj.Pi, 4.0 ** np.arange(49))
-        assert nu_prime_limit(traj) == 1.0
 
     def test_frozen_regression_value(self, coeffs_at):
         # frozen from this build at (g0=0.05, m2=1e-3, L=2, J=48, grid=32);
         # a 50-digit mpmath re-run of the recursion on the same tables
         # agrees with the float64 path to every printed digit
         co = coeffs_at(1e-3, J=48)
-        traj = derivative_flow(solve_boundary_value(0.05, co, 48))
+        traj = solve_boundary_value(0.05, co, 48)
         assert nu_prime_limit(traj) == pytest.approx(0.9933129644085481,
                                                      rel=1e-6)
         assert traj.mu[0] == pytest.approx(-0.015529685917702301, rel=1e-6)
@@ -217,7 +232,7 @@ class TestDerivativeFlow:
             mup = L2 * mup * (1 - gam * b * g)
             g = g - b * g * g
         oracle = float(mup / L2**48)
-        traj = derivative_flow(solve_boundary_value(0.05, co, 48))
+        traj = solve_boundary_value(0.05, co, 48)
         assert nu_prime_limit(traj) == pytest.approx(oracle, rel=1e-13)
 
 
@@ -228,7 +243,7 @@ class TestNuPrimeLaws:
         g0 = 0.02
         for m2 in (1e-3, 1e-4):
             co = coeffs_at(m2, J=32)
-            traj = derivative_flow(solve_boundary_value(g0, co, 32))
+            traj = solve_boundary_value(g0, co, 32)
             npl = nu_prime_limit(traj)
             prod = npl * (1.0 + g0 * bubble_diagram(4, m2)) ** GAMMA
             assert 0.8 < prod < 1.2
@@ -240,7 +255,7 @@ class TestNuPrimeLaws:
         xs, ys = [], []
         for m2 in (1e-1, 1e-2, 1e-3, 1e-4):
             co = coeffs_at(m2, J=32)
-            traj = derivative_flow(solve_boundary_value(g0, co, 32))
+            traj = solve_boundary_value(g0, co, 32)
             xs.append(np.log(1.0 + g0 * bubble_diagram(4, m2)))
             ys.append(np.log(nu_prime_limit(traj)))
         slope = np.polyfit(xs, ys, 1)[0]

@@ -31,21 +31,21 @@ class TestNuC:
         g = 0.03
         assert predict_nu_c(g, "leading") == -constant_a() * g
 
-    def test_bracket(self, coeffs0):
+    def test_bracket(self):
         # the exact critical value satisfies nu_c in [-a g, 0]; the
         # quadratic-truncation flow value lands O(g^2) below the lower
         # edge (its second-order coefficient is negative), so the bracket
         # carries the truncation allowance
         for g in (0.04, 0.02, 0.01):
-            v = predict_nu_c(g, "flow", coeffs0)
+            v = predict_nu_c(g, "flow")
             assert -constant_a() * g - 0.05 * g * g <= v <= 0.0
             assert -constant_a() * g <= predict_nu_c(g, "leading") <= 0.0
 
-    def test_flow_minus_leading_is_second_order(self, coeffs0):
+    def test_flow_minus_leading_is_second_order(self):
         # |flow - leading| <= c g^2 with a modest uniform c (the quadrature
         # floor of the coefficient tables dominates at the smallest g)
         for g in (0.04, 0.02, 0.01, 0.005):
-            diff = abs(predict_nu_c(g, "flow", coeffs0)
+            diff = abs(predict_nu_c(g, "flow")
                        - predict_nu_c(g, "leading"))
             assert diff <= 0.05 * g * g + 1e-6
 
@@ -109,12 +109,12 @@ class TestSusceptibilityFormulas:
         assert np.all(np.diff(amps) > 0) and amps[0] < 1e-1
         assert np.allclose(amps / (BUBBLE_LOG_COEFF * gs) ** 0.25, 1.0)
 
-    def test_prediction_bundle(self, coeffs0):
+    def test_prediction_bundle(self):
         assert amplitude(0.02) > 0
         assert GAMMA == 0.25
         assert predict_susceptibility(0.02, 1e-6) * m2_of_eps(0.02, 1e-6) \
             == pytest.approx(1.0)
-        nu_c = predict_nu_c(0.02, "flow", coeffs0)
+        nu_c = predict_nu_c(0.02, "flow")
         assert -constant_a() * 0.02 - 0.05 * 0.02**2 <= nu_c <= 0.0
 
 
@@ -140,7 +140,13 @@ class TestChangeVariables:
 
     def test_image_guard(self):
         with pytest.raises(ValueError):
-            invert_g(0.0, 0.9)
+            invert_g(0.0, 0.9, lambda m, u: 0.0)
+
+    def test_nonfinite_g_rejected(self):
+        # a NaN g failed every bisection comparison and returned 4.5e-13
+        for g in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="g must be >= 0 and finite"):
+                invert_g(0.0, g, lambda m, u: 0.0)
 
 
 class TestOdeLemma:

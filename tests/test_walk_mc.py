@@ -98,6 +98,19 @@ class TestSimulate:
         assert np.array_equal(a.sites, b.sites)
         assert np.array_equal(a.jump_times, b.jump_times)
 
+    def test_walk_is_its_one_walk_block(self):
+        # walk by walk, simulate's I(T) is the block kernel's value of the
+        # one-walk block of the same stream, up to summation order
+        for spec in (LatticeSpec.window(1), LatticeSpec.window(2), SPEC4,
+                     LatticeSpec.torus(4, 3), LatticeSpec.torus(2, 5)):
+            for seed in range(3):
+                for i in range(20):
+                    T = (0.5, 2.0, 5.0)[i % 3]
+                    walk = simulate(spec, T, seed, i).I_T
+                    block = _block_intersections(spec, T, block_rng(seed, i),
+                                                 1)[0]
+                    assert walk == pytest.approx(block, rel=1e-13, abs=0.0)
+
 
 class TestFolding:
     @given(st.integers(0, 10**6))
@@ -128,15 +141,13 @@ class TestFolding:
         with pytest.raises(AssertionError, match=message):
             fold_and_compare(eval(self.FAKE.format(I_T)), periods)
 
-    def test_checks_survive_python_O(self):
+    def test_checks_survive_python_O(self, child_env):
         # python -O strips assert statements; the checks must still raise
         code = "import numpy as np\nfrom wsaw4 import walk_mc\n" + "".join(
             f"try:\n    walk_mc.fold_and_compare({self.FAKE.format(I_T)}, "
             f"{periods})\nexcept AssertionError as e:\n    print(e)\n"
             for I_T, periods, _ in self.CASES)
-        src = os.path.dirname(os.path.dirname(walk_mc.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        r = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+        r = subprocess.run([sys.executable, "-O", "-c", code], env=child_env,
                            capture_output=True, text=True, check=True)
         assert r.stdout.splitlines() == [m for _, _, m in self.CASES]
 
@@ -180,15 +191,6 @@ class TestEstimateCT:
             se = math.sqrt((es[T].std_error * es[S].mean) ** 2
                            + (es[S].std_error * es[T].mean) ** 2)
             assert lhs.mean <= prod + 3.0 * (lhs.std_error + se)
-
-    def test_batch_matches_single_walk_machinery(self):
-        # the vectorized intersection times follow the same distribution as
-        # the per-walk accumulation: compare moments loosely
-        n = 20000
-        batch = estimate_mean_intersection(SPEC4, 2.0, n, seed=3)
-        singles = [simulate(SPEC4, 2.0, 99, i).I_T for i in range(2000)]
-        se = np.std(singles) / math.sqrt(len(singles)) + batch.std_error
-        assert abs(batch.mean - np.mean(singles)) < 4.0 * se
 
 
 class TestSusceptibilityMC:
@@ -319,7 +321,8 @@ class TestTooFewSamples:
 class TestInvalidInputs:
     # a negative horizon used to reach numpy's Poisson draw ("lam < 0") or,
     # in conditioned_intersection, to return a number (1.449 where |T| = 1
-    # gives 0.4); a negative g gave jensen_bound_check a c_T_hat above 1
+    # gives 0.4); a negative g gave jensen_bound_check a c_T_hat above 1,
+    # and a NaN g a NaN c_T_hat
     @pytest.mark.parametrize("call,match", [
         (lambda: estimate_cT(SPEC4, 0.1, -1.0, 100), "T must be > 0"),
         (lambda: estimate_mean_intersection(SPEC4, -1.0, 100), "T must be > 0"),
@@ -328,9 +331,14 @@ class TestInvalidInputs:
         (lambda: jensen_bound_check(0.1, -1.0, 100), "T must be > 0"),
         (lambda: jensen_bound_check(-0.1, 1.0, 100), "g must be >= 0"),
         (lambda: conditioned_intersection(-1.0, 3, 100), "T must be > 0"),
+        (lambda: estimate_cT(SPEC4, math.nan, 1.0, 100),
+         "g must be >= 0 and finite"),
+        (lambda: jensen_bound_check(math.nan, 1.0, 100),
+         "g must be >= 0 and finite"),
     ], ids=["estimate_cT", "estimate_mean_intersection", "susceptibility_mc",
             "jensen_bound_check", "jensen_bound_check_negative_g",
-            "conditioned_intersection"])
+            "conditioned_intersection", "estimate_cT_nan_g",
+            "jensen_bound_check_nan_g"])
     def test_rejected(self, call, match):
         with pytest.raises(ValueError, match=match):
             call()
@@ -520,6 +528,24 @@ class TestBlockDrawOrder:
         assert rec.calls == expected
         plain = _block_intersections(spec, T, block_rng(6, 2), nblock, **kw)
         assert vals.tobytes() == plain.tobytes()
+
+
+    @pytest.mark.parametrize("spec", [SPEC4, LatticeSpec.torus(2, 5)],
+                             ids=["window", "torus"])
+    def test_simulate_draws_one_walk_block(self, monkeypatch, spec):
+        recs = []
+
+        def recording(seed, block_index):
+            recs.append(RecordingRng(block_rng(seed, block_index)))
+            return recs[-1]
+
+        monkeypatch.setattr(walk_mc, "block_rng", recording)
+        T = 3.0
+        s = simulate(spec, T, 6, 2)
+        jumps = len(s.jump_times)
+        assert [r.calls for r in recs] == [[
+            ("poisson", 1), ("random", jumps),
+            ("integers", 0, 2 * spec.d, jumps)]]
 
 
 class TestPartSize:
