@@ -89,19 +89,11 @@ def _run_bubble(p):
     return {"bubble.json": out}
 
 
-def _load_tables(p):
-    if p.get("coeff_table"):
-        return cov_decomp.load_coefficient_tables(p["coeff_table"])
-    return None, None, None
-
-
 def _coeffs_from_params(p):
     spec = lattice_green.LatticeSpec.window(p["dim"])
     dec = cov_decomp.build_decomposition(spec, L=p["L"], m2=p["mass2"],
                                          J=p["scales"])
-    th, xi, pi = _load_tables(p)
-    return dec, cov_decomp.coefficient_sequences(
-        dec, Omega=p.get("omega", 2.0), theta=th, xi=xi, pi=pi)
+    return dec, cov_decomp.coefficient_sequences(dec, Omega=p["omega"])
 
 
 def _run_decompose(p):
@@ -171,11 +163,19 @@ _GRAPHS = {
 }
 
 
+def _int(text, option):
+    """int(text), or a user error naming the option it came from."""
+    try:
+        return int(text)
+    except ValueError:
+        raise _UserError(f"{option} needs an integer, got {text!r}") from None
+
+
 def _graph_laplacian(name):
     if name in _GRAPHS:
         return _GRAPHS[name]
     if name.startswith("torus:"):
-        n = int(name.split(":", 1)[1])
+        n = _int(name.split(":", 1)[1], "--graph torus:N")
         if n < 1:
             raise _UserError("torus size must be >= 1")
         lap = np.zeros((n, n))
@@ -218,8 +218,8 @@ def _run_walk_mc(p):
     if p["geometry"] == "window":
         spec = lattice_green.LatticeSpec.window(p["dim"])
     elif p["geometry"].startswith("torus:"):
-        spec = lattice_green.LatticeSpec.torus(p["dim"],
-                                               int(p["geometry"].split(":")[1]))
+        n = _int(p["geometry"].split(":", 1)[1], "--geometry torus:N")
+        spec = lattice_green.LatticeSpec.torus(p["dim"], n)
     else:
         raise _UserError(f"unknown geometry {p['geometry']!r}")
     est = walk_mc.estimate_cT(spec, p["g"], p["T"], p["samples"], seed=p["seed"])
@@ -346,13 +346,12 @@ def _build_parser():
     add("bubble", dim=(int, 4, False), mass2=(float, None, True))
     dp = add("decompose", dim=(int, 4, False), L=(int, 2, False),
              mass2=(float, None, True), scales=(int, 16, False),
-             omega=(float, 2.0, False), coeff_table=(str, None, False))
+             omega=(float, 2.0, False))
     dp.add_argument("--measure-tails", dest="measure_tails",
                     action="store_true")
     add("flow", dim=(int, 4, False), g0=(float, None, True),
         mass2=(float, None, True), L=(int, 2, False),
-        scales=(int, 48, False), omega=(float, 2.0, False),
-        coeff_table=(str, None, False))
+        scales=(int, 48, False), omega=(float, 2.0, False))
     add("predict", g=(float, None, True), eps=(float, None, True),
         mode=(str, "leading", False))
     add("ode-lemma", gamma=(float, 0.25, False), tmin=(float, 1e-8, False),
@@ -384,7 +383,7 @@ def dispatch(argv) -> int:
     params = {k: v for k, v in vars(ns).items()
               if k not in ("subcommand", "out")}
     if ns.subcommand == "green":
-        params["x"] = [int(c) for c in params["x"].split(",")] \
+        params["x"] = [_int(c, "--x") for c in params["x"].split(",")] \
             if params["x"] else None
     files = _stamp(_RUNNERS[ns.subcommand](params),
                    _run_id(ns.subcommand, params))

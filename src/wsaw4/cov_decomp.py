@@ -36,7 +36,6 @@ identically (same grid, telescoping in floating point).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +52,6 @@ __all__ = [
     "ScaleIndices",
     "CoefficientSequences",
     "coefficient_sequences",
-    "load_coefficient_tables",
     "slice_kernel_on_torus",
     "range_tail_fraction",
 ]
@@ -304,9 +302,8 @@ def scale_indices(m2: float, L: int, Omega: float, beta: np.ndarray) -> ScaleInd
 class CoefficientSequences:
     """Everything the quadratic RG flow consumes at a fixed (m2, L).
 
-    ``theta``, ``xi``, ``pi`` are pluggable tables (zero by default; supply
-    measured tables via :func:`load_coefficient_tables` to make the z-flow
-    and the mixed mu-terms nontrivial).
+    ``theta``, ``xi``, ``pi`` are the second-order tables of the z-flow and
+    the mixed mu-terms; :func:`coefficient_sequences` leaves them zero.
     """
 
     L: int
@@ -325,56 +322,13 @@ class CoefficientSequences:
         return len(self.beta)
 
 
-def coefficient_sequences(decomp: Decomposition, *, Omega: float = 2.0,
-                          theta=None, xi=None, pi=None) -> CoefficientSequences:
+def coefficient_sequences(decomp: Decomposition, *,
+                          Omega: float = 2.0) -> CoefficientSequences:
     """Assemble the flow coefficients from a decomposition."""
     beta = beta_sequence(decomp)
-    eta = eta_sequence(decomp)
     n = len(beta)
-
-    def table(t):
-        if t is None:
-            return np.zeros(n)
-        t = np.asarray(t, dtype=float)
-        if len(t) < n:
-            t = np.concatenate([t, np.zeros(n - len(t))])
-        return t[:n]
-
     idx = scale_indices(decomp.m2, decomp.L, Omega, beta)
-    return CoefficientSequences(L=decomp.L, m2=decomp.m2, beta=beta, eta=eta,
-                                theta=table(theta), xi=table(xi), pi=table(pi),
-                                chi=idx.chi, j_m=idx.j_m, j_Omega=idx.j_Omega,
-                                Omega=Omega)
-
-
-def load_coefficient_tables(path):
-    """Read a (j, theta, xi, pi) CSV sidecar; returns three dense arrays.
-
-    Raises ValueError for a missing column, a non-numeric entry, a
-    negative ``j`` or a ``j`` given twice.
-    """
-    cols = ("j", "theta", "xi", "pi")
-    rows = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in cols if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
-        for row in reader:
-            where = f"{path}, line {reader.line_num}"
-            try:
-                j = int(row["j"])
-                vals = tuple(float(row[c]) for c in cols[1:])
-            except (TypeError, ValueError):
-                raise ValueError(f"{where}: non-numeric entry in {row}") from None
-            if j < 0 or j in rows:
-                raise ValueError(f"{where}: j={j} is "
-                                 + ("negative" if j < 0 else "repeated"))
-            rows[j] = vals
-    if not rows:
-        return np.zeros(0), np.zeros(0), np.zeros(0)
-    n = max(rows) + 1
-    theta, xi, pi = np.zeros(n), np.zeros(n), np.zeros(n)
-    for j, (t, x, p) in rows.items():
-        theta[j], xi[j], pi[j] = t, x, p
-    return theta, xi, pi
+    return CoefficientSequences(L=decomp.L, m2=decomp.m2, beta=beta,
+                                eta=eta_sequence(decomp), theta=np.zeros(n),
+                                xi=np.zeros(n), pi=np.zeros(n), chi=idx.chi,
+                                j_m=idx.j_m, j_Omega=idx.j_Omega, Omega=Omega)

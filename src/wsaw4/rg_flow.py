@@ -204,16 +204,15 @@ def g_infinity(g0: float, coeffs: CoefficientSequences) -> float:
     exhausts the coefficient table and a non-convergence error is raised.
     """
     tol = 1e-14
-    g = g0
-    for b in coeffs.beta:
-        g_next = g - b * g * g
-        if abs(g_next - g) < tol:
-            return g_next
-        g = g_next
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        g = iterate_g(g0, coeffs.beta, len(coeffs.beta))
+    settled = np.flatnonzero(np.abs(np.diff(g)) < tol)
+    if settled.size:
+        return float(g[settled[0] + 1])
     # beta may have decayed to exactly zero inside the table; then g is final
-    tail = coeffs.beta[-1]
+    g, tail = g[-1], coeffs.beta[-1]
     if abs(tail * g * g) < tol:
-        return g
+        return float(g)
     raise RuntimeError(
         f"g-iteration did not converge within {len(coeffs.beta)} scales "
         f"(last increment {tail * g * g:.2e}); is m2 > 0?")

@@ -165,13 +165,17 @@ def intersection_local_time(sites: np.ndarray, gaps: np.ndarray) -> float:
     return float(sum(v * v for v in lt.values()))
 
 
+def _check_horizon(T):
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"T must be > 0 and finite, got {T}")
+
+
 def simulate(spec: LatticeSpec, T: float, seed: int, sample_index: int = 0) -> WalkSample:
     """Simulate one walk, the one-walk block of ``block_rng(seed,
     sample_index)``: drawn as :func:`_block_intersections` draws a block,
     so its ``I_T`` is that block's value up to roundoff.
     """
-    if T <= 0:
-        raise ValueError("T must be > 0")
+    _check_horizon(T)
     if spec.geometry == "graph":
         raise ValueError("walks run on window or torus geometry")
     rng = block_rng(seed, sample_index)
@@ -361,8 +365,7 @@ def _cores():
 def _walk_stream(spec, T, n, seed, **laplace):
     """Yield :func:`_block_intersections` for each block of n walks in block
     order, on up to :func:`_cores` threads; streams are made on this one."""
-    if not T > 0:
-        raise ValueError("T must be > 0")
+    _check_horizon(T)
     starts = range(0, n, BLOCK_SIZE)
     jobs = ((spec, T, block_rng(seed, b), min(BLOCK_SIZE, n - start))
             for b, start in enumerate(starts))
@@ -448,8 +451,7 @@ def conditioned_intersection(T: float, n: int, n_samples: int,
     [0, T]; on the self-avoiding event every site is visited once, so
     I(T) is the sum of squared gaps.  The exact value is 2T^2/(n+2).
     """
-    if not T > 0:
-        raise ValueError("T must be > 0")
+    _check_horizon(T)
     if n < 0:
         raise ValueError("n must be >= 0")
     if n_samples < 2:

@@ -280,7 +280,10 @@ class TestExitCodes:
         ["bubble", "--mass2", "1e-2", "--grid", "32"],
         ["decompose", "--mass2", "1e-2", "--grid", "32"],
         ["flow", "--g0", "0.05", "--mass2", "1e-3", "--grid", "32"],
-    ], ids=["bubble-method", "bubble-grid", "decompose-grid", "flow-grid"])
+        ["decompose", "--mass2", "1e-2", "--coeff-table", "t.csv"],
+        ["flow", "--g0", "0.05", "--mass2", "1e-3", "--coeff-table", "t.csv"],
+    ], ids=["bubble-method", "bubble-grid", "decompose-grid", "flow-grid",
+            "decompose-coeff-table", "flow-coeff-table"])
     def test_removed_flags_rejected(self, args, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv",
                             ["wsaw4"] + args + ["--out", str(tmp_path / "x")])
@@ -323,33 +326,35 @@ class TestExitCodes:
         (["flow", "--g0", "5", "--mass2", "0.1"], "g0 too large"),
         (["decompose", "--mass2", "1e-2", "--omega", "nan"],
          "Omega must be > 1 and finite"),
+        (["green", "--mass2", "0.1", "--x", "1,a"],
+         "--x needs an integer, got 'a'"),
+        (["walk-mc", "--geometry", "torus:x"],
+         "--geometry torus:N needs an integer, got 'x'"),
+        (["susy-verify", "--graph", "torus:x", "--g", "0.1", "--nu", "0.1"],
+         "--graph torus:N needs an integer, got 'x'"),
+        (["walk-mc", "--T", "inf"], "T must be > 0 and finite, got inf"),
+        (["walk-mc", "--samples", "100", "--nu", "0.5", "--T-max", "inf"],
+         "T must be > 0 and finite, got inf"),
     ], ids=["bubble-nan", "green-nan", "decompose-inf", "flow-short-table",
             "susy-angle-nodes-0", "susy-angle-nodes-negative",
             "susy-radial-nodes-0", "bubble-overflow", "walk-mc-g-nan",
             "susy-g-nan", "susy-nu-nan", "flow-g0-nan", "flow-g0-too-large",
-            "decompose-omega-nan"])
+            "decompose-omega-nan", "green-x-not-int",
+            "walk-mc-geometry-not-int", "susy-graph-not-int", "walk-mc-T-inf",
+            "walk-mc-T-max-inf"])
     def test_user_error_names_parameter(self, args, named, tmp_path,
                                         monkeypatch, capsys):
-        # a non-finite m2, g, nu, g0 or Omega, a g0 whose coupling turns
-        # negative, a beta table too short for g_inf, a node count below 1
-        # and a bubble past float64 are the user's input: exit 1, naming
-        # the parameter or the overflow
+        # a non-finite m2, g, nu, g0, Omega or horizon, a g0 whose coupling
+        # turns negative, a beta table too short for g_inf, a node count
+        # below 1, a bubble past float64 and an integer option that is not
+        # an integer are the user's input: exit 1, naming the parameter or
+        # the overflow
         monkeypatch.setattr(sys, "argv",
                             ["wsaw4"] + args + ["--out", str(tmp_path / "x")])
         with pytest.raises(SystemExit) as exc:
             cli.main()
         assert exc.value.code == 1
         assert named in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
-
-    def test_coeff_table_missing_column(self, run_proc, tmp_path):
-        table = tmp_path / "t.csv"
-        table.write_text("j,theta,pi\n3,0.5,0.2\n")
-        r = run_proc(["decompose", "--mass2", "1e-2", "--scales", "4",
-                      "--coeff-table", str(table),
-                      "--out", str(tmp_path / "x")])
-        assert r.returncode == 1
-        assert "missing column(s) xi" in r.stderr
         assert not (tmp_path / "x").exists()
 
     def test_walk_mc_too_few_samples(self, run_proc, tmp_path):

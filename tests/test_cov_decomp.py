@@ -14,7 +14,6 @@ from wsaw4.cov_decomp import (
     build_decomposition,
     coefficient_sequences,
     eta_sequence,
-    load_coefficient_tables,
     range_tail_fraction,
     scale_indices,
     slice_kernel_on_torus,
@@ -263,31 +262,8 @@ class TestCoefficientSequences:
         assert np.all(coeffs0.xi == 0.0)
         assert np.all(coeffs0.pi == 0.0)
 
-    def test_sidecar_roundtrip(self, dec0_J48, tmp_path):
-        path = tmp_path / "tables.csv"
-        path.write_text("j,theta,xi,pi\n0,0.5,0.1,-0.2\n3,0.25,0.0,0.125\n")
-        th, xi, pi = load_coefficient_tables(path)
-        co = coefficient_sequences(dec0_J48, theta=th, xi=xi, pi=pi)
-        assert co.theta[0] == 0.5 and co.theta[3] == 0.25
-        assert co.xi[0] == 0.1 and co.pi[3] == 0.125
-        assert np.all(co.theta[4:] == 0.0)
-
-    @pytest.mark.parametrize("body, match", [
-        # a negative j must not index theta from the end
-        ("3,0.5,0.1,0.2\n-1,9,9,9\n", "line 3: j=-1 is negative"),
-        # a repeated j must not silently keep its last row
-        ("3,0.5,0.1,0.2\n3,1,1,1\n", "line 3: j=3 is repeated"),
-        ("3,0.5,0.1\n", "line 2: non-numeric"),
-        ("3,0.5,x,0.2\n", "line 2: non-numeric"),
-    ])
-    def test_sidecar_bad_rows_rejected(self, tmp_path, body, match):
-        path = tmp_path / "tables.csv"
-        path.write_text("j,theta,xi,pi\n" + body)
-        with pytest.raises(ValueError, match=match):
-            load_coefficient_tables(path)
-
-    def test_sidecar_missing_column_rejected(self, tmp_path):
-        path = tmp_path / "tables.csv"
-        path.write_text("j,theta,pi\n3,0.5,0.2\n")
-        with pytest.raises(ValueError, match="missing column.* xi"):
-            load_coefficient_tables(path)
+    def test_zero_tables_not_shared(self, coeffs0):
+        # three arrays: writing one table must not write the others
+        assert not np.shares_memory(coeffs0.theta, coeffs0.xi)
+        assert not np.shares_memory(coeffs0.theta, coeffs0.pi)
+        assert not np.shares_memory(coeffs0.xi, coeffs0.pi)

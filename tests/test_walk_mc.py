@@ -321,8 +321,9 @@ class TestTooFewSamples:
 class TestInvalidInputs:
     # a negative horizon used to reach numpy's Poisson draw ("lam < 0") or,
     # in conditioned_intersection, to return a number (1.449 where |T| = 1
-    # gives 0.4); a negative g gave jensen_bound_check a c_T_hat above 1,
-    # and a NaN g a NaN c_T_hat
+    # gives 0.4); an infinite or NaN one reached the draw too, or gave
+    # conditioned_intersection a NaN mean; a negative g gave
+    # jensen_bound_check a c_T_hat above 1, and a NaN g a NaN c_T_hat
     @pytest.mark.parametrize("call,match", [
         (lambda: estimate_cT(SPEC4, 0.1, -1.0, 100), "T must be > 0"),
         (lambda: estimate_mean_intersection(SPEC4, -1.0, 100), "T must be > 0"),
@@ -335,10 +336,27 @@ class TestInvalidInputs:
          "g must be >= 0 and finite"),
         (lambda: jensen_bound_check(math.nan, 1.0, 100),
          "g must be >= 0 and finite"),
+        (lambda: estimate_cT(SPEC4, 0.1, math.inf, 100),
+         "T must be > 0 and finite, got inf"),
+        (lambda: estimate_mean_intersection(SPEC4, math.nan, 100),
+         "T must be > 0 and finite, got nan"),
+        (lambda: susceptibility_mc(SPEC4, 0.1, 0.5, T_max=math.inf, n=100),
+         "T must be > 0 and finite, got inf"),
+        (lambda: conditioned_intersection(math.inf, 3, 10),
+         "T must be > 0 and finite, got inf"),
+        (lambda: conditioned_intersection(math.nan, 3, 10),
+         "T must be > 0 and finite, got nan"),
+        (lambda: simulate(SPEC4, math.nan, 1),
+         "T must be > 0 and finite, got nan"),
+        (lambda: simulate(SPEC4, math.inf, 1),
+         "T must be > 0 and finite, got inf"),
     ], ids=["estimate_cT", "estimate_mean_intersection", "susceptibility_mc",
             "jensen_bound_check", "jensen_bound_check_negative_g",
             "conditioned_intersection", "estimate_cT_nan_g",
-            "jensen_bound_check_nan_g"])
+            "jensen_bound_check_nan_g", "estimate_cT_inf_T",
+            "estimate_mean_intersection_nan_T", "susceptibility_mc_inf_T_max",
+            "conditioned_intersection_inf_T", "conditioned_intersection_nan_T",
+            "simulate_nan_T", "simulate_inf_T"])
     def test_rejected(self, call, match):
         with pytest.raises(ValueError, match=match):
             call()
