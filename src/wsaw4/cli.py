@@ -74,11 +74,10 @@ def _csv_text(header, rows) -> str:
 
 def _run_green(p):
     spec = lattice_green.LatticeSpec.window(p["dim"])
-    x = p["x"]
     val, err = lattice_green.green_function_with_error(
-        spec, p["mass2"], x, grid=p["grid"])
+        spec, p["mass2"], p["x"], grid=p["grid"])
     out = {"value": val, "abs_error_estimate": err, "grid": p["grid"],
-           "dim": p["dim"], "mass2": p["mass2"], "x": x}
+           "dim": p["dim"], "mass2": p["mass2"], "x": p["x"]}
     return {"green.json": out}
 
 
@@ -93,29 +92,30 @@ def _coeffs_from_params(p):
     spec = lattice_green.LatticeSpec.window(p["dim"])
     dec = cov_decomp.build_decomposition(spec, L=p["L"], m2=p["mass2"],
                                          J=p["scales"])
-    return dec, cov_decomp.coefficient_sequences(dec, Omega=p["omega"])
+    co = cov_decomp.coefficient_sequences(dec)
+    return dec, co, cov_decomp.scale_indices(dec.m2, dec.L, p["omega"], co.beta)
 
 
 def _run_decompose(p):
-    dec, co = _coeffs_from_params(p)
+    dec, co, idx = _coeffs_from_params(p)
     rows = []
     for j in range(1, dec.J + 1):
         tail = cov_decomp.range_tail_fraction(dec, j) \
             if p["measure_tails"] and 4 * dec.L**j <= _TAIL_PERIOD_CAP else ""
         rows.append((j, dec.diagonals[j], tail))
     fcsv = _csv_text(["j", "diagonal", "range_tail_fraction"], rows)
-    out = {"beta": co.beta, "eta": co.eta, "chi": co.chi,
-           "j_m": None if np.isinf(co.j_m) else int(co.j_m),
-           "j_omega": co.j_Omega, "Omega": co.Omega,
+    out = {"beta": co.beta, "eta": co.eta, "chi": idx.chi,
+           "j_m": None if np.isinf(idx.j_m) else int(idx.j_m),
+           "j_omega": idx.j_Omega, "Omega": p["omega"],
            "L": co.L, "mass2": co.m2, "scales": dec.J}
     return {"slices.csv": fcsv, "sequences.json": out}
 
 
 def _run_flow(p):
-    _, co = _coeffs_from_params(p)
+    _, co, idx = _coeffs_from_params(p)
     traj = rg_flow.solve_boundary_value(p["g0"], co, p["scales"])
     # chi_j beyond the table repeats its last entry
-    chi = co.chi[np.minimum(np.arange(traj.J + 1), len(co.chi) - 1)]
+    chi = idx.chi[np.minimum(np.arange(traj.J + 1), len(idx.chi) - 1)]
     rows = zip(range(traj.J + 1), traj.g, traj.z, traj.mu, traj.Pi, chi)
     fcsv = _csv_text(["j", "g", "z", "mu", "Pi", "chi_j"], rows)
     summary = {"mu0_c": float(traj.mu[0]), "z0_c": float(traj.z[0]),
@@ -137,7 +137,7 @@ def _run_predict(p):
     chi = susceptibility.predict_susceptibility(p["g"], p["eps"])
     m2 = susceptibility.m2_of_eps(p["g"], p["eps"])
     out = {"g": p["g"], "eps": p["eps"], "mode": p["mode"], "nu_c": nu_c,
-           "A_g": susceptibility.amplitude(p["g"]), "gamma": susceptibility.GAMMA,
+           "A_g": susceptibility.amplitude(p["g"]), "gamma": rg_flow.GAMMA,
            "chi": chi, "m2_of_eps": m2}
     eps_grid = np.geomspace(p["eps"], 0.3, 17)
     rows = [(e, susceptibility.predict_susceptibility(p["g"], e),
@@ -189,9 +189,6 @@ def _graph_laplacian(name):
 
 
 def _run_susy_verify(p):
-    for name in ("g", "nu"):
-        if not np.isfinite(p[name]):
-            raise _UserError(f"{name} must be finite, got {p[name]}")
     lap = _graph_laplacian(p["graph"])
     M = lap.shape[0]
     if M > 3:
@@ -307,20 +304,31 @@ def _write_run(outdir, subcommand, params, files):
         raise
 
 
-def _run_reproduce(manifest_path):
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    sub = manifest["subcommand"]
-    if sub not in _RUNNERS:
-        raise _UserError(f"manifest subcommand {sub!r} unknown")
-    files = _stamp(_RUNNERS[sub](manifest["params"]),
-                   _run_id(sub, manifest["params"]))
-    diffs = []
-    for name, digest in manifest["outputs"].items():
-        new = _digest(files.get(name, ""))
-        if new != digest:
-            diffs.append(name)
-    return diffs
+class _ManifestParams(dict):
+    """Replayed params: a key they lack is a user error naming the file."""
+
+    def __missing__(self, key):
+        raise _UserError(f"manifest {self.path}: params lack {key!r}")
+
+
+def _run_reproduce(path):
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable, or not JSON
+        raise _UserError(f"cannot read manifest {path}: {exc}") from None
+    if not (isinstance(manifest, dict)
+            and isinstance(manifest.get("subcommand"), str)
+            and manifest["subcommand"] in _RUNNERS
+            and all(isinstance(manifest.get(k), dict)
+                    for k in ("params", "outputs"))):
+        raise _UserError(f"{path} is not a manifest: a JSON object with a "
+                         "known 'subcommand' and 'params' and 'outputs' objects")
+    sub, params = manifest["subcommand"], _ManifestParams(manifest["params"])
+    params.path = path
+    files = _stamp(_RUNNERS[sub](params), _run_id(sub, params))
+    return [name for name, digest in manifest["outputs"].items()
+            if _digest(files.get(name, "")) != digest]
 
 
 # ---------------------------------------------------------------------------

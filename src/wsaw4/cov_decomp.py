@@ -56,9 +56,6 @@ __all__ = [
     "range_tail_fraction",
 ]
 
-INF_SCALE = np.inf  # sentinel for an undefined mass scale (m2 = 0)
-
-
 def smooth_step(r) -> np.ndarray:
     """C-infinity step: 1 for r <= 0, 0 for r >= 1, monotone in between."""
     r = np.asarray(r, dtype=float)
@@ -263,9 +260,9 @@ class ScaleIndices:
 
 
 def _mass_scale(m2, L):
-    """The mass scale: the smallest j with L^{2j} m2 >= 1, or INF_SCALE."""
+    """The mass scale: the smallest j with L^{2j} m2 >= 1 (np.inf at 0)."""
     if m2 <= 0:
-        return INF_SCALE
+        return np.inf
     j_m = max(0, int(np.ceil(np.log(1.0 / m2) / (2.0 * np.log(L)))))
     while L ** (2 * j_m) * m2 < 1.0:  # guard against roundoff at edges
         j_m += 1
@@ -284,23 +281,21 @@ def scale_indices(m2: float, L: int, Omega: float, beta: np.ndarray) -> ScaleInd
     if not 1.0 < Omega < np.inf:
         raise ValueError(f"Omega must be > 1 and finite, got {Omega}")
     beta = np.asarray(beta, dtype=float)
-    j_m = _mass_scale(m2, L)
+    j = np.arange(beta.size, dtype=float)
     bmax = np.max(np.abs(beta)) if beta.size else 0.0
     if bmax == 0.0:
         j_Omega = 0
     else:
-        j = np.arange(beta.size, dtype=float)
         with np.errstate(divide="ignore"):
             need = j + np.log(np.abs(beta) / bmax) / np.log(Omega)
         j_Omega = max(0, int(np.ceil(np.max(need[np.abs(beta) > 0]) - 1e-12)))
-    j = np.arange(beta.size, dtype=float)
-    chi = Omega ** -np.maximum(j - j_Omega, 0.0)
-    return ScaleIndices(j_m=j_m, j_Omega=j_Omega, chi=chi)
+    return ScaleIndices(j_m=_mass_scale(m2, L), j_Omega=j_Omega,
+                        chi=Omega ** -np.maximum(j - j_Omega, 0.0))
 
 
 @dataclass(frozen=True)
 class CoefficientSequences:
-    """Everything the quadratic RG flow consumes at a fixed (m2, L).
+    """The inputs of the quadratic RG flow at a fixed (m2, L), and no more.
 
     ``theta``, ``xi``, ``pi`` are the second-order tables of the z-flow and
     the mixed mu-terms; :func:`coefficient_sequences` leaves them zero.
@@ -313,22 +308,12 @@ class CoefficientSequences:
     theta: np.ndarray
     xi: np.ndarray
     pi: np.ndarray
-    chi: np.ndarray
-    j_m: float
-    j_Omega: int
-    Omega: float
-
-    def __len__(self):
-        return len(self.beta)
 
 
-def coefficient_sequences(decomp: Decomposition, *,
-                          Omega: float = 2.0) -> CoefficientSequences:
+def coefficient_sequences(decomp: Decomposition) -> CoefficientSequences:
     """Assemble the flow coefficients from a decomposition."""
     beta = beta_sequence(decomp)
     n = len(beta)
-    idx = scale_indices(decomp.m2, decomp.L, Omega, beta)
     return CoefficientSequences(L=decomp.L, m2=decomp.m2, beta=beta,
                                 eta=eta_sequence(decomp), theta=np.zeros(n),
-                                xi=np.zeros(n), pi=np.zeros(n), chi=idx.chi,
-                                j_m=idx.j_m, j_Omega=idx.j_Omega, Omega=Omega)
+                                xi=np.zeros(n), pi=np.zeros(n))

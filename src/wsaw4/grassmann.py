@@ -877,6 +877,13 @@ def _square_laplacian(laplacian):
     return lap
 
 
+def _check_finite(**values):
+    """Raise naming the first of ``values`` with a non-finite entry."""
+    for name, v in values.items():
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} must be finite, got {v}")
+
+
 def self_normalisation_value(laplacian, p, q, r, *, radial_nodes=48,
                              angle_nodes=24) -> complex:
     """int exp(-sum_x (p_x tau_{Delta,x} + q_x tau_x^2 + r_x tau_x)).
@@ -884,6 +891,7 @@ def self_normalisation_value(laplacian, p, q, r, *, radial_nodes=48,
     Equals 1 identically for p_x >= 0, q_x > 0 (supersymmetry); evaluated
     numerically as a machinery check.
     """
+    _check_finite(p=p, q=q, r=r)
     lap = _square_laplacian(laplacian)
     M = lap.shape[0]
     basis = FermionBasis(M)
@@ -909,6 +917,7 @@ def two_point_integral(laplacian, g, nu, a, b, method="grassmann", *,
 
     Valid for g > 0, or g = 0 with nu > 0.
     """
+    _check_finite(g=g, nu=nu)
     lap = _square_laplacian(laplacian)
     M = lap.shape[0]
     if not all(isinstance(v, numbers.Integral) and 0 <= v < M for v in (a, b)):

@@ -72,6 +72,10 @@ class LatticeSpec:
     laplacian: np.ndarray | None = None
 
     def __post_init__(self):
+        for name, v in (("d", self.d), ("period", self.period)):
+            integer = isinstance(v, numbers.Integral) and type(v) is not bool
+            if v is not None and not integer:
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.d < 1:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
         if self.geometry not in ("window", "torus", "graph"):
@@ -359,7 +363,7 @@ def _bessel_series(w):
 def heat_kernel_diagonal(d: int, t) -> np.ndarray:
     """Return probability density ``P_t(0,0)`` of the rate-2d walk on Z^d."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise ValueError("t must be >= 0")
     out = np.empty_like(t)
     small = t < _T_SERIES

@@ -73,14 +73,13 @@ class FlowState:
 
 @dataclass(frozen=True)
 class FlowTrajectory:
-    """A flow (g_j, z_j, mu_j), j = 0..J, and its derivative track Pi."""
+    """A flow (g_j, z_j, mu_j), j = 0..J, and its derivative track Pi; its
+    data are ``g[0]`` and ``coeffs``, from which a solve repeats every bit."""
 
     g: np.ndarray
     z: np.ndarray
     mu: np.ndarray
     coeffs: CoefficientSequences
-    g0: float
-    m2: float
 
     @property
     def J(self) -> int:
@@ -96,10 +95,6 @@ class FlowTrajectory:
             Pi[j + 1] = Pi[j] * L2 * (1.0 - GAMMA * beta[j] * self.g[j])
         return Pi
 
-    def state(self, j: int) -> FlowState:
-        return FlowState(g=float(self.g[j]), z=float(self.z[j]),
-                         mu=float(self.mu[j]), j=j)
-
     def step_residual(self) -> float:
         """Max absolute deviation when forward-stepping every stored pair.
 
@@ -111,32 +106,21 @@ class FlowTrajectory:
         """
         worst = 0.0
         for j in range(self.J):
-            nxt = step_forward(self.state(j), self.coeffs)
+            nxt = step_forward(FlowState(float(self.g[j]), float(self.z[j]),
+                                         float(self.mu[j]), j), self.coeffs)
             worst = max(worst,
                         abs(nxt.g - self.g[j + 1]),
                         abs(nxt.z - self.z[j + 1]),
                         abs(nxt.mu - self.mu[j + 1]))
         return worst
 
-    def replay(self) -> "FlowTrajectory":
-        """Reconstruct the trajectory from its defining data.
-
-        Bit-exact: solving the boundary-value problem again with the same
-        coefficients reproduces every stored number identically.
-        """
-        return solve_boundary_value(self.g0, self.coeffs, self.J)
-
-
-def _check_scale(coeffs, j):
-    if j >= len(coeffs.beta):
-        raise IndexError(
-            f"scale {j} beyond coefficient table length {len(coeffs.beta)}")
-
 
 def step_forward(state: FlowState, coeffs: CoefficientSequences) -> FlowState:
     """One application of the quadratic recursion."""
     j = state.j
-    _check_scale(coeffs, j)
+    if j >= len(coeffs.beta):
+        raise IndexError(f"scale {j} beyond coefficient table length "
+                         f"{len(coeffs.beta)}")
     b, th = coeffs.beta[j], coeffs.theta[j]
     et, xi, pi = coeffs.eta[j], coeffs.xi[j], coeffs.pi[j]
     L2 = float(coeffs.L) ** 2
@@ -174,7 +158,8 @@ def solve_boundary_value(g0: float, coeffs: CoefficientSequences,
         raise ValueError(f"g0 must be >= 0 and finite, got {g0}")
     J = len(coeffs.beta) if J is None else J
     if J > len(coeffs.beta):
-        raise IndexError(f"J={J} beyond coefficient table length {len(coeffs)}")
+        raise IndexError(f"J={J} beyond coefficient table length "
+                         f"{len(coeffs.beta)}")
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
         g = iterate_g(g0, coeffs.beta, J)
         bg = coeffs.beta[:J] * g[:J]
@@ -193,8 +178,7 @@ def solve_boundary_value(g0: float, coeffs: CoefficientSequences,
         mu[j] = (mu[j + 1] - coeffs.eta[j] * g[j] + coeffs.xi[j] * gg[j]
                  + coeffs.pi[j] * g[j] * z[j]) \
             / (L2 * (1.0 - GAMMA * coeffs.beta[j] * g[j]))
-    return FlowTrajectory(g=g, z=z, mu=mu, coeffs=coeffs, g0=g0,
-                          m2=coeffs.m2)
+    return FlowTrajectory(g=g, z=z, mu=mu, coeffs=coeffs)
 
 
 def g_infinity(g0: float, coeffs: CoefficientSequences) -> float:
@@ -243,7 +227,6 @@ def g_tilde_sequence(m2: float, g0: float,
     J = len(coeffs_massless.beta) if J is None else J
     g = iterate_g(g0, coeffs_massless.beta, J)
     j_m = _mass_scale(m2, coeffs_massless.L)
-    out = g.copy()
     if j_m < J:
-        out[j_m + 1:] = g[j_m]
-    return out
+        g[j_m + 1:] = g[j_m]
+    return g

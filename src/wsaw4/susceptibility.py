@@ -30,7 +30,6 @@ upper incomplete gamma function Gamma(1 + gamma, -log u); bisection in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -40,7 +39,6 @@ from . import cov_decomp, lattice_green, rg_flow
 
 __all__ = [
     "BUBBLE_LOG_COEFF",
-    "ParameterTuple",
     "default_flow_coefficients",
     "predict_nu_c",
     "predict_susceptibility",
@@ -53,30 +51,10 @@ __all__ = [
 
 BUBBLE_LOG_COEFF = 1.0 / (2.0 * math.pi**2)  # slope b of the d=4 bubble in log(1/m2)
 
-GAMMA = rg_flow.GAMMA
-
 
 # ---------------------------------------------------------------------------
 # Parameter bookkeeping
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ParameterTuple:
-    """Bare couplings (g, nu) together with renormalised (m2, g0, nu0, z0)."""
-
-    g: float
-    nu: float
-    m2: float
-    g0: float
-    nu0: float
-    z0: float
-
-    def residuals(self):
-        """Residuals of the two defining relations (both exactly zero when
-        the tuple is consistent)."""
-        return (self.g0 - self.g * (1.0 + self.z0) ** 2,
-                self.nu0 - ((1.0 + self.z0) * self.nu - self.m2))
-
 
 def change_variables(m2: float, g0: float, z0c: float, nu0c: float):
     """Map renormalised parameters to bare couplings (g, nu)."""
@@ -159,14 +137,14 @@ def predict_nu_c(g: float, mode: str = "leading") -> float:
 
     g0 = invert_g(0.0, g, z0c)
     traj = rg_flow.solve_boundary_value(g0, co)
-    return float(traj.mu[0] / (1.0 + traj.z[0]))
+    return change_variables(0.0, g0, float(traj.z[0]), float(traj.mu[0]))[1]
 
 
 def amplitude(g: float) -> float:
     """A_g = (b g)^{1/4}, the leading order."""
     if g < 0:
         raise ValueError("g must be >= 0")
-    return (BUBBLE_LOG_COEFF * g) ** GAMMA
+    return (BUBBLE_LOG_COEFF * g) ** rg_flow.GAMMA
 
 
 def predict_susceptibility(g: float, eps: float) -> float:
@@ -177,7 +155,7 @@ def predict_susceptibility(g: float, eps: float) -> float:
     """
     if not 0.0 < eps < math.exp(-1.0):
         raise ValueError("eps must lie in (0, 1/e): asymptotic regime only")
-    return amplitude(g) / eps * math.log(1.0 / eps) ** GAMMA
+    return amplitude(g) / eps * math.log(1.0 / eps) ** rg_flow.GAMMA
 
 
 def m2_of_eps(g: float, eps: float, *, z0c: float = 0.0) -> float:
@@ -188,7 +166,8 @@ def m2_of_eps(g: float, eps: float, *, z0c: float = 0.0) -> float:
     """
     if not 0.0 < eps < math.exp(-1.0):
         raise ValueError("eps must lie in (0, 1/e): asymptotic regime only")
-    return (1.0 + z0c) / amplitude(g) * eps * math.log(1.0 / eps) ** -GAMMA
+    return (1.0 + z0c) / amplitude(g) * eps \
+        * math.log(1.0 / eps) ** -rg_flow.GAMMA
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -107,13 +108,12 @@ class Estimate:
     mean: float
     std_error: float
     n_samples: int
-    seed: int
 
 
 @dataclass(frozen=True)
 class LaplaceEstimate(Estimate):
-    truncation_bound: float = 0.0   # bound on the neglected Laplace tail
-    quadrature_error: float = 0.0   # 0: each walk's integral is closed-form
+    truncation_bound: float         # bound on the neglected Laplace tail
+    quadrature_error: ClassVar[float] = 0.0  # each walk's integral is exact
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,6 @@ class WalkSample:
     jump_times: np.ndarray
     sites: np.ndarray           # (n_jumps + 1, d) integer positions
     gaps: np.ndarray            # (n_jumps + 1,) residence durations
-    local_times: dict
     I_T: float
 
     @property
@@ -152,16 +151,11 @@ class WalkSample:
         return float(self.gaps.sum())
 
 
-def _local_times_from_visits(sites, gaps):
-    lt = {}
-    for pos, dt in zip(map(tuple, sites.tolist()), gaps):
-        lt[pos] = lt.get(pos, 0.0) + float(dt)
-    return lt
-
-
 def intersection_local_time(sites: np.ndarray, gaps: np.ndarray) -> float:
     """I(T) = sum_x (L_T^x)^2 from per-visit positions and durations."""
-    lt = _local_times_from_visits(np.asarray(sites), np.asarray(gaps))
+    lt = {}
+    for pos, dt in zip(map(tuple, np.asarray(sites).tolist()), gaps):
+        lt[pos] = lt.get(pos, 0.0) + float(dt)
     return float(sum(v * v for v in lt.values()))
 
 
@@ -172,27 +166,21 @@ def _check_horizon(T):
 
 def simulate(spec: LatticeSpec, T: float, seed: int, sample_index: int = 0) -> WalkSample:
     """Simulate one walk, the one-walk block of ``block_rng(seed,
-    sample_index)``: drawn as :func:`_block_intersections` draws a block,
-    so its ``I_T`` is that block's value up to roundoff.
+    sample_index)``: drawn by :func:`_draw`, as every block is, so its
+    ``I_T`` is that block's value up to roundoff.
     """
     _check_horizon(T)
-    if spec.geometry == "graph":
-        raise ValueError("walks run on window or torus geometry")
-    rng = block_rng(seed, sample_index)
-    d = spec.d
-    n = int(rng.poisson(2 * d * T, size=1)[0])
-    jump_times = np.sort(rng.random(n) * T)
-    dirs = rng.integers(0, 2 * d, size=n)
+    _, times, dirs = _draw(spec, T, block_rng(seed, sample_index), 1)
+    jump_times = np.sort(times)
+    n, d = times.size, spec.d
     sites = np.zeros((n + 1, d), dtype=np.int64)   # start, then the steps
     sites[np.arange(1, n + 1), dirs >> 1] = 1 - 2 * (dirs & 1)
     sites = np.cumsum(sites, axis=0)
     if spec.geometry == "torus":
         sites = np.mod(sites, spec.period)
     gaps = np.diff(np.concatenate([[0.0], jump_times, [T]]))
-    lt = _local_times_from_visits(sites, gaps)
-    I_T = float(sum(v * v for v in lt.values()))
     return WalkSample(T=T, jump_times=jump_times, sites=sites, gaps=gaps,
-                      local_times=lt, I_T=I_T)
+                      I_T=intersection_local_time(sites, gaps))
 
 
 def fold_and_compare(sample: WalkSample, periods) -> dict:
@@ -209,8 +197,7 @@ def fold_and_compare(sample: WalkSample, periods) -> dict:
         p = int(p)
         if p < 3:
             raise ValueError("folding comparisons need period >= 3")
-        folded = np.mod(sample.sites, p)
-        out[p] = intersection_local_time(folded, sample.gaps)
+        out[p] = intersection_local_time(np.mod(sample.sites, p), sample.gaps)
     ps = sorted(int(p) for p in periods)
     tol = 1e-12 * (1.0 + sample.I_T)
     # explicit raises, not assert, so the check survives python -O
@@ -227,22 +214,29 @@ def fold_and_compare(sample: WalkSample, periods) -> dict:
 # Vectorized block sampling
 # ---------------------------------------------------------------------------
 
+def _draw(spec, T, rng, nblock, steps=True):
+    """A block of walks in stream order: ``(N, times)`` or, with ``steps``,
+    ``(N, times, dirs)``: the Poisson(2dT) jump counts, all jump times
+    uniform on [0, T], then all steps as directions in 0 .. 2d-1."""
+    if spec.geometry == "graph":
+        raise ValueError("walks run on window or torus geometry")
+    N = rng.poisson(2 * spec.d * T, size=nblock)
+    times = rng.random(int(N.sum())) * T
+    if not steps:
+        return N, times
+    return N, times, rng.integers(0, 2 * spec.d, size=times.size)
+
+
 def _block_intersections(spec, T, rng, nblock, g=0.0, nu=None):
     """I(T) for a block of walks, or with ``nu`` each walk's Laplace integral.
 
-    The block is drawn in stream order: Poisson(2dT) jump counts, uniform
-    jump times, then uniform neighbour steps (none for the ``g = 0``
-    Laplace integral, which needs no sites); its walks are valued
+    The block is drawn by :func:`_draw`, without steps for the ``g = 0``
+    Laplace integral, which needs no sites; its walks are valued
     ``_PART_WALKS`` at a time, so that a part's arrays stay in cache.
     Returns shape ``(nblock,)``: ``I(T)``, or with ``nu`` given
     ``int_0^T e^{-nu t - g I(t)} dt``.
     """
-    if spec.geometry == "graph":
-        raise ValueError("walks run on window or torus geometry")
-    N = rng.poisson(2 * spec.d * T, size=nblock)
-    draws = [rng.random(int(N.sum())) * T]
-    if nu is None or g != 0:
-        draws.append(rng.integers(0, 2 * spec.d, size=draws[0].size))
+    N, *draws = _draw(spec, T, rng, nblock, steps=nu is None or g != 0)
     edges = [*range(0, nblock, _PART_WALKS), nblock]
     cut = np.concatenate([[0], np.cumsum(N)])[edges]
     return np.concatenate([
@@ -393,16 +387,14 @@ def estimate_cT(spec: LatticeSpec, g: float, T: float, n: int, seed: int = 0) ->
         raise ValueError(f"g must be >= 0 and finite, got {g}")
     mean, se, count = _chan_stream(
         np.exp(-g * I) for I in _walk_stream(spec, T, n, seed))
-    return Estimate(mean=float(mean), std_error=float(se), n_samples=count,
-                    seed=seed)
+    return Estimate(mean=float(mean), std_error=float(se), n_samples=count)
 
 
 def estimate_mean_intersection(spec: LatticeSpec, T: float, n: int,
                                seed: int = 0) -> Estimate:
     """Monte Carlo estimate of E I(T)."""
     mean, se, count = _chan_stream(_walk_stream(spec, T, n, seed))
-    return Estimate(mean=float(mean), std_error=float(se), n_samples=count,
-                    seed=seed)
+    return Estimate(mean=float(mean), std_error=float(se), n_samples=count)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +428,7 @@ def susceptibility_mc(spec: LatticeSpec, g: float, nu: float, T_max: float,
     mean, se, count = _chan_stream(_walk_stream(spec, T_max, n, seed,
                                                  g=g, nu=nu))
     return LaplaceEstimate(mean=float(mean), std_error=float(se),
-                           n_samples=count, seed=seed, truncation_bound=tail)
+                           n_samples=count, truncation_bound=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +449,7 @@ def conditioned_intersection(T: float, n: int, n_samples: int,
     if n_samples < 2:
         raise ValueError(f"{n_samples} samples give no standard error; need >= 2")
     if n == 0:
-        return Estimate(mean=T * T, std_error=0.0, n_samples=n_samples, seed=seed)
+        return Estimate(mean=T * T, std_error=0.0, n_samples=n_samples)
     per_block = max(1, BLOCK_SIZE // n)
 
     def blocks():
@@ -469,8 +461,7 @@ def conditioned_intersection(T: float, n: int, n_samples: int,
             yield (np.diff(bounds, axis=1) ** 2).sum(axis=1)
 
     mean, se, count = _chan_stream(blocks())
-    return Estimate(mean=float(mean), std_error=float(se), n_samples=count,
-                    seed=seed)
+    return Estimate(mean=float(mean), std_error=float(se), n_samples=count)
 
 
 # ---------------------------------------------------------------------------

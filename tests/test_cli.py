@@ -389,3 +389,36 @@ class TestExitCodes:
     def test_missing_manifest(self, run_proc):
         r = run_proc(["reproduce", "/nonexistent/manifest.json"])
         assert r.returncode == 1
+
+    GREEN = {"subcommand": "green", "outputs": {},
+             "params": {"dim": 1, "mass2": 0.5, "x": None}}
+
+    @pytest.mark.parametrize("text,named", [
+        (None, "is not a manifest"),
+        ("[1, 2]", "is not a manifest"),
+        ("", "cannot read manifest"),
+        ("not json", "cannot read manifest"),
+        (json.dumps({**GREEN, "subcommand": "nope"}), "is not a manifest"),
+        (json.dumps({**GREEN, "params": [1]}), "is not a manifest"),
+        (json.dumps({**GREEN, "outputs": None}), "is not a manifest"),
+        (json.dumps(GREEN), "params lack 'grid'"),
+    ], ids=["artifact", "list", "directory", "not-json", "unknown-subcommand",
+            "params-not-object", "outputs-not-object", "missing-param"])
+    def test_reproduce_not_a_manifest(self, text, named, tmp_path,
+                                      monkeypatch, capsys):
+        # each exited 2 with "internal error" (KeyError, TypeError,
+        # IsADirectoryError); now a user error naming the file and the key
+        if text is None:  # an artifact of a run, not its manifest
+            run_cli(["bubble", "--mass2", "1"], tmp_path, "run")
+            path = tmp_path / "run" / "bubble.json"
+        elif text == "":
+            path = tmp_path
+        else:
+            path = tmp_path / "m.json"
+            path.write_text(text)
+        monkeypatch.setattr(sys, "argv", ["wsaw4", "reproduce", str(path)])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert named in err and str(path) in err

@@ -728,6 +728,18 @@ class TestSelfNormalisation:
         with pytest.raises(ValueError):
             self_normalisation_value(PATH2, [0.0, 0.0], [0.0, 0.5], [0.1, 0.1])
 
+    @pytest.mark.parametrize("pqr,named", [
+        ((0.0, 0.5, np.nan), "r"),
+        ((np.nan, 0.5, 0.1), "p"),
+        ((0.0, np.inf, 0.1), "q"),
+        ((0.0, [0.5, np.nan], 0.1), "q"),
+    ], ids=["r-nan", "p-nan", "q-inf", "q-array-nan"])
+    def test_rejects_nonfinite_weights(self, pqr, named):
+        # a NaN r returned nan+nanj
+        lap = np.zeros((1, 1)) if np.ndim(pqr[1]) == 0 else PATH2
+        with pytest.raises(ValueError, match=f"^{named} must be finite"):
+            self_normalisation_value(lap, *pqr)
+
 
 class TestTwoPoint:
     def test_one_site_matches_walk_quadrature(self):
@@ -829,6 +841,16 @@ class TestTwoPoint:
     def test_divergent_rejected(self):
         with pytest.raises(ValueError):
             two_point_integral(PATH2, 0.0, -0.1, 0, 1)
+
+    @pytest.mark.parametrize("method", ["grassmann", "determinant"])
+    @pytest.mark.parametrize("g,nu,named", [
+        (np.nan, 0.1, "g"), (np.inf, 0.1, "g"), (0.1, np.nan, "nu"),
+        (0.1, -np.inf, "nu"),
+    ], ids=["g-nan", "g-inf", "nu-nan", "nu-minus-inf"])
+    def test_nonfinite_couplings_rejected(self, g, nu, named, method):
+        # each returned NaN
+        with pytest.raises(ValueError, match=f"^{named} must be finite"):
+            two_point_integral(np.zeros((1, 1)), g, nu, 0, 0, method)
 
 
 class TestShiftedDeterminant:

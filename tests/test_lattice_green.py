@@ -275,6 +275,29 @@ class TestGreenTorusAndGraph:
         with pytest.raises(ValueError):
             LatticeSpec.graph(np.array([[1.0, -0.5], [-0.5, 1.0]]))
 
+    @pytest.mark.parametrize("make,named", [
+        (lambda: LatticeSpec.torus(1, 2.5), "period"),
+        (lambda: LatticeSpec.torus(2, 2.5), "period"),
+        (lambda: LatticeSpec.torus(2, True), "period"),
+        (lambda: LatticeSpec.torus(2, np.float64(3.0)), "period"),
+        (lambda: LatticeSpec.torus(2.0, 3), "d"),
+        (lambda: LatticeSpec.window(2.5), "d"),
+        (lambda: LatticeSpec.window(True), "d"),
+    ], ids=["torus-1-2.5", "torus-2-2.5", "torus-bool", "torus-np-float",
+            "torus-float-d", "window-2.5", "window-bool"])
+    def test_sizes_must_be_integers(self, make, named):
+        # a non-integral period gave C = 1.1097 in d = 1 and a beta entry
+        # near 123 in d = 2, True ran as period 1, and window(2.5) raised a
+        # TypeError deep inside
+        with pytest.raises(ValueError, match=f"^{named} must be an integer"):
+            make()
+
+    def test_numpy_integer_sizes_accepted(self):
+        spec = LatticeSpec.torus(np.int64(2), np.int32(5))
+        assert green_function(spec, 0.5) == \
+            green_function(LatticeSpec.torus(2, 5), 0.5)
+        assert LatticeSpec.window(np.int64(4)) == LatticeSpec.window(4)
+
 
 class TestBubble:
     def test_mass_dominated(self):
@@ -355,6 +378,12 @@ class TestHeatKernel:
         # e^{-z} I_0(z) grows without bound for z < 0
         with pytest.raises(ValueError, match="t must be"):
             heat_kernel_diagonal(4, [1.0, -0.5])
+
+    @pytest.mark.parametrize("t", [np.nan, [1.0, np.nan]])
+    def test_nan_time_rejected(self, t):
+        # a NaN t returned NaN past the t >= 0 check
+        with pytest.raises(ValueError, match="t must be"):
+            heat_kernel_diagonal(4, t)
 
 
 class TestConstantA:

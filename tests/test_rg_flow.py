@@ -13,7 +13,11 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from wsaw4.cov_decomp import CoefficientSequences, coefficient_sequences
+from wsaw4.cov_decomp import (
+    CoefficientSequences,
+    coefficient_sequences,
+    scale_indices,
+)
 from wsaw4.lattice_green import bubble_diagram, constant_a
 from wsaw4.rg_flow import (
     GAMMA,
@@ -31,11 +35,11 @@ G90_BETA_ONE = 0.009768020320518691485188908
 
 
 def synthetic_coeffs(n, *, L=2, m2=0.1, beta=0.0, theta=0.0, eta=0.0,
-                     xi=0.0, pi=0.0, Omega=2.0):
+                     xi=0.0, pi=0.0):
     ones = np.ones(n)
     return CoefficientSequences(
         L=L, m2=m2, beta=beta * ones, eta=eta * ones, theta=theta * ones,
-        xi=xi * ones, pi=pi * ones, chi=ones, j_m=0, j_Omega=0, Omega=Omega)
+        xi=xi * ones, pi=pi * ones)
 
 
 class TestStepForward:
@@ -95,8 +99,9 @@ class TestBoundaryValue:
         assert abs(mu24 - mu48) < 1e-10
 
     def test_replay_bit_exact(self, coeffs_at):
-        traj = solve_boundary_value(0.05, coeffs_at(1e-3, J=48))
-        again = traj.replay()
+        co = coeffs_at(1e-3, J=48)
+        traj = solve_boundary_value(0.05, co)
+        again = solve_boundary_value(traj.g[0], traj.coeffs, traj.J)
         assert np.array_equal(traj.g, again.g)
         assert np.array_equal(traj.z, again.z)
         assert np.array_equal(traj.mu, again.mu)
@@ -147,7 +152,7 @@ class TestBoundaryValue:
     def test_critical_trajectory_envelope_and_instability(self, coeffs_at):
         co = coeffs_at(1e-3, J=48)
         traj = solve_boundary_value(0.05, co, 48)
-        chi = co.chi
+        chi = scale_indices(co.m2, co.L, 2.0, co.beta).chi
         envelope = 10.0 * chi * traj.g[:-1]
         assert np.all(np.abs(traj.mu[:-1]) <= envelope)
         # perturbing mu_0 exposes the expanding direction

@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from wsaw4.lattice_green import constant_a
+from wsaw4.rg_flow import GAMMA
 from wsaw4.susceptibility import (
     BUBBLE_LOG_COEFF,
-    GAMMA,
-    ParameterTuple,
     amplitude,
     change_variables,
     invert_g,
@@ -134,9 +133,9 @@ class TestChangeVariables:
         g, nu = change_variables(m2, g0, z0, nu0)
         recovered = invert_g(m2, g, lambda m, u: z0)
         assert abs(recovered - g0) < 1e-11
-        tup = ParameterTuple(g=g, nu=nu, m2=m2, g0=g0, nu0=nu0, z0=z0)
-        r1, r2 = tup.residuals()
-        assert abs(r1) < 1e-12 and abs(r2) < 1e-12
+        # the defining relations g0 = g (1+z0)^2, nu0 = (1+z0) nu - m2
+        assert abs(g0 - g * (1.0 + z0) ** 2) < 1e-12
+        assert abs(nu0 - ((1.0 + z0) * nu - m2)) < 1e-12
 
     def test_image_guard(self):
         with pytest.raises(ValueError):
