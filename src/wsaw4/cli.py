@@ -304,14 +304,32 @@ def _write_run(outdir, subcommand, params, files):
         raise
 
 
-class _ManifestParams(dict):
-    """Replayed params: a key they lack is a user error naming the file."""
-
-    def __missing__(self, key):
-        raise _UserError(f"manifest {self.path}: params lack {key!r}")
+def _int_list(text):
+    """``--x``: comma-separated integers, or None for an empty text."""
+    return [_int(c, "--x") for c in text.split(",")] if text else None
 
 
-def _run_reproduce(path):
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+               bool: "true or false", _int_list: "a list of integers"}
+
+
+def _check_params(path, parser, params):
+    """A user error naming the file and key unless each replayed param has
+    its parser action's type; an int may stand for a float, and None only
+    for an optional flag's None default."""
+    for act in parser._actions[2:]:  # past --help and --out
+        if act.dest not in params:
+            raise _UserError(f"manifest {path}: params lack {act.dest!r}")
+        v, typ = params[act.dest], act.type or bool  # bool: a store_true flag
+        if not (v is None and act.default is None and not act.required
+                or type(v) is typ or typ is float and type(v) is int
+                or typ is _int_list and isinstance(v, list)
+                and all(type(c) is int for c in v)):
+            raise _UserError(f"manifest {path}: param {act.dest!r} must be "
+                             f"{_TYPE_NAMES[typ]}, got {v!r}")
+
+
+def _run_reproduce(path, parsers):
     try:
         with open(path) as fh:
             manifest = json.load(fh)
@@ -324,8 +342,8 @@ def _run_reproduce(path):
                     for k in ("params", "outputs"))):
         raise _UserError(f"{path} is not a manifest: a JSON object with a "
                          "known 'subcommand' and 'params' and 'outputs' objects")
-    sub, params = manifest["subcommand"], _ManifestParams(manifest["params"])
-    params.path = path
+    sub, params = manifest["subcommand"], manifest["params"]
+    _check_params(path, parsers[sub], params)
     files = _stamp(_RUNNERS[sub](params), _run_id(sub, params))
     return [name for name, digest in manifest["outputs"].items()
             if _digest(files.get(name, "")) != digest]
@@ -350,7 +368,7 @@ def _build_parser():
         return sp
 
     add("green", dim=(int, 4, False), mass2=(float, None, True),
-        grid=(int, 32, False), x=(str, "", False))
+        grid=(int, 32, False), x=(_int_list, None, False))
     add("bubble", dim=(int, 4, False), mass2=(float, None, True))
     dp = add("decompose", dim=(int, 4, False), L=(int, 2, False),
              mass2=(float, None, True), scales=(int, 16, False),
@@ -375,6 +393,7 @@ def _build_parser():
         seed=(int, 0, False), detail_samples=(int, 16, False))
     rp = sub.add_parser("reproduce")
     rp.add_argument("manifest")
+    rp.set_defaults(parsers=sub.choices)  # reproduce checks params by them
     return ap
 
 
@@ -382,7 +401,7 @@ def dispatch(argv) -> int:
     ap = _build_parser()
     ns = ap.parse_args(argv)
     if ns.subcommand == "reproduce":
-        diffs = _run_reproduce(ns.manifest)
+        diffs = _run_reproduce(ns.manifest, ns.parsers)
         if diffs:
             print(f"DIFFERS: {', '.join(diffs)}")
             return 1
@@ -390,9 +409,6 @@ def dispatch(argv) -> int:
         return 0
     params = {k: v for k, v in vars(ns).items()
               if k not in ("subcommand", "out")}
-    if ns.subcommand == "green":
-        params["x"] = [_int(c, "--x") for c in params["x"].split(",")] \
-            if params["x"] else None
     files = _stamp(_RUNNERS[ns.subcommand](params),
                    _run_id(ns.subcommand, params))
     mpath = _write_run(ns.out, ns.subcommand, params, files)

@@ -18,8 +18,8 @@ core at once on threads), and independent samples never
 share a stream.  A block draws all jump counts ~ Poisson(2dT), then all
 jump times, i.i.d. uniform on [0, T], then all steps; :func:`simulate`
 draws the one-walk block of its stream.  A block values its walks in
-sub-batches, and as a walk's value depends on its own
-draws only, no value depends on the sub-batch size.
+parts of ``_PART_VISITS`` visits; a walk's value depends on its own
+draws only, so no value depends on where the parts are cut.
 ``I(t)`` is piecewise quadratic along a walk, so :func:`susceptibility_mc`
 integrates each walk's ``e^{-nu t - g I(t)}`` over ``[0, T_max]`` exactly
 and takes its standard error across one stream of ``n`` walks;
@@ -60,7 +60,7 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 4096
-_PART_WALKS = 512   # walks valued per kernel call, so that a part stays in L2
+_PART_VISITS = 12288  # visits valued per kernel call, so that no part pages
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +231,15 @@ def _block_intersections(spec, T, rng, nblock, g=0.0, nu=None):
     """I(T) for a block of walks, or with ``nu`` each walk's Laplace integral.
 
     The block is drawn by :func:`_draw`, without steps for the ``g = 0``
-    Laplace integral, which needs no sites; its walks are valued
-    ``_PART_WALKS`` at a time, so that a part's arrays stay in cache.
+    Laplace integral, which needs no sites.  A walk is valued in the part
+    where its last visit falls, so a part holds at most ``_PART_VISITS``
+    visits plus one walk and its arrays do not page at any horizon.
     Returns shape ``(nblock,)``: ``I(T)``, or with ``nu`` given
     ``int_0^T e^{-nu t - g I(t)} dt``.
     """
     N, *draws = _draw(spec, T, rng, nblock, steps=nu is None or g != 0)
-    edges = [*range(0, nblock, _PART_WALKS), nblock]
+    part = (np.cumsum(N + 1) - 1) // _PART_VISITS
+    edges = [0, *(np.flatnonzero(np.diff(part)) + 1), nblock]
     cut = np.concatenate([[0], np.cumsum(N)])[edges]
     return np.concatenate([
         _walk_values(spec, T, g, nu, N[a:b], *(x[i:j] for x in draws))
@@ -259,14 +261,14 @@ def _walk_values(spec, T, g, nu, N, times, dirs=None):
     jumps = np.flatnonzero(cols)   # all but starts
     width = int(N.max()) + 2
     slot = vowner * width + cols   # a visit's cell in the flat (walk, col) table
-    # each walk's visit start times sorted along one inf-padded row; an
+    # each walk's visit start times sorted along one T-padded row; an
     # interval ends at the next visit's start, or T
-    table = np.full(nb * width, np.inf)
+    table = np.full(nb * width, T)
     table[slot[jumps]] = times
     table[::width] = 0.0
     table.reshape(nb, width).sort(axis=1)
-    vtimes = table[slot]
-    gaps = np.minimum(table[slot + 1], T) - vtimes
+    gaps = np.diff(table)[slot]
+    vtimes = None if nu is None else table[slot]   # read by Laplace only
     if dirs is None:
         return np.bincount(vowner, np.exp(-nu * vtimes)
                            * -np.expm1(-nu * gaps) / nu, nb)
@@ -274,9 +276,8 @@ def _walk_values(spec, T, g, nu, N, times, dirs=None):
     torus = spec.geometry == "torus"
     cbits = int(N.max()).bit_length()
     # a site is one int64 of digits, axis 0 the most significant; on a window
-    # a coordinate is a balanced digit, bounded by its axis' step count
-    base = spec.period if torus else 2 * int(np.bincount(
-        vowner[jumps] * d + (dirs >> 1)).max(initial=0)) + 1
+    # a coordinate is a balanced digit, bounded by the part's longest walk
+    base = spec.period if torus else 2 * int(N.max()) + 1
     if torus or (nb * base**d) << cbits > 2**63:
         pos = np.zeros((nv, d), dtype=np.int64)
         pos[jumps, dirs >> 1] = 1 - 2 * (dirs & 1)
@@ -413,6 +414,10 @@ def susceptibility_mc(spec: LatticeSpec, g: float, nu: float, T_max: float,
     sites, by ``int_T_max^inf e^{-nu T - g T^2/|V|} dT`` for every nu.
     Otherwise nu <= 0 (near-critical, out of Monte Carlo reach) is rejected.
     """
+    if not math.isfinite(g):
+        raise ValueError(f"g must be >= 0 and finite, got {g}")
+    if not math.isfinite(nu):
+        raise ValueError(f"nu must be finite, got {nu}")
     if spec.geometry == "torus" and g > 0:
         from scipy.special import erfcx  # only the torus tail loads it here
         ra = math.sqrt(g / spec.period**spec.d)

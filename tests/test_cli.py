@@ -335,13 +335,15 @@ class TestExitCodes:
         (["walk-mc", "--T", "inf"], "T must be > 0 and finite, got inf"),
         (["walk-mc", "--samples", "100", "--nu", "0.5", "--T-max", "inf"],
          "T must be > 0 and finite, got inf"),
+        (["walk-mc", "--g", "0.1", "--nu", "inf", "--samples", "10",
+          "--samples-chi", "10"], "nu must be finite, got inf"),
     ], ids=["bubble-nan", "green-nan", "decompose-inf", "flow-short-table",
             "susy-angle-nodes-0", "susy-angle-nodes-negative",
             "susy-radial-nodes-0", "bubble-overflow", "walk-mc-g-nan",
             "susy-g-nan", "susy-nu-nan", "flow-g0-nan", "flow-g0-too-large",
             "decompose-omega-nan", "green-x-not-int",
             "walk-mc-geometry-not-int", "susy-graph-not-int", "walk-mc-T-inf",
-            "walk-mc-T-max-inf"])
+            "walk-mc-T-max-inf", "walk-mc-nu-inf"])
     def test_user_error_names_parameter(self, args, named, tmp_path,
                                         monkeypatch, capsys):
         # a non-finite m2, g, nu, g0, Omega or horizon, a g0 whose coupling
@@ -422,3 +424,56 @@ class TestExitCodes:
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert named in err and str(path) in err
+
+    @pytest.mark.parametrize("args,key,value,named", [
+        (["bubble", "--mass2", "1"], "dim", "4", "'dim' must be an integer"),
+        (["bubble", "--mass2", "1"], "mass2", "1", "'mass2' must be a number"),
+        (["bubble", "--mass2", "1"], "dim", 4.0, "'dim' must be an integer"),
+        (["bubble", "--mass2", "1"], "dim", True, "'dim' must be an integer"),
+        (["bubble", "--mass2", "1"], "mass2", False,
+         "'mass2' must be a number"),
+        (["bubble", "--mass2", "1"], "mass2", None, "'mass2' must be a number"),
+        (["green", "--mass2", "0.5", "--grid", "8"], "x", [1, "0", 0, 0],
+         "'x' must be a list of integers"),
+        (["green", "--mass2", "0.5", "--grid", "8"], "x", "1,0,0,0",
+         "'x' must be a list of integers"),
+        (["decompose", "--mass2", "0.1", "--scales", "4"], "measure_tails", 0,
+         "'measure_tails' must be true or false"),
+        (["walk-mc", "--samples", "100"], "nu", "0.5", "'nu' must be a number"),
+    ], ids=["bubble-dim-str", "bubble-mass2-str", "bubble-dim-float",
+            "bubble-dim-bool", "bubble-mass2-bool", "bubble-mass2-null",
+            "green-x-str-item", "green-x-str", "decompose-tails-int",
+            "walk-mc-nu-str"])
+    def test_reproduce_param_types(self, args, key, value, named, tmp_path,
+                                   monkeypatch, capsys):
+        # "dim": "4" or "mass2": "1" exited 2 with "internal error:
+        # TypeError"; each param is now checked against its parser type
+        _, manifest = run_cli(args, tmp_path, "run")
+        manifest["params"][key] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        monkeypatch.setattr(sys, "argv", ["wsaw4", "reproduce", str(path)])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert named in err and str(path) in err
+
+    @pytest.mark.parametrize("args,key,value,printed", [
+        (["bubble", "--mass2", "1"], "mass2", 1, "DIFFERS: bubble.json\n"),
+        (["walk-mc", "--samples", "100"], "nu", None, "zero diff\n"),
+        (["green", "--mass2", "0.5", "--grid", "8", "--x", "1,0,0,0"], "x",
+         [1, 0, 0, 0], "zero diff\n"),
+    ], ids=["int-for-float", "null-default", "int-list"])
+    def test_reproduce_param_types_accepted(self, args, key, value, printed,
+                                            tmp_path, capsys):
+        # an int replays a float, and null an option whose default it is;
+        # the int's run differs only in its run_id, a digest of the params
+        _, manifest = run_cli(args, tmp_path, "run")
+        assert manifest["params"][key] == value
+        manifest["params"][key] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert dispatch(["reproduce", str(path)]) == (printed != "zero diff\n")
+        assert capsys.readouterr().out == printed

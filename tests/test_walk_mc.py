@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,7 +323,8 @@ class TestInvalidInputs:
     # in conditioned_intersection, to return a number (1.449 where |T| = 1
     # gives 0.4); an infinite or NaN one reached the draw too, or gave
     # conditioned_intersection a NaN mean; a negative g gave
-    # jensen_bound_check a c_T_hat above 1, and a NaN g a NaN c_T_hat
+    # jensen_bound_check a c_T_hat above 1, and a NaN g a NaN c_T_hat; a
+    # non-finite g or nu gave susceptibility_mc a NaN mean
     @pytest.mark.parametrize("call,match", [
         (lambda: estimate_cT(SPEC4, 0.1, -1.0, 100), "T must be > 0"),
         (lambda: estimate_mean_intersection(SPEC4, -1.0, 100), "T must be > 0"),
@@ -349,13 +351,28 @@ class TestInvalidInputs:
          "T must be > 0 and finite, got nan"),
         (lambda: simulate(SPEC4, math.inf, 1),
          "T must be > 0 and finite, got inf"),
+        (lambda: susceptibility_mc(SPEC4, 0.1, math.inf, T_max=4.0, n=100),
+         "nu must be finite, got inf"),
+        (lambda: susceptibility_mc(SPEC4, math.inf, 0.5, T_max=4.0, n=100),
+         "g must be >= 0 and finite, got inf"),
+        (lambda: susceptibility_mc(LatticeSpec.torus(2, 5), 0.1, math.nan,
+                                   T_max=4.0, n=100),
+         "nu must be finite, got nan"),
+        (lambda: susceptibility_mc(LatticeSpec.torus(2, 5), 0.1, -math.inf,
+                                   T_max=4.0, n=100),
+         "nu must be finite, got -inf"),
+        (lambda: susceptibility_mc(SPEC4, 0.0, math.inf, T_max=4.0, n=100),
+         "nu must be finite, got inf"),
     ], ids=["estimate_cT", "estimate_mean_intersection", "susceptibility_mc",
             "jensen_bound_check", "jensen_bound_check_negative_g",
             "conditioned_intersection", "estimate_cT_nan_g",
             "jensen_bound_check_nan_g", "estimate_cT_inf_T",
             "estimate_mean_intersection_nan_T", "susceptibility_mc_inf_T_max",
             "conditioned_intersection_inf_T", "conditioned_intersection_nan_T",
-            "simulate_nan_T", "simulate_inf_T"])
+            "simulate_nan_T", "simulate_inf_T", "susceptibility_mc_inf_nu",
+            "susceptibility_mc_inf_g", "susceptibility_mc_torus_nan_nu",
+            "susceptibility_mc_torus_minus_inf_nu",
+            "susceptibility_mc_free_inf_nu"])
     def test_rejected(self, call, match):
         with pytest.raises(ValueError, match=match):
             call()
@@ -566,7 +583,7 @@ class TestBlockDrawOrder:
 
 
 class TestPartSize:
-    """A walk's value depends on its own draws only, so the number of walks
+    """A walk's value depends on its own draws only, so the number of visits
     valued per kernel call changes no bit."""
 
     @pytest.mark.parametrize("spec,T,kw", [
@@ -578,8 +595,8 @@ class TestPartSize:
     ], ids=["window-I", "laplace", "laplace-g0", "torus(4,6)", "torus(1,3)"])
     def test_bits_independent_of_part_size(self, monkeypatch, spec, T, kw):
         ref = _block_intersections(spec, T, block_rng(5, 1), 600, **kw)
-        for part in (1, 7, BLOCK_SIZE):
-            monkeypatch.setattr(walk_mc, "_PART_WALKS", part)
+        for part in (1, 7, 100, 10**9):   # 1: one walk a part; 10**9: one part
+            monkeypatch.setattr(walk_mc, "_PART_VISITS", part)
             vals = _block_intersections(spec, T, block_rng(5, 1), 600, **kw)
             assert vals.tobytes() == ref.tobytes(), part
 
@@ -588,9 +605,53 @@ class TestPartSize:
         # part takes its base from its coordinate range
         ref = _block_intersections(SPEC4, 1500.0, block_rng(2, 0), 10)
         for part in (1, 3):
-            monkeypatch.setattr(walk_mc, "_PART_WALKS", part)
+            monkeypatch.setattr(walk_mc, "_PART_VISITS", part)
             vals = _block_intersections(SPEC4, 1500.0, block_rng(2, 0), 10)
             assert vals.tobytes() == ref.tobytes(), part
+
+    @pytest.mark.parametrize("T,kw", [
+        (1.0, {}), (16.0, dict(g=0.1, nu=0.5)), (16.0, dict(g=0.0, nu=0.5)),
+    ], ids=["T1", "laplace-T16", "laplace-g0-T16"])
+    @pytest.mark.parametrize("part", [1, 100, walk_mc._PART_VISITS])
+    def test_parts_bounded_by_visits(self, monkeypatch, part, T, kw):
+        # every walk of a part but its first ends inside one window of
+        # _PART_VISITS visits: a part holds at most that many visits plus
+        # one walk, and no more parts are cut than the windows there are
+        calls, kernel = [], walk_mc._walk_values
+
+        def recording(spec, T, g, nu, N, *draws):
+            calls.append(N.copy())
+            return kernel(spec, T, g, nu, N, *draws)
+
+        monkeypatch.setattr(walk_mc, "_PART_VISITS", part)
+        monkeypatch.setattr(walk_mc, "_walk_values", recording)
+        vals = _block_intersections(SPEC4, T, block_rng(5, 1), 2000, **kw)
+        N = np.concatenate(calls)
+        assert vals.size == N.size == 2000
+        assert all((Np[1:] + 1).sum() < part for Np in calls)
+        assert len(calls) <= (N + 1).sum() // part + 1
+
+    def test_peak_memory_bounded(self):
+        # 16.7 MiB with 512 walks a part at T_max = 16; 6.4 MiB by visits.
+        # The first call imports scipy.special, which is not the kernel's
+        susceptibility_mc(SPEC4, 0.1, 0.5, T_max=16.0, n=2, seed=1)
+        tracemalloc.start()
+        try:
+            susceptibility_mc(SPEC4, 0.1, 0.5, T_max=16.0, n=2000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_straight_walks_keep_their_sites(self):
+        # a window coordinate can reach the longest walk's step count, which
+        # the digit base must bound: +e_1 twice, then -e_1 twice, each walk
+        # on three sites of its own
+        vals = walk_mc._walk_values(LatticeSpec.window(1), 1.0, 0.0, None,
+                                    np.array([2, 2]),
+                                    np.array([0.25, 0.5, 0.25, 0.5]),
+                                    np.array([0, 0, 1, 1]))
+        assert vals.tolist() == [0.375, 0.375]
 
     def test_key_overflow_raises(self):
         # even one walk's sites on a torus of period 2**40 do not fit
