@@ -219,6 +219,8 @@ def _run_walk_mc(p):
         spec = lattice_green.LatticeSpec.torus(p["dim"], n)
     else:
         raise _UserError(f"unknown geometry {p['geometry']!r}")
+    if p["nu"] is not None:  # rejects chi's inputs before c_T draws a walk
+        walk_mc._laplace_tail(spec, p["g"], p["nu"], p["T_max"])
     est = walk_mc.estimate_cT(spec, p["g"], p["T"], p["samples"], seed=p["seed"])
     out = {"c_T": {"mean": est.mean, "std_error": est.std_error,
                    "n_samples": est.n_samples},
@@ -315,14 +317,17 @@ _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
 
 def _check_params(path, parser, params):
     """A user error naming the file and key unless each replayed param has
-    its parser action's type; an int may stand for a float, and None only
-    for an optional flag's None default."""
+    its parser action's type, or None for an optional flag's None default.
+    An int may stand for a float: it is replaced by that float, so the run
+    and the digest of its params see the float."""
     for act in parser._actions[2:]:  # past --help and --out
         if act.dest not in params:
             raise _UserError(f"manifest {path}: params lack {act.dest!r}")
         v, typ = params[act.dest], act.type or bool  # bool: a store_true flag
+        if typ is float and type(v) is int:
+            v = params[act.dest] = float(v)
         if not (v is None and act.default is None and not act.required
-                or type(v) is typ or typ is float and type(v) is int
+                or type(v) is typ
                 or typ is _int_list and isinstance(v, list)
                 and all(type(c) is int for c in v)):
             raise _UserError(f"manifest {path}: param {act.dest!r} must be "

@@ -9,10 +9,14 @@ fermion monomials to coefficients,
 where ``a`` and ``b`` are bitmasks, and the canonical monomial order is all
 psi factors by ascending site followed by all psibar factors by ascending
 site.  Coefficients are exact multivariate polynomials in
-``(phi_x, phibar_x)`` (:class:`FieldPolynomial`); the wedge product
-computes every reordering sign by inversion counting, so no sign is ever
-entered by hand.  A boson weight ``exp(-W)`` is never a coefficient: it is
-passed to the integrator as its polynomial exponent ``W``.
+``(phi_x, phibar_x)`` (:class:`FieldPolynomial`).  No sign is entered by
+hand: every reordering sign comes from one of two rules.  Inversion
+counting merges ascending generator lists (the wedge, the fermion
+derivative, the Berezin volume order); the block swap moves a block of p
+generators past one of q for ``(-1)^{pq}`` (the wedge's psibar block past
+psi, the fluctuation integral's fluctuation psi past external psibar).  A
+boson weight ``exp(-W)`` is never a coefficient: it is passed to the
+integrator as its polynomial exponent ``W``.
 
 Berezin integration uses the normalisation ``psibar_x psi_x = du_x dv_x / pi``
 (the fermions are the scaled differentials of the boson field; the square
@@ -45,9 +49,10 @@ The Gaussian super-expectation ``E_C F = int exp(-S_A) F`` (``A = C^{-1}``,
 supersymmetry makes ``E_C 1 = 1`` automatic.  For the polynomial forms held
 here ``E_C`` is the exact Wick operator: ``E_C F`` is ``exp(Delta_C) F``, a
 terminating heat-kernel series, at zero fields.  ``theta`` doubles the field
-(``phi -> phi + xi``, ``psi -> psi + eta``) and integrating out the
-fluctuation realises progressive integration, by quadrature or exactly by
-the same operator ``exp(Delta_C)``.
+by one shift, the same for every generator: boson or fermion, site x's
+becomes itself plus site M + x's (``phi -> phi + xi``, ``psi -> psi +
+eta``).  Integrating out the fluctuation realises progressive integration,
+by quadrature or exactly by the same operator ``exp(Delta_C)``.
 
 The two-point function of the weakly self-avoiding walk on a finite graph
 is the superintegral of ``exp(-sum_x (tau_Delta_x + g tau_x^2 + nu tau_x))
@@ -82,7 +87,6 @@ __all__ = [
     "exp_even_form",
     "boson_grid",
     "berezin_integral",
-    "SuperCovariance",
     "super_expectation",
     "theta_map",
     "integrate_fluctuation",
@@ -192,25 +196,6 @@ class FieldPolynomial:
             key = (a, new) if bar else (new, b)
             out[key] = out.get(key, 0) + c * e[x]
         return FieldPolynomial(self.M, out)
-
-    def shift_by_shadow(self):
-        """Substitute phi_x -> phi_x + phi_{M+x} on a doubled site set."""
-        M2 = 2 * self.M
-        out = FieldPolynomial.constant(M2, 0.0)
-        for (a, b), c in self.terms.items():
-            term = FieldPolynomial.constant(M2, c)
-            for x, e in enumerate(a):
-                base = FieldPolynomial.variable(M2, x) \
-                    + FieldPolynomial.variable(M2, self.M + x)
-                for _ in range(e):
-                    term = term * base
-            for x, e in enumerate(b):
-                base = FieldPolynomial.variable(M2, x, bar=True) \
-                    + FieldPolynomial.variable(M2, self.M + x, bar=True)
-                for _ in range(e):
-                    term = term * base
-            out = out + term
-        return out
 
 
 def _quadratic_form(A):
@@ -405,13 +390,30 @@ def phibar_poly(basis, x):
                                  FieldPolynomial.variable(basis.M, x, bar=True)})
 
 
+def _fermi_action(basis, A) -> GrassmannForm:
+    """sum_{xy} A_{xy} psi_x psibar_y as a form with constant coefficients."""
+    M = basis.M
+    coeffs = {}
+    for x in range(M):
+        for y in range(M):
+            if A[x, y] != 0:
+                coeffs[(1 << x, 1 << y)] = FieldPolynomial.constant(M, A[x, y])
+    return GrassmannForm(basis, coeffs)
+
+
+def _super_quadratic(basis, S) -> GrassmannForm:
+    """(phi, S phibar) + (psi, S psibar): sum_{xy} S_xy (phi_x phibar_y
+    + psi_x psibar_y)."""
+    coeffs = _fermi_action(basis, S).coeffs
+    coeffs[(0, 0)] = _quadratic_form(S)
+    return GrassmannForm(basis, coeffs)
+
+
 def tau_form(basis, x) -> GrassmannForm:
     """tau_x = phi_x phibar_x + psi_x psibar_x."""
-    M = basis.M
-    pp = FieldPolynomial.variable(M, x) * FieldPolynomial.variable(M, x, bar=True)
-    return GrassmannForm(basis, {(0, 0): pp,
-                                 (1 << x, 1 << x):
-                                 FieldPolynomial.constant(M, 1.0)})
+    S = np.zeros((basis.M, basis.M))
+    S[x, x] = 1.0
+    return _super_quadratic(basis, S)
 
 
 def tau_squared_form(basis, x) -> GrassmannForm:
@@ -431,10 +433,7 @@ def tau_delta_form(basis, laplacian, weights=None) -> GrassmannForm:
     M = basis.M
     p = np.broadcast_to(np.asarray(1.0 if weights is None else weights,
                                    dtype=float), (M,))
-    S = 0.5 * (p[:, None] * L + L * p[None, :])
-    coeffs = _fermi_action(basis, S).coeffs
-    coeffs[(0, 0)] = _quadratic_form(S)
-    return GrassmannForm(basis, coeffs)
+    return _super_quadratic(basis, 0.5 * (p[:, None] * L + L * p[None, :]))
 
 
 def exp_even_form(F: GrassmannForm) -> GrassmannForm:
@@ -446,15 +445,20 @@ def exp_even_form(F: GrassmannForm) -> GrassmannForm:
     """
     if F.parity() not in ("even",):
         raise ValueError("exp_even_form needs an even form")
-    basis = F.basis
-    N = GrassmannForm(basis, {k: c for k, c in F.coeffs.items() if k != (0, 0)})
-    result = GrassmannForm.from_scalar(basis, 1.0)
-    power = GrassmannForm.from_scalar(basis, 1.0)
-    for k in range(1, basis.M + 1):
-        power = wedge_product(power, N) * (1.0 / k)
-        if not power.coeffs:
+    N = GrassmannForm(F.basis, {k: c for k, c in F.coeffs.items() if k != (0, 0)})
+    return _exp_series(GrassmannForm.from_scalar(F.basis, 1.0),
+                       lambda P: wedge_product(P, N), F.basis.M)
+
+
+def _exp_series(F, step, n) -> GrassmannForm:
+    """exp(step) F = sum_{k <= n} step^k F / k! for a linear ``step`` that
+    is nilpotent past n powers; stops at the first vanishing term."""
+    result = term = F
+    for k in range(1, n + 1):
+        term = step(term) * (1.0 / k)
+        if not term.coeffs:
             break
-        result = result + power
+        result = result + term
     return result
 
 
@@ -475,13 +479,13 @@ def _auto_rmax(g, nu):
     raise ValueError("need g > 0, or g = 0 with nu > 0 (divergent integral)")
 
 
-def _gaussian_rmax(sc, degree=0):
+def _gaussian_rmax(A, degree=0):
     """Radius past which ``r^(degree+1) exp(-lambda_min r^2)`` is e^{-42}
     below its peak: the polar weight of a degree-``degree`` integrand
     against exp(-(phi, A phibar)), lambda_min the least eigenvalue of Re A.
     """
     from scipy.special import lambertw  # only fluctuation integrals load it
-    lam = np.linalg.eigvalsh(0.5 * (sc.A + sc.A.conj().T)).min()
+    lam = np.linalg.eigvalsh(0.5 * (A + A.conj().T)).min()
     if lam <= 0:
         raise ValueError("Gaussian weight needs a positive-definite Re A")
     # x = lam r^2 solves x - a log x = a - a log a + 42 past the peak x = a
@@ -618,37 +622,20 @@ def _grid_integral(f, exponent, radial_nodes, angle_nodes, r_max):
 # Gaussian super-expectation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SuperCovariance:
-    """Positive-definite Hermitian covariance C and its inverse A."""
-
-    C: np.ndarray
-    A: np.ndarray
-
-    @staticmethod
-    def from_matrix(C) -> "SuperCovariance":
-        C = np.asarray(C, dtype=complex)
-        if np.abs(C - C.conj().T).max() > 1e-12 * np.abs(C).max():
-            raise ValueError("covariance must be Hermitian to 1e-12 relative")
-        herm = 0.5 * (C + C.conj().T)
-        if np.linalg.eigvalsh(herm).min() <= 0:
-            raise ValueError("covariance must have positive-definite "
-                             "Hermitian part")
-        A = np.linalg.inv(C)
-        if np.abs(A @ C - np.eye(C.shape[0])).max() > 1e-12:
-            raise ValueError("inverse not accurate to 1e-12")
-        return SuperCovariance(C=C, A=A)
-
-
-def _fermi_action(basis, A) -> GrassmannForm:
-    """sum_{xy} A_{xy} psi_x psibar_y as a form with constant coefficients."""
-    M = basis.M
-    coeffs = {}
-    for x in range(M):
-        for y in range(M):
-            if A[x, y] != 0:
-                coeffs[(1 << x, 1 << y)] = FieldPolynomial.constant(M, A[x, y])
-    return GrassmannForm(basis, coeffs)
+def _covariance(C):
+    """``(C, A = C^{-1})``, complex, for a covariance that is Hermitian to
+    1e-12 relative with a positive-definite Hermitian part and an inverse
+    accurate to 1e-12; else ``ValueError``."""
+    C = np.asarray(C, dtype=complex)
+    if np.abs(C - C.conj().T).max() > 1e-12 * np.abs(C).max():
+        raise ValueError("covariance must be Hermitian to 1e-12 relative")
+    if np.linalg.eigvalsh(0.5 * (C + C.conj().T)).min() <= 0:
+        raise ValueError("covariance must have positive-definite "
+                         "Hermitian part")
+    A = np.linalg.inv(C)
+    if np.abs(A @ C - np.eye(C.shape[0])).max() > 1e-12:
+        raise ValueError("inverse not accurate to 1e-12")
+    return C, A
 
 
 def super_expectation(C, F: GrassmannForm) -> complex:
@@ -657,9 +644,9 @@ def super_expectation(C, F: GrassmannForm) -> complex:
     Exact by Wick's rule: the value of ``exp(Delta_C) F``
     (:func:`gaussian_convolve_poly`) at zero fields.
     """
-    sc = C if isinstance(C, SuperCovariance) else SuperCovariance.from_matrix(C)
+    C, _ = _covariance(C)
     zero = ((0,) * F.basis.M,) * 2
-    return complex(gaussian_convolve_poly(F, sc.C).degree0().terms.get(zero, 0))
+    return complex(gaussian_convolve_poly(F, C).degree0().terms.get(zero, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -672,38 +659,25 @@ def theta_map(F: GrassmannForm) -> GrassmannForm:
     Site x's fluctuation partner is site M + x; coefficients become
     polynomials in phi + xi (exact substitution).
     """
-    basis = F.basis
-    M = basis.M
-    dbasis = basis.doubled()
+    M = F.basis.M
+    dbasis = F.basis.doubled()
     out = GrassmannForm(dbasis, {})
     for (a, b), c in F.coeffs.items():
-        term = GrassmannForm(dbasis, {(0, 0): c.shift_by_shadow()})
-        for x in _bits(a):
-            term = wedge_product(term, psi(dbasis, x) + psi(dbasis, M + x))
-        for y in _bits(b):
-            term = wedge_product(term, psibar(dbasis, y) + psibar(dbasis, M + y))
-        out = out + term
+        for (alpha, beta), k in c.terms.items():
+            gens = [(gen, x) for gen, powers in ((phi_poly, alpha),
+                                                 (phibar_poly, beta))
+                    for x, e in enumerate(powers) for _ in range(e)]
+            gens += [(psi, x) for x in _bits(a)] + [(psibar, y) for y in _bits(b)]
+            term = GrassmannForm.from_scalar(dbasis, k)
+            for gen, x in gens:  # the canonical order
+                term = wedge_product(term, gen(dbasis, x) + gen(dbasis, M + x))
+            out = out + term
     return out
 
 
 def _bits(mask):
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
-
-
-def _split_sign(A, B, M):
-    """Sign factoring psi^A psibar^B into (external)(fluctuation) blocks.
-
-    External generators are sites < M.  Returns the parity of reordering
-    the canonical sequence into ext-psi, ext-psibar, fl-psi, fl-psibar.
-    """
-    seq = [(0 if x < M else 2, 0, x) for x in _bits(A)]
-    seq += [(0 if y < M else 2, 1, y) for y in _bits(B)]
-    keyed = sorted(range(len(seq)), key=lambda i: seq[i])
-    return _perm_parity(keyed)
+    """The set bits of ``mask``, ascending."""
+    return [x for x in range(mask.bit_length()) if mask >> x & 1]
 
 
 def integrate_fluctuation(F2: GrassmannForm, C, phi_ext, *, radial_nodes=32,
@@ -717,15 +691,15 @@ def integrate_fluctuation(F2: GrassmannForm, C, phi_ext, *, radial_nodes=32,
     monomials: a form on the external basis with numerically evaluated
     coefficients.
     """
-    sc = C if isinstance(C, SuperCovariance) else SuperCovariance.from_matrix(C)
-    M = sc.C.shape[0]
+    C, A = _covariance(C)
+    M = C.shape[0]
     if F2.basis.M != 2 * M:
         raise ValueError("form does not live on the doubled basis")
     phi_ext = np.asarray(phi_ext, dtype=complex)
 
     # fermionic weight on the fluctuation block
     A_fl = np.zeros((2 * M, 2 * M), dtype=complex)
-    A_fl[M:, M:] = -sc.A
+    A_fl[M:, M:] = -A
     G = wedge_product(exp_even_form(_fermi_action(F2.basis, A_fl)), F2)
 
     full_fl = ((1 << M) - 1) << M
@@ -736,10 +710,10 @@ def integrate_fluctuation(F2: GrassmannForm, C, phi_ext, *, radial_nodes=32,
         return {}
     degree = max((sum(p[M:]) + sum(q[M:])
                   for c in full.values() for p, q in c.terms), default=0)
-    W = _quadratic_form(sc.A)  # the fluctuation weight exp(-(xi, A xibar))
+    W = _quadratic_form(A)  # the fluctuation weight exp(-(xi, A xibar))
     fold = _real_coefficients(W)
     axes = _boson_axes(M, radial_nodes, angle_nodes,
-                       _gaussian_rmax(sc, degree), False, fold)
+                       _gaussian_rmax(A, degree), False, fold)
     sign_vol = _volume_reorder_sign(M)
     # the external points are one group, each fluctuation axis another
     groups = [(phi_ext, np.conj(phi_ext))] + _axis_groups(axes)
@@ -750,31 +724,27 @@ def integrate_fluctuation(F2: GrassmannForm, C, phi_ext, *, radial_nodes=32,
     out = {}
     for ((a, b), (cs, tabs)), part in zip(keep, np.split(fl, ends)):
         integ = tabs[0].T @ (cs * part)
-        key = (a & ~full_fl, b & ~full_fl)
-        out[key] = out.get(key, 0) \
-            + _split_sign(a, b, M) * sign_vol * math.pi**-M * integ
+        ext = (a & ~full_fl, b & ~full_fl)
+        # the block swap (fl-psi)(ext-psibar) -> (ext-psibar)(fl-psi) puts
+        # the canonical monomial in (external)(fluctuation) order
+        sign = (-1) ** ((a >> M).bit_count() * ext[1].bit_count())
+        out[ext] = out.get(ext, 0) + sign * sign_vol * math.pi**-M * integ
     return out
 
 
 # exact Wick / heat-kernel convolution for polynomial forms ------------------
 
-def _dpsi(F: GrassmannForm, u: int) -> GrassmannForm:
+def _dfermion(F: GrassmannForm, x: int, bar=False) -> GrassmannForm:
+    """Left derivative by psi_x (psibar_x if ``bar``): the sign is the
+    parity of the generators ahead of it in the canonical order."""
+    g = F.basis.M * bar + x  # its position: psi_0..psi_{M-1}, psibar_0..
     out = {}
     for (a, b), c in F.coeffs.items():
-        if not (a >> u) & 1:
-            continue
-        sign = -1 if (a & ((1 << u) - 1)).bit_count() & 1 else 1
-        out[(a & ~(1 << u), b)] = c * float(sign)
-    return GrassmannForm(F.basis, out)
-
-
-def _dpsibar(F: GrassmannForm, v: int) -> GrassmannForm:
-    out = {}
-    for (a, b), c in F.coeffs.items():
-        if not (b >> v) & 1:
-            continue
-        sign = -1 if (a.bit_count() + (b & ((1 << v) - 1)).bit_count()) & 1 else 1
-        out[(a, b & ~(1 << v))] = c * float(sign)
+        m = a | b << F.basis.M
+        if m >> g & 1:
+            sign = -1.0 if (m & ((1 << g) - 1)).bit_count() & 1 else 1.0
+            m ^= 1 << g
+            out[(m & F.basis.full_mask, m >> F.basis.M)] = c * sign
     return GrassmannForm(F.basis, out)
 
 
@@ -794,7 +764,7 @@ def _laplacian_C(F: GrassmannForm, C) -> GrassmannForm:
                 if not dc.is_zero():
                     bos[key] = dc
             out = out + GrassmannForm(basis, bos) * cvu
-            out = out + _dpsibar(_dpsi(F, u), v) * (-cvu)
+            out = out + _dfermion(_dfermion(F, u), v, bar=True) * (-cvu)
     return out
 
 
@@ -814,11 +784,7 @@ def gaussian_convolve_poly(F: GrassmannForm, C) -> GrassmannForm:
     D = max((a.bit_count() + b.bit_count()
              + max(sum(p) + sum(q) for p, q in c.terms)
              for (a, b), c in F.coeffs.items()), default=0)
-    result = term = F
-    for k in range(1, D // 2 + 1):
-        term = _laplacian_C(term, C) * (1.0 / k)
-        result = result + term
-    return result
+    return _exp_series(F, lambda P: _laplacian_C(P, C), D // 2)
 
 
 def convolution_identity_check(C1, C2, F: GrassmannForm, *, radial_nodes=32,
@@ -884,6 +850,14 @@ def _check_finite(**values):
             raise ValueError(f"{name} must be finite, got {v}")
 
 
+def _superintegral(V, obs, radial_nodes, angle_nodes, r_max) -> complex:
+    """int exp(-V) obs: the fermion part of exp(-V) by its series, the boson
+    part ``exp(-V_0)`` as the integrator's weight."""
+    return berezin_integral(wedge_product(exp_even_form(V * -1.0), obs),
+                            V.degree0(), radial_nodes=radial_nodes,
+                            angle_nodes=angle_nodes, r_max=r_max)
+
+
 def self_normalisation_value(laplacian, p, q, r, *, radial_nodes=48,
                              angle_nodes=24) -> complex:
     """int exp(-sum_x (p_x tau_{Delta,x} + q_x tau_x^2 + r_x tau_x)).
@@ -899,10 +873,9 @@ def self_normalisation_value(laplacian, p, q, r, *, radial_nodes=48,
     r = np.broadcast_to(np.asarray(r, dtype=float), (M,))
     if np.any(q <= 0):
         raise ValueError("q must be positive")
-    V = interaction_form(basis, lap, q, r, p=p)
-    return berezin_integral(exp_even_form(V * -1.0), V.degree0(),
-                            radial_nodes=radial_nodes,
-                            angle_nodes=angle_nodes, r_max=_auto_rmax(q, r))
+    return _superintegral(interaction_form(basis, lap, q, r, p=p),
+                          GrassmannForm.from_scalar(basis, 1.0),
+                          radial_nodes, angle_nodes, _auto_rmax(q, r))
 
 
 def two_point_integral(laplacian, g, nu, a, b, method="grassmann", *,
@@ -929,10 +902,8 @@ def two_point_integral(laplacian, g, nu, a, b, method="grassmann", *,
     V = interaction_form(basis, lap, g, nu)
     obs = wedge_product(phibar_poly(basis, a), phi_poly(basis, b))
     if method == "grassmann":
-        G = wedge_product(exp_even_form(V * -1.0), obs)
-        val = berezin_integral(G, V.degree0(), radial_nodes=radial_nodes,
-                               angle_nodes=angle_nodes, r_max=r_max)
-        return float(val.real)
+        return float(_superintegral(V, obs, radial_nodes, angle_nodes,
+                                    r_max).real)
     if method != "determinant":
         raise ValueError(f"unknown method {method!r}")
     d = [tau_form(basis, x).degree0() * (2.0 * g) + nu for x in range(M)]

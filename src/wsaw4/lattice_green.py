@@ -391,33 +391,35 @@ def _panel_rule(f, lo, hi):
                               + 1e-14 * np.abs(fine).sum())
 
 
-def _bubble_schwinger(d, m2):
-    """Bsf = 8 int_0^inf t e^{-m2 t} P_t(0,0) dt, one panel sum in u = log t.
+def _schwinger_moment(d, m2, k):
+    """int_0^inf t^k e^{-m2 t} P_t(0,0) dt, one panel sum in u = log t:
+    ``(value, error)``.  The bubble is 8 times moment 1, ``a`` twice moment
+    0 at m2 = 0.
 
     The sum runs from ``min(-40, top - 60)`` to ``top = log(60/m2)``, where
-    ``e^{-m2 t} = e^{-60}`` (200 at ``m2 = 0``, d > 4).  Past the series
-    threshold the integrand is ``h^(4-d) e^{-m2 h^2} (h p)^d`` with ``h =
-    sqrt(t)`` and ``p = e^{-2t} I_0(2t)`` from the large-t series, and the
-    binary exponent of ``h^(4-d)`` is applied last, so the result stays
+    ``e^{-m2 t} = e^{-60}`` (200 at ``m2 = 0``).  Past the series
+    threshold the integrand is ``h^n e^{-m2 h^2} (h p)^d``, ``n = 2k+2-d``,
+    with ``h = sqrt(t)`` and ``p = e^{-2t} I_0(2t)`` from the large-t series,
+    and the binary exponent of ``h^n`` is applied last, so the result stays
     accurate down to the smallest subnormal m2, whose tail runs where ``t``
     overflows and ``P_t`` underflows float64.
     """
     top = math.log(60.0) - math.log(m2) if m2 > 0 else 200.0
+    n = 2 * k + 2 - d
 
-    def f(u):  # t^2 e^{-m2 t} P_t, the t from dt = t du included
+    def f(u):  # t^(k+1) e^{-m2 t} P_t, the t from dt = t du included
         out = np.empty_like(u)
         small = u < math.log(_T_SERIES)
         t = np.exp(u[small])
-        out[small] = t * t * np.exp(-m2 * t) * heat_kernel_diagonal(d, t)
+        out[small] = t ** k * t * np.exp(-m2 * t) * heat_kernel_diagonal(d, t)
         h = np.exp(0.5 * u[~small])
         mant, e = np.frexp(h)
         hp = _bessel_series(0.5 / h / h) / np.sqrt(4.0 * np.pi)
-        out[~small] = np.ldexp(mant ** (4 - d) * np.exp(-(m2 * h) * h) * hp ** d,
-                               e * (4 - d))
+        out[~small] = np.ldexp(mant ** n * np.exp(-(m2 * h) * h) * hp ** d,
+                               e * n)
         return out
 
-    val, err = _panel_rule(f, min(-40.0, top - 60.0), top)
-    return 8.0 * val, 8.0 * err
+    return _panel_rule(f, min(-40.0, top - 60.0), top)
 
 
 def bubble_diagram(d: int, m2: float) -> float:
@@ -440,7 +442,7 @@ def bubble_diagram_with_error(d: int, m2: float):
     if m2 == 0.0 and d <= 4:
         raise ValueError("bubble diverges at m2 = 0 for d <= 4")
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
-        val, err = _bubble_schwinger(d, m2)
+        val, err = (8.0 * v for v in _schwinger_moment(d, m2, 1))
     if not math.isfinite(val):
         raise ValueError(f"bubble overflows float64 at d = {d}, m2 = {m2}")
     return val, err
@@ -452,8 +454,12 @@ def bubble_diagram_with_error(d: int, m2: float):
 
 @lru_cache(maxsize=1)
 def constant_a() -> float:
-    """``a = 2 C_0(0)`` in d = 4: twice the expected time at the origin.
+    """``a = 2 C_0(0)`` in d = 4: twice the expected time at the origin,
+    ``2 int_0^inf P_t(0,0) dt``, on the bubble's panel sum (moment 0 of
+    its heat-kernel integrand).
 
-    Derived by quadrature at the default grid, never hard-coded.
+    Derived by quadrature, never hard-coded: within 1e-15 of Montroll's
+    ``G(0)/4`` = 0.30986678046212, where the BZ sum at the default grid
+    is 2.6e-7 low.
     """
-    return 2.0 * green_function(LatticeSpec.window(4), 0.0)
+    return 2.0 * _schwinger_moment(4, 0.0, 0)[0]

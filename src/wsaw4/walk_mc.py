@@ -414,6 +414,17 @@ def susceptibility_mc(spec: LatticeSpec, g: float, nu: float, T_max: float,
     sites, by ``int_T_max^inf e^{-nu T - g T^2/|V|} dT`` for every nu.
     Otherwise nu <= 0 (near-critical, out of Monte Carlo reach) is rejected.
     """
+    tail = _laplace_tail(spec, g, nu, T_max)
+    mean, se, count = _chan_stream(_walk_stream(spec, T_max, n, seed,
+                                                 g=g, nu=nu))
+    return LaplaceEstimate(mean=float(mean), std_error=float(se),
+                           n_samples=count, truncation_bound=tail)
+
+
+def _laplace_tail(spec, g, nu, T_max):
+    """The tail bound of :func:`susceptibility_mc`, after its input checks:
+    a ValueError here means no walk is drawn."""
+    _check_horizon(T_max)
     if not math.isfinite(g):
         raise ValueError(f"g must be >= 0 and finite, got {g}")
     if not math.isfinite(nu):
@@ -421,19 +432,13 @@ def susceptibility_mc(spec: LatticeSpec, g: float, nu: float, T_max: float,
     if spec.geometry == "torus" and g > 0:
         from scipy.special import erfcx  # only the torus tail loads it here
         ra = math.sqrt(g / spec.period**spec.d)
-        tail = 0.5 * math.sqrt(math.pi) / ra \
+        return 0.5 * math.sqrt(math.pi) / ra \
             * float(erfcx(ra * T_max + nu / (2.0 * ra))) \
             * math.exp(-(ra * T_max) ** 2 - nu * T_max)
-    elif nu > 0 and g >= 0:
-        tail = math.exp(-nu * T_max) / nu
-    else:
-        raise ValueError("susceptibility_mc requires g >= 0 and nu > 0, or "
-                         "a torus with g > 0 (unverifiable truncation "
-                         "otherwise)")
-    mean, se, count = _chan_stream(_walk_stream(spec, T_max, n, seed,
-                                                 g=g, nu=nu))
-    return LaplaceEstimate(mean=float(mean), std_error=float(se),
-                           n_samples=count, truncation_bound=tail)
+    if nu > 0 and g >= 0:
+        return math.exp(-nu * T_max) / nu
+    raise ValueError("susceptibility_mc requires g >= 0 and nu > 0, or "
+                     "a torus with g > 0 (unverifiable truncation otherwise)")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wsaw4 import cli
+from wsaw4 import cli, walk_mc
 from wsaw4.cli import SCHEMA_VERSION, dispatch
 
 
@@ -379,6 +379,30 @@ class TestExitCodes:
         assert "nu > 0" in r.stderr
         assert not (tmp_path / "w").exists()
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--g", "0.1", "--nu", "inf"], "nu must be finite, got inf"),
+        (["--nu", "0.5", "--T-max", "inf"], "T must be > 0 and finite"),
+        (["--nu", "0.5", "--T", "inf"], "T must be > 0 and finite"),
+        (["--nu", "0.5", "--g", "-0.1"], "g >= 0"),
+        # exp(nu |T_max|) overflowed: an internal error after the c_T pass
+        (["--nu", "0.5", "--T-max=-1e4"], "T must be > 0 and finite"),
+    ], ids=["nu-inf", "T-max-inf", "T-inf", "g-negative", "T-max-negative"])
+    def test_walk_mc_rejects_before_drawing(self, flags, named, tmp_path,
+                                            monkeypatch, capsys):
+        # the c_T pass drew all its walks before chi's inputs were checked
+        draws = []
+        draw = walk_mc._draw
+        monkeypatch.setattr(walk_mc, "_draw",
+                            lambda *a, **k: draws.append(1) or draw(*a, **k))
+        monkeypatch.setattr(sys, "argv", ["wsaw4", "walk-mc", "--samples",
+                                          "20000"] + flags
+                            + ["--out", str(tmp_path / "x")])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 1
+        assert named in capsys.readouterr().err
+        assert draws == []
+
     def test_susy_verify_vertex_out_of_range(self, run_proc, tmp_path):
         for a in ("-1", "2"):
             r = run_proc(["susy-verify", "--graph", "path2", "--g",
@@ -459,21 +483,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert named in err and str(path) in err
 
-    @pytest.mark.parametrize("args,key,value,printed", [
-        (["bubble", "--mass2", "1"], "mass2", 1, "DIFFERS: bubble.json\n"),
-        (["walk-mc", "--samples", "100"], "nu", None, "zero diff\n"),
+    @pytest.mark.parametrize("args,key,value", [
+        (["bubble", "--mass2", "1"], "mass2", 1),
+        (["walk-mc", "--samples", "100"], "nu", None),
         (["green", "--mass2", "0.5", "--grid", "8", "--x", "1,0,0,0"], "x",
-         [1, 0, 0, 0], "zero diff\n"),
+         [1, 0, 0, 0]),
     ], ids=["int-for-float", "null-default", "int-list"])
-    def test_reproduce_param_types_accepted(self, args, key, value, printed,
-                                            tmp_path, capsys):
-        # an int replays a float, and null an option whose default it is;
-        # the int's run differs only in its run_id, a digest of the params
+    def test_reproduce_param_types_accepted(self, args, key, value, tmp_path,
+                                            capsys):
+        # an int replays as the float it stands for (its run_id digested 1
+        # where the run's had 1.0, and differed), and null an option whose
+        # default it is
         _, manifest = run_cli(args, tmp_path, "run")
         assert manifest["params"][key] == value
         manifest["params"][key] = value
         path = tmp_path / "m.json"
         path.write_text(json.dumps(manifest))
         capsys.readouterr()
-        assert dispatch(["reproduce", str(path)]) == (printed != "zero diff\n")
-        assert capsys.readouterr().out == printed
+        assert dispatch(["reproduce", str(path)]) == 0
+        assert capsys.readouterr().out == "zero diff\n"

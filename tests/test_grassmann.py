@@ -21,7 +21,6 @@ from wsaw4.grassmann import (
     FermionBasis,
     FieldPolynomial,
     GrassmannForm,
-    SuperCovariance,
     berezin_integral,
     boson_grid,
     convolution_identity_check,
@@ -120,6 +119,84 @@ class TestAlgebra:
         b = FermionBasis(1)
         with pytest.raises(ValueError):
             exp_even_form(psi(b, 0))
+
+
+def random_form(rng, M, parity, terms=6):
+    """Sum of random monomials of fermion degree ``parity`` mod 2 with
+    random complex coefficients of boson degree <= 2 per field."""
+    out = {}
+    while len(out) < terms:
+        a, b = (int(m) for m in rng.integers(1 << M, size=2))
+        if (a.bit_count() + b.bit_count()) % 2 == parity:
+            exps = tuple(tuple(int(e) for e in rng.integers(0, 3, M))
+                         for _ in range(2))
+            c = complex(*rng.normal(size=2))
+            out[(a, b)] = FieldPolynomial(M, {exps: c})
+    return GrassmannForm(FermionBasis(M), out)
+
+
+def max_gap(F, G):
+    """Largest coefficient of the polynomial coefficients of F - G."""
+    return max((abs(v) for c in (F - G).coeffs.values()
+                for v in c.terms.values()), default=0.0)
+
+
+class TestRules:
+    """The fermion derivative and the theta shift, by their properties."""
+
+    @pytest.mark.parametrize("bar", [False, True])
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_fermion_derivative_leibniz(self, bar, parity):
+        # d_x (F G) = d_x F G + (-1)^{deg F} F d_x G
+        rng = np.random.default_rng(31 + 2 * parity + bar)
+        for _ in range(5):
+            F = random_form(rng, 3, parity)
+            G = random_form(rng, 3, int(rng.integers(2)))
+            for x in range(3):
+                dF, dG, dFG = (grassmann._dfermion(H, x, bar)
+                               for H in (F, G, wedge_product(F, G)))
+                rhs = wedge_product(dF, G) \
+                    + wedge_product(F, dG) * (-1.0) ** parity
+                assert max_gap(dFG, rhs) <= 1e-12
+
+    def test_fermion_derivative_of_generators(self):
+        # d/dpsi_x psi_y = delta_xy, and psibar likewise; the other kind
+        # is a constant
+        b = FermionBasis(2)
+        one = GrassmannForm.from_scalar(b, 1.0)
+        for x, y in itertools.product(range(2), repeat=2):
+            for gen, bar in ((psi, False), (psibar, True)):
+                d = grassmann._dfermion(gen(b, y), x, bar)
+                assert max_gap(d, one * float(x == y)) == 0.0
+                assert not grassmann._dfermion(gen(b, y), x, not bar).coeffs
+
+    def test_shift_is_substitution(self):
+        # theta F at (phi, xi): the monomials in the original fermions
+        # alone, or in the fluctuation fermions alone, carry F's
+        # coefficient at phi + xi
+        rng = np.random.default_rng(17)
+        M = 2
+        for parity in (0, 1):
+            F = random_form(rng, M, parity)
+            T = theta_map(F)
+            phi, xi = (rng.normal(size=(4, M)) + 1j * rng.normal(size=(4, M))
+                       for _ in range(2))
+            both = np.concatenate([phi, xi], axis=1)
+            for (a, b), c in F.coeffs.items():
+                ref = c.evaluate(phi + xi, np.conj(phi + xi))
+                for key in ((a, b), (a << M, b << M)):
+                    got = T.coeffs[key].evaluate(both, np.conj(both))
+                    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(
+                        np.abs(ref))
+
+    def test_shift_is_multiplicative(self):
+        # theta (F G) = theta F theta G: the mixed monomials' signs agree
+        rng = np.random.default_rng(23)
+        for pf, pg in itertools.product((0, 1), repeat=2):
+            F, G = random_form(rng, 2, pf, 4), random_form(rng, 2, pg, 4)
+            lhs = theta_map(wedge_product(F, G))
+            rhs = wedge_product(theta_map(F), theta_map(G))
+            assert max_gap(lhs, rhs) <= 1e-12
 
 
 class TestBerezin:
@@ -370,11 +447,11 @@ def expectation(C, F):
     route through the fermion action and the Berezin volume sign."""
     val = super_expectation(C, F)
     if F.basis.M <= 3:
-        sc = SuperCovariance.from_matrix(C)
+        _, A = grassmann._covariance(C)
         G = wedge_product(
-            exp_even_form(grassmann._fermi_action(F.basis, -sc.A)), F)
-        quad = berezin_integral(G, grassmann._quadratic_form(sc.A),
-                                r_max=grassmann._gaussian_rmax(sc))
+            exp_even_form(grassmann._fermi_action(F.basis, -A)), F)
+        quad = berezin_integral(G, grassmann._quadratic_form(A),
+                                r_max=grassmann._gaussian_rmax(A))
         assert abs(val - quad) < 1e-10
     return val
 
@@ -472,13 +549,12 @@ class TestSuperExpectation:
 
     def test_covariance_validation(self):
         with pytest.raises(ValueError):
-            SuperCovariance.from_matrix(np.array([[1.0, 0.5], [0.2, 1.0]]))
+            grassmann._covariance(np.array([[1.0, 0.5], [0.2, 1.0]]))
         with pytest.raises(ValueError, match="Hermitian"):
             # its inverse would give a weight exponent that is not real
-            SuperCovariance.from_matrix(np.array([[1.0, 0.3],
-                                                  [0.3 + 2e-6, 0.8]]))
+            grassmann._covariance(np.array([[1.0, 0.3], [0.3 + 2e-6, 0.8]]))
         with pytest.raises(ValueError):
-            SuperCovariance.from_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            grassmann._covariance(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestThetaAndConvolution:
@@ -615,7 +691,7 @@ class TestThetaAndConvolution:
         pts = np.array([[0.3 + 0.2j, -0.4 + 0.1j], [0.5 - 0.3j, 0.2j]])
         grid = dict(radial_nodes=12, angle_nodes=7)
         assert grassmann._real_coefficients(grassmann._quadratic_form(
-            SuperCovariance.from_matrix(C).A)) == (C is self.C1)
+            grassmann._covariance(C)[1])) == (C is self.C1)
         val = integrate_fluctuation(F2, C, pts, **grid)
         monkeypatch.setattr(grassmann, "_real_coefficients", lambda W: False)
         ref = integrate_fluctuation(F2, C, pts, **grid)

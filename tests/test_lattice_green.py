@@ -388,7 +388,11 @@ class TestHeatKernel:
 
 class TestConstantA:
     def test_definition(self, spec4):
-        assert constant_a() == 2.0 * green_function(spec4, 0.0)
+        # a = 2 C_0(0) = G(0)/4 with Montroll's G(0) = 1.23946712184848 in
+        # d = 4; the BZ sum of C_0(0) agrees within its reported error
+        assert abs(constant_a() - 0.30986678046212) < 1e-12
+        c00, err = green_function_with_error(spec4, 0.0)
+        assert abs(constant_a() / 2.0 - c00) <= err
 
     def test_positive(self):
         assert constant_a() > 0

@@ -1,8 +1,10 @@
-"""The public API's settable values do not grow past ROADMAP aim 2's tally.
+"""The public API's settable values and names do not grow past ROADMAP
+aim 2's tallies.
 
 A settable value is a parameter with a default of a name in a module's
 ``__all__``: a function's, a class constructor's (a dataclass field with a
-default), or a public method's of such a class.
+default), or a public method's of such a class.  A public name is an entry
+of a module's ``__all__``.
 """
 
 import importlib
@@ -12,6 +14,7 @@ import pkgutil
 import wsaw4
 
 TALLY = 40  # ROADMAP aim 2, "One value in use means a constant"
+PUBLIC_TALLY = 72  # ROADMAP aim 2, "No public name without a caller or a test"
 
 
 def defaults(obj):
@@ -22,19 +25,25 @@ def defaults(obj):
     return sum(p.default is not inspect.Parameter.empty for p in params)
 
 
+def public_names():
+    """``{"module.name": object}`` over the modules' ``__all__`` lists."""
+    out = {}
+    for info in pkgutil.iter_modules(wsaw4.__path__):
+        module = importlib.import_module(f"wsaw4.{info.name}")
+        for public in getattr(module, "__all__", ()):
+            out[f"{info.name}.{public}"] = getattr(module, public)
+    return out
+
+
 def settable_values():
     count = {}
-    for info in pkgutil.iter_modules(wsaw4.__path__):
-        name = info.name
-        module = importlib.import_module(f"wsaw4.{name}")
-        for public in getattr(module, "__all__", ()):
-            obj = getattr(module, public)
-            n = defaults(obj)
-            if inspect.isclass(obj):
-                n += sum(defaults(m) for k, m in inspect.getmembers(obj)
-                         if not k.startswith("_") and callable(m))
-            if n:
-                count[f"{name}.{public}"] = n
+    for name, obj in public_names().items():
+        n = defaults(obj)
+        if inspect.isclass(obj):
+            n += sum(defaults(m) for k, m in inspect.getmembers(obj)
+                     if not k.startswith("_") and callable(m))
+        if n:
+            count[name] = n
     return count
 
 
@@ -45,3 +54,11 @@ def test_settable_values_within_tally():
         f"{total} settable values against the tally of {TALLY}: make a value "
         f"with one use a constant, or update ROADMAP aim 2 and TALLY "
         f"({count})")
+
+
+def test_public_names_within_tally():
+    names = sorted(public_names())
+    assert len(names) <= PUBLIC_TALLY, (
+        f"{len(names)} public names against the tally of {PUBLIC_TALLY}: "
+        f"give each a caller or a test, or update ROADMAP aim 2 and "
+        f"PUBLIC_TALLY ({names})")
