@@ -46,8 +46,6 @@ __all__ = [
     "smooth_step",
     "Decomposition",
     "build_decomposition",
-    "beta_sequence",
-    "eta_sequence",
     "scale_indices",
     "ScaleIndices",
     "CoefficientSequences",
@@ -235,23 +233,6 @@ def range_tail_fraction(decomp: Decomposition, j: int, period: int | None = None
 # Coefficient sequences
 # ---------------------------------------------------------------------------
 
-def beta_sequence(decomp: Decomposition) -> np.ndarray:
-    """beta_j = 8 sum_x (w_{j+1,x}^2 - w_{j,x}^2), j = 0 .. J-1.
-
-    Partial sums reproduce ``8 sum_x w_k(x)^2`` exactly (same quadrature
-    grid on both sides of the telescoping identity).
-    """
-    w2 = decomp.w2_partial
-    return 8.0 * (w2[1: decomp.J + 1] - w2[: decomp.J])
-
-
-def eta_sequence(decomp: Decomposition) -> np.ndarray:
-    """eta_j = 2 L^{2(j+1)} C_{j+1;0,0}, j = 0 .. J-1."""
-    L = float(decomp.L)
-    j = np.arange(decomp.J)
-    return 2.0 * L ** (2 * (j + 1)) * decomp.diagonals[1: decomp.J + 1]
-
-
 @dataclass(frozen=True)
 class ScaleIndices:
     j_m: float       # mass scale (np.inf when m2 = 0)
@@ -311,9 +292,16 @@ class CoefficientSequences:
 
 
 def coefficient_sequences(decomp: Decomposition) -> CoefficientSequences:
-    """Assemble the flow coefficients from a decomposition."""
-    beta = beta_sequence(decomp)
-    n = len(beta)
-    return CoefficientSequences(L=decomp.L, m2=decomp.m2, beta=beta,
-                                eta=eta_sequence(decomp), theta=np.zeros(n),
-                                xi=np.zeros(n), pi=np.zeros(n))
+    """The flow coefficients of a decomposition, for j = 0 .. J-1:
+
+        beta_j = 8 sum_x (w_{j+1,x}^2 - w_{j,x}^2),
+        eta_j  = 2 L^{2(j+1)} C_{j+1;0,0}.
+
+    Partial sums of ``beta`` reproduce ``8 sum_x w_k(x)^2`` exactly (same
+    quadrature grid on both sides of the telescoping identity).
+    """
+    J, w2, j = decomp.J, decomp.w2_partial, np.arange(decomp.J)
+    return CoefficientSequences(
+        L=decomp.L, m2=decomp.m2, beta=8.0 * (w2[1: J + 1] - w2[:J]),
+        eta=2.0 * float(decomp.L) ** (2 * (j + 1)) * decomp.diagonals[1: J + 1],
+        theta=np.zeros(J), xi=np.zeros(J), pi=np.zeros(J))

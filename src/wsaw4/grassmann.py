@@ -12,9 +12,10 @@ site.  Coefficients are exact multivariate polynomials in
 ``(phi_x, phibar_x)`` (:class:`FieldPolynomial`).  No sign is entered by
 hand: every reordering sign comes from one of two rules.  Inversion
 counting merges ascending generator lists (the wedge, the fermion
-derivative, the Berezin volume order); the block swap moves a block of p
-generators past one of q for ``(-1)^{pq}`` (the wedge's psibar block past
-psi, the fluctuation integral's fluctuation psi past external psibar).  A
+derivative); the block swap moves a block of p generators past one of q
+for ``(-1)^{pq}`` (the wedge's psibar block past psi, the fluctuation
+integral's fluctuation psi past external psibar).  The Berezin volume
+order's sign is its inversion count in closed form, ``(-1)^{M(M+1)/2}``.  A
 boson weight ``exp(-W)`` is never a coefficient: it is passed to the
 integrator as its polynomial exponent ``W``.
 
@@ -85,14 +86,12 @@ __all__ = [
     "tau_squared_form",
     "wedge_product",
     "exp_even_form",
-    "boson_grid",
     "berezin_integral",
     "super_expectation",
     "theta_map",
     "integrate_fluctuation",
     "gaussian_convolve_poly",
     "convolution_identity_check",
-    "interaction_form",
     "self_normalisation_value",
     "two_point_integral",
 ]
@@ -285,16 +284,6 @@ def _merge_sign(a: int, b: int) -> int:
             sign = -sign
         bb &= bb - 1
     return sign
-
-
-def _perm_parity(seq) -> int:
-    """(-1)^inversions of an integer sequence with distinct entries."""
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return -1 if inv & 1 else 1
 
 
 class GrassmannForm:
@@ -518,30 +507,11 @@ def _boson_axes(M, radial_nodes, angle_nodes, r_max, reduce_u1, fold=False):
     return axes
 
 
-def boson_grid(M, *, radial_nodes=48, angle_nodes=24, r_max=4.0,
-               reduce_u1=False):
-    """Tensor polar quadrature over C^M: returns (phi, weights).
-
-    phi has shape (npts, M); weights integrate du dv per site.  With
-    reduce_u1=True the global phase is fixed (first site angle = 0, weight
-    2 pi), exact only for U(1)-invariant integrands: the grid that
-    berezin_integral takes when its top coefficient and W are invariant.
-    Always the full grid (the tests' oracle): berezin_integral sums half of
-    it when W has real coefficients.
-    """
-    axes = _boson_axes(M, radial_nodes, angle_nodes, r_max, reduce_u1)
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    phi = np.stack([g.ravel() for g in grids], axis=-1)
-    return phi, math.prod(wg.ravel() for wg in wgrids)
-
-
 def _volume_reorder_sign(M):
     """Sign reordering psi_0..psi_{M-1} psibar_0..psibar_{M-1} into the
-    volume order (psibar_0 psi_0)(psibar_1 psi_1)...  Generators are
-    labelled psi_x -> x, psibar_x -> M + x, so each label is its canonical
-    position and the volume order is itself the permutation."""
-    return _perm_parity([g for x in range(M) for g in (M + x, x)])
+    volume order (psibar_0 psi_0)(psibar_1 psi_1)...: psibar_x passes
+    psi_x..psi_{M-1}, M - x generators, so the parity is M(M+1)/2."""
+    return (-1) ** (M * (M + 1) // 2)
 
 
 def berezin_integral(F: GrassmannForm, exponent: FieldPolynomial, *,
@@ -822,7 +792,7 @@ def convolution_identity_check(C1, C2, F: GrassmannForm, *, radial_nodes=32,
 # Interaction, self-normalisation, two-point function
 # ---------------------------------------------------------------------------
 
-def interaction_form(basis, laplacian, g, nu, p=None) -> GrassmannForm:
+def _interaction_form(basis, laplacian, g, nu, p=None) -> GrassmannForm:
     """V = sum_x (p_x tau_{Delta,x} + g_x tau_x^2 + nu_x tau_x)."""
     M = basis.M
     g = np.broadcast_to(np.asarray(g, dtype=float), (M,))
@@ -873,7 +843,7 @@ def self_normalisation_value(laplacian, p, q, r, *, radial_nodes=48,
     r = np.broadcast_to(np.asarray(r, dtype=float), (M,))
     if np.any(q <= 0):
         raise ValueError("q must be positive")
-    return _superintegral(interaction_form(basis, lap, q, r, p=p),
+    return _superintegral(_interaction_form(basis, lap, q, r, p=p),
                           GrassmannForm.from_scalar(basis, 1.0),
                           radial_nodes, angle_nodes, _auto_rmax(q, r))
 
@@ -899,7 +869,7 @@ def two_point_integral(laplacian, g, nu, a, b, method="grassmann", *,
         raise ValueError("need g > 0, or g = 0 with nu > 0 (divergent)")
     r_max = _auto_rmax(g, nu)
     basis = FermionBasis(M)
-    V = interaction_form(basis, lap, g, nu)
+    V = _interaction_form(basis, lap, g, nu)
     obs = wedge_product(phibar_poly(basis, a), phi_poly(basis, b))
     if method == "grassmann":
         return float(_superintegral(V, obs, radial_nodes, angle_nodes,

@@ -45,9 +45,7 @@ import numpy as np
 
 __all__ = [
     "LatticeSpec",
-    "green_function",
     "green_function_with_error",
-    "bubble_diagram",
     "bubble_diagram_with_error",
     "constant_a",
     "symbol",
@@ -237,27 +235,17 @@ def _window_green_raw(d, m2, x, n, max_levels):
     return float(val)
 
 
-def _check_richardson_grid(grid):
-    # the Richardson estimate compares against a pass at grid // 2, which
-    # the graded quadrature needs divisible by 4
-    if grid < 8 or grid % 8:
-        raise ValueError(f"grid must be a positive multiple of 8, got {grid}")
-
-
-def _auto_levels(m2):
-    # resolve structure down to the mass scale; 50 dyadic levels suffice for
-    # m2 >= 1e-28, the singular m2 = 0 case stops via rtol instead
-    if m2 <= 0.0:
-        return 52
-    return min(60, max(6, int(np.ceil(np.log2(np.pi / np.sqrt(m2)))) + 4))
-
-
 # ---------------------------------------------------------------------------
 # Green function
 # ---------------------------------------------------------------------------
 
-def green_function(spec: LatticeSpec, m2: float, x=None, *, grid: int = 32) -> float:
-    """Green function ``(-D + m2)^{-1}_{0x}`` for the given lattice geometry.
+def green_function_with_error(spec: LatticeSpec, m2: float, x=None, *,
+                              grid: int = 32):
+    """Green function ``(-D + m2)^{-1}_{0x}`` for the given lattice
+    geometry, as ``(value, abs_error_estimate)``.  On a window the estimate
+    is a Richardson comparison against the half-resolution grid plus the
+    innermost-box contribution; torus and graph values are exact up to
+    roundoff.
 
     Parameters
     ----------
@@ -277,18 +265,6 @@ def green_function(spec: LatticeSpec, m2: float, x=None, *, grid: int = 32) -> f
         (window geometry only).  Must be a positive multiple of 8, so that
         the half-resolution Richardson pass is a valid grid too.
     """
-    value, _ = green_function_with_error(spec, m2, x, grid=grid)
-    return value
-
-
-def green_function_with_error(spec: LatticeSpec, m2: float, x=None, *,
-                              grid: int = 32):
-    """Like :func:`green_function` but returns ``(value, abs_error_estimate)``.
-
-    For window geometry the error estimate combines a Richardson comparison
-    against the half-resolution grid with the innermost-box contribution;
-    torus and graph values are exact up to roundoff.
-    """
     if not 0.0 <= m2 < np.inf:
         raise ValueError(f"m2 must be finite and >= 0, got {m2}")
     if spec.geometry in ("window", "torus") and x is not None:
@@ -300,8 +276,13 @@ def green_function_with_error(spec: LatticeSpec, m2: float, x=None, *,
     if spec.geometry == "window":
         if m2 == 0.0 and spec.d <= 2:
             raise ValueError("massless Green function diverges for d <= 2")
-        _check_richardson_grid(grid)
-        levels = _auto_levels(m2)
+        if grid < 8 or grid % 8:
+            raise ValueError(f"grid must be a positive multiple of 8, "
+                             f"got {grid}")
+        # resolve structure down to the mass scale; 50 dyadic levels suffice
+        # for m2 >= 1e-28, the singular m2 = 0 case stops via rtol instead
+        levels = 52 if m2 <= 0.0 else \
+            min(60, max(6, int(np.ceil(np.log2(np.pi / np.sqrt(m2)))) + 4))
         coarse = _window_green_raw(spec.d, m2, x, grid // 2, levels)
         fine = _window_green_raw(spec.d, m2, x, grid, levels)
         extrap = fine + (fine - coarse) / 3.0
@@ -422,19 +403,14 @@ def _schwinger_moment(d, m2, k):
     return _panel_rule(f, min(-40.0, top - 60.0), top)
 
 
-def bubble_diagram(d: int, m2: float) -> float:
+def bubble_diagram_with_error(d: int, m2: float):
     """Bubble diagram ``Bsf = 8 sum_x C_{m2}(x)^2``, by its exact
-    one-dimensional representation ``8 int t e^{-m2 t} P_t(0,0) dt``.
+    one-dimensional representation ``8 int t e^{-m2 t} P_t(0,0) dt``, as
+    ``(value, abs_error_estimate)``.
 
     ``d >= 1``; ``m2 = 0`` requires ``d > 4`` (the bubble diverges
     logarithmically in d = 4 and faster below).
     """
-    val, _ = bubble_diagram_with_error(d, m2)
-    return val
-
-
-def bubble_diagram_with_error(d: int, m2: float):
-    """Like :func:`bubble_diagram` but returns ``(value, abs_error_estimate)``."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if not 0.0 <= m2 < np.inf:

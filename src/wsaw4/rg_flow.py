@@ -134,11 +134,23 @@ def step_forward(state: FlowState, coeffs: CoefficientSequences) -> FlowState:
 
 
 def iterate_g(g0: float, beta, J: int) -> np.ndarray:
-    """Forward g-iteration g_{j+1} = g_j - beta_j g_j^2, j = 0..J-1."""
+    """Forward g-iteration g_{j+1} = g_j - beta_j g_j^2, j = 0..J-1.
+
+    Raises unless g0 is finite and >= 0, and where beta_j g_j >= 1: there
+    g_{j+1} would leave (0, g_j), and the quadratic recursion fails.
+    """
+    if not 0.0 <= g0 < np.inf:
+        raise ValueError(f"g0 must be >= 0 and finite, got {g0}")
     g = np.empty(J + 1)
     g[0] = g0
-    for j in range(J):
-        g[j + 1] = g[j] - beta[j] * g[j] * g[j]
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        for j in range(J):
+            g[j + 1] = g[j] - beta[j] * g[j] * g[j]
+        bg = beta[:J] * g[:J]
+    if np.any(bg >= 1.0):
+        j = int(np.argmax(bg >= 1.0))
+        raise ValueError(f"g0 too large: beta*g = {bg[j]:.4g} >= 1 at scale "
+                         f"{j}, where the coupling turns negative")
     return g
 
 
@@ -149,24 +161,13 @@ def solve_boundary_value(g0: float, coeffs: CoefficientSequences,
     g iterates forward from g0; z_j = sum_{k>=j} theta_k g_k^2 (backward
     summation of the z-recursion with z_inf = 0); mu iterates backward from
     mu_J = 0.  The returned (z_0, mu_0) are the critical initial data of the
-    quadratic truncation.
-
-    Raises if beta_j g_j >= 1 at any scale, where g_{j+1} would leave
-    (0, g_j): the quadratic recursion no longer holds; reduce g0.
+    quadratic truncation.  Raises on g0 as :func:`iterate_g`.
     """
-    if not 0.0 <= g0 < np.inf:
-        raise ValueError(f"g0 must be >= 0 and finite, got {g0}")
     J = len(coeffs.beta) if J is None else J
     if J > len(coeffs.beta):
         raise IndexError(f"J={J} beyond coefficient table length "
                          f"{len(coeffs.beta)}")
-    with np.errstate(over="ignore", invalid="ignore"):  # raised below
-        g = iterate_g(g0, coeffs.beta, J)
-        bg = coeffs.beta[:J] * g[:J]
-    if np.any(bg >= 1.0):
-        j = int(np.argmax(bg >= 1.0))
-        raise ValueError(f"g0 too large: beta*g = {bg[j]:.4g} >= 1 at scale "
-                         f"{j}, where the coupling turns negative")
+    g = iterate_g(g0, coeffs.beta, J)
     gg = g[:J] * g[:J]
     # z by backward summation, z_J treated as 0
     z = np.zeros(J + 1)
@@ -184,12 +185,11 @@ def solve_boundary_value(g0: float, coeffs: CoefficientSequences,
 def g_infinity(g0: float, coeffs: CoefficientSequences) -> float:
     """Forward-iterate g until |g_{j+1} - g_j| < 1e-14; the limit coupling.
 
-    Requires a summable beta sequence (m2 > 0), otherwise the iteration
-    exhausts the coefficient table and a non-convergence error is raised.
+    Raises on g0 as :func:`iterate_g`, and RuntimeError if the iteration
+    exhausts the table: beta must be summable (m2 > 0).
     """
     tol = 1e-14
-    with np.errstate(over="ignore", invalid="ignore"):  # raised below
-        g = iterate_g(g0, coeffs.beta, len(coeffs.beta))
+    g = iterate_g(g0, coeffs.beta, len(coeffs.beta))
     settled = np.flatnonzero(np.abs(np.diff(g)) < tol)
     if settled.size:
         return float(g[settled[0] + 1])
@@ -220,7 +220,8 @@ def g_tilde_sequence(m2: float, g0: float,
 
     g~_j = g_j(0, g0) for j <= j_m and g~_j = g_{j_m}(0, g0) beyond, where
     j_m is the smallest j with L^{2j} m2 >= 1.  ``coeffs_massless`` must
-    hold the m2 = 0 beta sequence at the same L.
+    hold the m2 = 0 beta sequence at the same L.  Raises on g0 as
+    :func:`iterate_g`.
     """
     if coeffs_massless.m2 != 0.0:
         raise ValueError("g_tilde_sequence needs the massless beta table")

@@ -52,7 +52,6 @@ __all__ = [
     "estimate_cT",
     "estimate_mean_intersection",
     "fold_and_compare",
-    "intersection_local_time",
     "susceptibility_mc",
     "conditioned_intersection",
     "saw_counts",
@@ -151,7 +150,7 @@ class WalkSample:
         return float(self.gaps.sum())
 
 
-def intersection_local_time(sites: np.ndarray, gaps: np.ndarray) -> float:
+def _intersection_local_time(sites: np.ndarray, gaps: np.ndarray) -> float:
     """I(T) = sum_x (L_T^x)^2 from per-visit positions and durations."""
     lt = {}
     for pos, dt in zip(map(tuple, np.asarray(sites).tolist()), gaps):
@@ -180,7 +179,7 @@ def simulate(spec: LatticeSpec, T: float, seed: int, sample_index: int = 0) -> W
         sites = np.mod(sites, spec.period)
     gaps = np.diff(np.concatenate([[0.0], jump_times, [T]]))
     return WalkSample(T=T, jump_times=jump_times, sites=sites, gaps=gaps,
-                      I_T=intersection_local_time(sites, gaps))
+                      I_T=_intersection_local_time(sites, gaps))
 
 
 def fold_and_compare(sample: WalkSample, periods) -> dict:
@@ -197,7 +196,7 @@ def fold_and_compare(sample: WalkSample, periods) -> dict:
         p = int(p)
         if p < 3:
             raise ValueError("folding comparisons need period >= 3")
-        out[p] = intersection_local_time(np.mod(sample.sites, p), sample.gaps)
+        out[p] = _intersection_local_time(np.mod(sample.sites, p), sample.gaps)
     ps = sorted(int(p) for p in periods)
     tol = 1e-12 * (1.0 + sample.I_T)
     # explicit raises, not assert, so the check survives python -O
@@ -432,9 +431,15 @@ def _laplace_tail(spec, g, nu, T_max):
     if spec.geometry == "torus" and g > 0:
         from scipy.special import erfcx  # only the torus tail loads it here
         ra = math.sqrt(g / spec.period**spec.d)
-        return 0.5 * math.sqrt(math.pi) / ra \
-            * float(erfcx(ra * T_max + nu / (2.0 * ra))) \
-            * math.exp(-(ra * T_max) ** 2 - nu * T_max)
+        try:
+            tail = 0.5 * math.sqrt(math.pi) / ra \
+                * float(erfcx(ra * T_max + nu / (2.0 * ra))) \
+                * math.exp(-(ra * T_max) ** 2 - nu * T_max)
+        except OverflowError:
+            tail = math.inf
+        if not math.isfinite(tail):
+            raise ValueError(f"tail bound overflows: nu = {nu}, T_max = {T_max}")
+        return tail
     if nu > 0 and g >= 0:
         return math.exp(-nu * T_max) / nu
     raise ValueError("susceptibility_mc requires g >= 0 and nu > 0, or "

@@ -337,13 +337,17 @@ class TestExitCodes:
          "T must be > 0 and finite, got inf"),
         (["walk-mc", "--g", "0.1", "--nu", "inf", "--samples", "10",
           "--samples-chi", "10"], "nu must be finite, got inf"),
+        (["walk-mc", "--dim", "1", "--geometry", "torus:3", "--g", "0.3",
+          "--nu=-1000", "--samples", "10", "--samples-chi", "10"],
+         "tail bound overflows: nu = -1000.0"),
     ], ids=["bubble-nan", "green-nan", "decompose-inf", "flow-short-table",
             "susy-angle-nodes-0", "susy-angle-nodes-negative",
             "susy-radial-nodes-0", "bubble-overflow", "walk-mc-g-nan",
             "susy-g-nan", "susy-nu-nan", "flow-g0-nan", "flow-g0-too-large",
             "decompose-omega-nan", "green-x-not-int",
             "walk-mc-geometry-not-int", "susy-graph-not-int", "walk-mc-T-inf",
-            "walk-mc-T-max-inf", "walk-mc-nu-inf"])
+            "walk-mc-T-max-inf", "walk-mc-nu-inf",
+            "walk-mc-torus-tail-overflow"])
     def test_user_error_names_parameter(self, args, named, tmp_path,
                                         monkeypatch, capsys):
         # a non-finite m2, g, nu, g0, Omega or horizon, a g0 whose coupling
@@ -386,7 +390,11 @@ class TestExitCodes:
         (["--nu", "0.5", "--g", "-0.1"], "g >= 0"),
         # exp(nu |T_max|) overflowed: an internal error after the c_T pass
         (["--nu", "0.5", "--T-max=-1e4"], "T must be > 0 and finite"),
-    ], ids=["nu-inf", "T-max-inf", "T-inf", "g-negative", "T-max-negative"])
+        # erfcx and exp of the torus tail bound overflowed: an internal error
+        (["--dim", "1", "--geometry", "torus:3", "--g", "0.3", "--nu=-1000"],
+         "tail bound overflows: nu = -1000.0"),
+    ], ids=["nu-inf", "T-max-inf", "T-inf", "g-negative", "T-max-negative",
+            "torus-tail-overflow"])
     def test_walk_mc_rejects_before_drawing(self, flags, named, tmp_path,
                                             monkeypatch, capsys):
         # the c_T pass drew all its walks before chi's inputs were checked

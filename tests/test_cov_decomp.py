@@ -10,10 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wsaw4.cov_decomp import (
-    beta_sequence,
     build_decomposition,
     coefficient_sequences,
-    eta_sequence,
     range_tail_fraction,
     scale_indices,
     slice_kernel_on_torus,
@@ -21,7 +19,7 @@ from wsaw4.cov_decomp import (
 )
 from wsaw4.lattice_green import (
     LatticeSpec,
-    bubble_diagram,
+    bubble_diagram_with_error,
     constant_a,
     graded_bz_sum,
     symbol,
@@ -93,15 +91,15 @@ class TestPartition:
 
 class TestBetaSequence:
     def test_positive_on_active_scales(self, dec0_J48, decomp_at):
-        beta0 = beta_sequence(dec0_J48)
+        beta0 = coefficient_sequences(dec0_J48).beta
         assert np.all(beta0 > 0)  # massless: every scale is active
-        beta_m = beta_sequence(decomp_at(1e-3, J=24))
+        beta_m = coefficient_sequences(decomp_at(1e-3, J=24)).beta
         assert np.all(beta_m >= 0)
         assert np.all(beta_m[:5] > 0)
 
     def test_partial_sums_exact(self, decomp_at):
         dec = decomp_at(1e-3, J=24)
-        beta = beta_sequence(dec)
+        beta = coefficient_sequences(dec).beta
         for k in (1, 7, 13, 24):
             lhs = beta[:k].sum()
             rhs = 8.0 * (dec.w2_partial[k] - dec.w2_partial[0])
@@ -109,32 +107,32 @@ class TestBetaSequence:
 
     def test_sum_matches_bubble(self, decomp_at):
         dec = decomp_at(1e-3, J=24)
-        total = beta_sequence(dec).sum()
-        bub = bubble_diagram(4, 1e-3)
+        total = coefficient_sequences(dec).beta.sum()
+        bub = bubble_diagram_with_error(4, 1e-3)[0]
         assert abs(total - bub) / bub < 0.01
 
     def test_limit_log2_over_pi2(self, dec0_J48):
-        beta = beta_sequence(dec0_J48)
+        beta = coefficient_sequences(dec0_J48).beta
         assert abs(beta[12] - LOG2_OVER_PI2) / LOG2_OVER_PI2 < 0.05
 
     def test_rapid_decay_beyond_mass_scale(self, spec4):
         dec = build_decomposition(spec4, L=2, m2=0.04, J=12)
-        beta = beta_sequence(dec)
+        beta = coefficient_sequences(dec).beta
         idx = scale_indices(0.04, 2, 2.0, beta)
         j = int(idx.j_m) + 4
         assert beta[j] <= 2.0**-4 * beta.max()
 
     def test_monotone_tail_envelope(self, decomp_at):
         dec = decomp_at(1e-2, J=16)
-        beta = beta_sequence(dec)
+        beta = coefficient_sequences(dec).beta
         jm = int(scale_indices(1e-2, 2, 2.0, beta).j_m)
         for j in range(jm + 2, len(beta)):
             assert beta[j] <= 2.0 ** -(j - jm - 1) * beta.max()
 
     def test_nearby_mass_regression(self, decomp_at):
         # decompositions at nearby masses give close beta sequences
-        b1 = beta_sequence(decomp_at(1e-3, J=24))
-        b2 = beta_sequence(decomp_at(2e-3, J=24))
+        b1 = coefficient_sequences(decomp_at(1e-3, J=24)).beta
+        b2 = coefficient_sequences(decomp_at(2e-3, J=24)).beta
         assert np.abs(b1 - b2).sum() < 0.2
 
 
@@ -159,10 +157,10 @@ class TestDiagonalsAndEta:
             assert diag[j - 1] <= bound
 
     def test_eta_nonnegative(self, dec0_J48):
-        assert np.all(eta_sequence(dec0_J48) >= 0.0)
+        assert np.all(coefficient_sequences(dec0_J48).eta >= 0.0)
 
     def test_eta_sum_reproduces_constant_a(self, dec0_J48):
-        eta = eta_sequence(dec0_J48)
+        eta = coefficient_sequences(dec0_J48).eta
         ls = np.arange(len(eta), dtype=float)
         total = (4.0 ** -(ls + 1.0) * eta).sum()
         assert abs(total - constant_a()) / constant_a() < 0.01
@@ -175,7 +173,7 @@ class TestDiagonalsAndEta:
 
         val, _ = graded_bz_sum(4, f, n=32, max_levels=40, rtol=1e-13,
                                min_halfwidth=0.25 * 2.0**-12)
-        eta3 = eta_sequence(dec0_J48)[3]
+        eta3 = coefficient_sequences(dec0_J48).eta[3]
         assert abs(eta3 - 2.0 * 4.0**4 * float(val)) < 1e-8
 
 
@@ -205,7 +203,7 @@ class TestKernelsAndTails:
     def test_torus_decomposition_telescopes(self):
         spec = LatticeSpec.torus(2, 8)
         dec = build_decomposition(spec, L=2, m2=0.05, J=8)
-        beta = beta_sequence(dec)
+        beta = coefficient_sequences(dec).beta
         assert np.all(beta >= 0)
         lhs = beta.sum()
         assert len(dec.w2_partial) == len(dec.diagonals) == dec.J + 1
@@ -250,7 +248,7 @@ class TestScaleIndices:
         # j_Omega below j_m by up to 4 at Omega = 2
         worst = 0
         for m2 in (1e-1, 1e-2, 1e-3, 1e-4):
-            beta = beta_sequence(decomp_at(m2, J=24))
+            beta = coefficient_sequences(decomp_at(m2, J=24)).beta
             idx = scale_indices(m2, 2, 2.0, beta)
             worst = max(worst, abs(idx.j_m - idx.j_Omega))
         assert worst <= 4

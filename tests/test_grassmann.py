@@ -22,7 +22,6 @@ from wsaw4.grassmann import (
     FieldPolynomial,
     GrassmannForm,
     berezin_integral,
-    boson_grid,
     convolution_identity_check,
     exp_even_form,
     gaussian_convolve_poly,
@@ -225,6 +224,14 @@ class TestBerezin:
                                          angle_nodes=8, r_max=8.0))
         assert np.allclose(vals, vals[0], rtol=1e-12)
 
+    @pytest.mark.parametrize("M", range(1, 9))
+    def test_volume_sign_is_inversion_parity(self, M):
+        # psi_x -> x, psibar_x -> M + x: the volume order (psibar_0 psi_0)
+        # (psibar_1 psi_1)... as a permutation of canonical positions
+        order = [g for x in range(M) for g in (M + x, x)]
+        inversions = sum(a > b for a, b in itertools.combinations(order, 2))
+        assert grassmann._volume_reorder_sign(M) == (-1) ** inversions
+
     def test_lower_degree_integrates_to_zero(self):
         b = FermionBasis(2)
         F = wedge_product(psibar(b, 0), psi(b, 0))  # degree 2 of 4
@@ -290,6 +297,21 @@ def grid_points(monkeypatch):
 
     monkeypatch.setattr(grassmann, "_boson_axes", recording)
     return points
+
+
+def boson_grid(M, *, radial_nodes, angle_nodes, r_max, reduce_u1):
+    """The full tensor polar grid over C^M as ``(phi, weights)``: phi has
+    shape (npts, M) and the weights integrate du dv per site.  With
+    reduce_u1 site 0's phase is fixed (weight 2 pi), the grid that
+    berezin_integral takes for an invariant integrand; the oracle always
+    has the full grid, where the integrator sums half of it when W has real
+    coefficients."""
+    axes = grassmann._boson_axes(M, radial_nodes, angle_nodes, r_max,
+                                 reduce_u1)
+    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
+    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
+    phi = np.stack([g.ravel() for g in grids], axis=-1)
+    return phi, math.prod(wg.ravel() for wg in wgrids)
 
 
 class TestTableEvaluator:

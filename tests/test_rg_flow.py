@@ -18,7 +18,7 @@ from wsaw4.cov_decomp import (
     coefficient_sequences,
     scale_indices,
 )
-from wsaw4.lattice_green import bubble_diagram, constant_a
+from wsaw4.lattice_green import bubble_diagram_with_error, constant_a
 from wsaw4.rg_flow import (
     GAMMA,
     FlowState,
@@ -167,6 +167,25 @@ class TestBoundaryValue:
             assert violated
 
 
+@pytest.mark.parametrize("flow", [
+    solve_boundary_value, g_infinity,
+    lambda g0, co: g_tilde_sequence(1e-3, g0, co),
+], ids=["solve_boundary_value", "g_infinity", "g_tilde_sequence"])
+@pytest.mark.parametrize("g0,named", [
+    (np.nan, "g0 must be >= 0 and finite"),
+    (np.inf, "g0 must be >= 0 and finite"),
+    (-0.01, "g0 must be >= 0 and finite"),
+    (50.0, "g0 too large.* at scale 0,"),
+], ids=["nan", "inf", "negative", "too-large"])
+def test_every_g_flow_checks_its_coupling(flow, g0, named):
+    # g_infinity returned -3.8e27 at g0 = 50 and -0.01005 at g0 = -0.01 on
+    # the (L=2, m2=1e-3, J=24) table, and NaN and inf "did not converge"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # g overflows past the bad scale
+        with pytest.raises(ValueError, match=named):
+            flow(g0, synthetic_coeffs(8, m2=0.0, beta=1.0))
+
+
 class TestGInfinity:
     def test_zero_beta(self):
         co = synthetic_coeffs(10)
@@ -179,7 +198,8 @@ class TestGInfinity:
         for m2 in (1e-2, 1e-3, 1e-4):
             co = coeffs_at(m2, J=32)
             gi = g_infinity(0.05, co)
-            ratio = (1.0 / gi - 1.0 / 0.05) / bubble_diagram(4, m2)
+            bub, _ = bubble_diagram_with_error(4, m2)
+            ratio = (1.0 / gi - 1.0 / 0.05) / bub
             assert 0.7 < ratio < 1.3
             gap = abs(ratio - 1.0)
             if prev_gap is not None:
@@ -250,7 +270,8 @@ class TestNuPrimeLaws:
             co = coeffs_at(m2, J=32)
             traj = solve_boundary_value(g0, co, 32)
             npl = nu_prime_limit(traj)
-            prod = npl * (1.0 + g0 * bubble_diagram(4, m2)) ** GAMMA
+            bub, _ = bubble_diagram_with_error(4, m2)
+            prod = npl * (1.0 + g0 * bub) ** GAMMA
             assert 0.8 < prod < 1.2
             assert abs(prod - 1.0) < 5.0 * g0
 
@@ -261,7 +282,7 @@ class TestNuPrimeLaws:
         for m2 in (1e-1, 1e-2, 1e-3, 1e-4):
             co = coeffs_at(m2, J=32)
             traj = solve_boundary_value(g0, co, 32)
-            xs.append(np.log(1.0 + g0 * bubble_diagram(4, m2)))
+            xs.append(np.log(1.0 + g0 * bubble_diagram_with_error(4, m2)[0]))
             ys.append(np.log(nu_prime_limit(traj)))
         slope = np.polyfit(xs, ys, 1)[0]
         assert slope == pytest.approx(-GAMMA, abs=0.05)

@@ -4,17 +4,21 @@ aim 2's tallies.
 A settable value is a parameter with a default of a name in a module's
 ``__all__``: a function's, a class constructor's (a dataclass field with a
 default), or a public method's of such a class.  A public name is an entry
-of a module's ``__all__``.
+of a module's ``__all__``, and a public function is named in some other
+file of the package, the benchmark or the tests.
 """
 
 import importlib
 import inspect
+import pathlib
 import pkgutil
+import re
 
 import wsaw4
 
-TALLY = 40  # ROADMAP aim 2, "One value in use means a constant"
-PUBLIC_TALLY = 72  # ROADMAP aim 2, "No public name without a caller or a test"
+TALLY = 33  # ROADMAP aim 2, "One value in use means a constant"
+PUBLIC_TALLY = 65  # ROADMAP aim 2, "No public name without a caller or a test"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def defaults(obj):
@@ -62,3 +66,20 @@ def test_public_names_within_tally():
         f"{len(names)} public names against the tally of {PUBLIC_TALLY}: "
         f"give each a caller or a test, or update ROADMAP aim 2 and "
         f"PUBLIC_TALLY ({names})")
+
+
+def test_public_functions_named_outside_their_module():
+    texts = {path: path.read_text() for folder in ("src/wsaw4", "perfbench",
+                                                   "tests")
+             for path in (ROOT / folder).glob("*.py")}
+    unnamed = []
+    for name, obj in public_names().items():
+        module, public = name.split(".")
+        own = ROOT / "src" / "wsaw4" / f"{module}.py"
+        if inspect.isfunction(obj) and not any(
+                re.search(rf"\b{public}\b", text)
+                for path, text in texts.items() if path != own):
+            unnamed.append(name)
+    assert not unnamed, (
+        f"public functions named only in their own module: {unnamed}; "
+        f"make them private or give them a caller or a test")
