@@ -75,16 +75,21 @@ def _tau(s, L):
         return -np.log(s) / (2.0 * np.log(L))
 
 
-def _f(tau, j):
+def _span(tau):
+    """(min, max) of tau: the range on which :func:`_f` decides."""
+    return np.min(tau, initial=np.inf), np.max(tau, initial=-np.inf)
+
+
+def _f(tau, j, span):
     """Cumulative multiplier f_j(tau) = step(tau - j + 1); f_0 = 0.
 
-    The float 1.0 or 0.0 when every tau lies on one side of the step.
+    The float 1.0 or 0.0 when tau's ``span`` lies on one side of the step.
     """
     if j == 0:
         return 0.0
-    if np.max(tau, initial=-np.inf) <= j - 1.0:
+    if span[1] <= j - 1.0:
         return 1.0
-    if np.min(tau, initial=np.inf) >= float(j):
+    if span[0] >= float(j):
         return 0.0
     return smooth_step(tau - j + 1.0)
 
@@ -114,7 +119,9 @@ class Decomposition:
         if j not in range(1, self.J + 2):
             raise ValueError(f"slice j={j} not in 1..{self.J + 1}")
         t = _tau(np.asarray(s, dtype=float), self.L)
-        u = 1.0 - _f(t, self.J) if j > self.J else _f(t, j) - _f(t, j - 1)
+        r = _span(t)
+        u = 1.0 - _f(t, self.J, r) if j > self.J \
+            else _f(t, j, r) - _f(t, j - 1, r)
         return u + np.zeros_like(t)
 
 
@@ -159,7 +166,8 @@ def build_decomposition(spec: LatticeSpec, L: int, m2: float,
         base2 = chat2 @ wmat
         base1 = chat @ wmat
         out = np.zeros((2 * J + 1, 2))
-        fs = [_f(t, j) for j in range(J + 1)]
+        r = _span(t)
+        fs = [_f(t, j, r) for j in range(J + 1)]
         for j, f in enumerate(fs):
             if not isinstance(f, float):
                 out[j] = (chat2 * f * f) @ wmat

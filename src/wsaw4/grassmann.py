@@ -34,16 +34,17 @@ site's axis is one-dimensional, so a monomial ``prod_x phi_x^a phibar_x^b``
 is the outer product of per-axis tables ``v^a conj(v)^b`` built by repeated
 multiplication; a flat point set is the one-group case.  ``W`` must be
 real-valued: its coefficients must satisfy ``c_{a,b} = conj(c_{b,a})`` to
-1e-12 relative (else ``ValueError``), so per chunk of the first axis
-``exp(-W)`` is one real matrix product (``Re ab = Re a Re b - Im a Im b``),
-and a second contracts the top coefficient's terms against it: the
-coefficient itself is never formed on the grid.  The fluctuation integral
-of :func:`integrate_fluctuation` takes its per-term sums from the same
-chunk loop, so no array spans more than a chunk of any grid.  When ``W``
-has real coefficients, ``exp(-W)`` and every monomial's conjugate are their
-values at ``conj(phi)``, a grid point: each term's grid sum is twice the
-real part of its sum over half the grid, ``theta <= pi`` on the first
-angular axis.  A complex-coefficient ``W`` keeps the full grid.
+1e-12 relative (else ``ValueError``), so per tile of the grid ``exp(-W)``
+is one real matrix product (``Re ab = Re a Re b - Im a Im b``), and a
+second contracts the top coefficient's terms against it: the coefficient
+itself is never formed on the grid.  A tile holds at most ``_TILE_POINTS``
+points, or one row of the last axis where that row is larger.  The
+fluctuation integral of :func:`integrate_fluctuation` takes its per-term
+sums from the same tile loop, so no array spans more than a tile of any
+grid.  When ``W`` has real coefficients, ``exp(-W)`` and every monomial's
+conjugate are their values at ``conj(phi)``, a grid point: each term's grid
+sum is twice the real part of its sum over half the grid, ``theta <= pi``
+on the first angular axis.  A complex-coefficient ``W`` keeps the full grid.
 
 The Gaussian super-expectation ``E_C F = int exp(-S_A) F`` (``A = C^{-1}``,
 ``S_A = (phi, A phibar) + (psi, A psibar)``) needs no normalising constant:
@@ -67,6 +68,7 @@ grid is checked by self-normalisation and, on one site, by walk quadrature.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -96,7 +98,7 @@ __all__ = [
     "two_point_integral",
 ]
 
-_CHUNK_POINTS = 2_000_000  # grid points a chunk holds: 16 MB of float64
+_TILE_POINTS = 2**18  # exp(-W) points per tile: 2 MiB of float64, a core's L2
 
 
 # ---------------------------------------------------------------------------
@@ -536,12 +538,12 @@ def _u1_invariant(poly):
     return all(sum(a) == sum(b) for a, b in poly.terms)
 
 
-def _weight(c, tables):
-    """exp(-W) for the real W = sum_k c_k outer_g tables[g][k], as a float64
-    (n_i, n_j) array (j the last group) by one real matrix product."""
-    a = c[:, None] * _outer(tables[:-1])
-    b = tables[-1]
-    E = np.concatenate([-a.real, a.imag]).T @ np.concatenate([b.real, b.imag])
+def _weight(c, tables, last):
+    """exp(-W) for the real W = sum_k c_k outer_g tables[g][k] last[k], as a
+    float64 (n_i, n_j) array by one real matrix product; ``last`` is the last
+    group's (K, n_j) table as a (2K, n_j) float array, Re above Im."""
+    a = c[:, None] * _outer(tables)
+    E = np.concatenate([-a.real, a.imag]).T @ last
     return np.exp(E, out=E)
 
 
@@ -552,11 +554,13 @@ def _real_coefficients(poly):
 
 def _term_sums(tabs, axes, exponent, fold):
     """Each term's grid sum against exp(-W), W real (checked), from per-axis
-    term tables ``tabs``.  Per chunk of the first axis, A (K, n) is the
-    weighted outer table of all axes but the last, j; P = exp(-W) B^T
-    (n, K), B the weighted table of axis j, is one real matrix product; term
-    k's chunk sum is sum_i A[k, i] P[i, k], chunk sums added pairwise.  On
-    a folded grid the full grid's sum is twice the real part."""
+    term tables ``tabs``.  A tile is one point of each axis before k, rows
+    of k and all of the axes after it, k the first axis whose trailing
+    product fits ``_TILE_POINTS``; no tile splits the last axis, j.  Per tile,
+    A (K, n) is the weighted outer table of all axes but j; P = exp(-W) B^T
+    (n, K), B the weighted table of j, is one real matrix product; term t's
+    tile sum is sum_i A[t, i] P[i, t], tile sums added pairwise.  On a
+    folded grid the full grid's sum is twice the real part."""
     _real_exponent_check(exponent)
     groups = _axis_groups(axes)
     tabs = [t * w for t, (_, w) in zip(tabs, axes)]  # fold in the weights
@@ -565,13 +569,19 @@ def _term_sums(tabs, axes, exponent, fold):
         tabs.append(np.ones_like(tabs[0][:, :1]))
         wtabs.append(np.ones_like(cw[:, None]))
     last = np.ascontiguousarray(tabs[-1].T).view(float)  # (n_j, 2K): Re, Im
-    step = max(1, _CHUNK_POINTS // math.prod(len(v) for v, _ in axes[1:]))
+    wlast = np.concatenate([wtabs[-1].real, wtabs[-1].imag])
+    n = [t.shape[1] for t in tabs]
+    k = next((k for k in range(len(n) - 2)
+              if math.prod(n[k + 1:]) <= _TILE_POINTS), len(n) - 2)
+    step = max(1, _TILE_POINTS // math.prod(n[k + 1:]))
+    cuts = [[slice(i, i + 1) for i in range(m)] for m in n[:k]]
+    cuts.append([slice(lo, lo + step) for lo in range(0, n[k], step)])
     parts = []
-    for lo in range(0, len(axes[0][0]), step):
-        rows = slice(lo, lo + step)
-        P = (_weight(cw, [wtabs[0][:, rows]] + wtabs[1:]) @ last).view(complex)
-        A = _outer([tabs[0][:, rows]] + tabs[1:-1])
-        parts.append(np.sum(A * P.T, axis=1))
+    for cut in itertools.product(*cuts):  # a tile's tables of all axes but j
+        wt, tt = ([t[:, s] for t, s in zip(ts, cut)] + ts[k + 1:-1]
+                  for ts in (wtabs, tabs))
+        P = (_weight(cw, wt, wlast) @ last).view(complex)
+        parts.append(np.sum(_outer(tt) * P.T, axis=1))
     S = np.stack(parts, axis=1).sum(axis=1)
     return 2.0 * S.real if fold else S
 

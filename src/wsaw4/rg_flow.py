@@ -136,9 +136,12 @@ def step_forward(state: FlowState, coeffs: CoefficientSequences) -> FlowState:
 def iterate_g(g0: float, beta, J: int) -> np.ndarray:
     """Forward g-iteration g_{j+1} = g_j - beta_j g_j^2, j = 0..J-1.
 
-    Raises unless g0 is finite and >= 0, and where beta_j g_j >= 1: there
-    g_{j+1} would leave (0, g_j), and the quadratic recursion fails.
+    Raises unless g0 is finite and >= 0 and J in 0..len(beta), and where
+    beta_j g_j >= 1: there g_{j+1} would leave (0, g_j), and the quadratic
+    recursion fails.
     """
+    if not 0 <= J <= len(beta):
+        raise IndexError(f"J={J} beyond coefficient table length {len(beta)}")
     if not 0.0 <= g0 < np.inf:
         raise ValueError(f"g0 must be >= 0 and finite, got {g0}")
     g = np.empty(J + 1)
@@ -161,12 +164,9 @@ def solve_boundary_value(g0: float, coeffs: CoefficientSequences,
     g iterates forward from g0; z_j = sum_{k>=j} theta_k g_k^2 (backward
     summation of the z-recursion with z_inf = 0); mu iterates backward from
     mu_J = 0.  The returned (z_0, mu_0) are the critical initial data of the
-    quadratic truncation.  Raises on g0 as :func:`iterate_g`.
+    quadratic truncation.  Raises on g0 and J as :func:`iterate_g`.
     """
     J = len(coeffs.beta) if J is None else J
-    if J > len(coeffs.beta):
-        raise IndexError(f"J={J} beyond coefficient table length "
-                         f"{len(coeffs.beta)}")
     g = iterate_g(g0, coeffs.beta, J)
     gg = g[:J] * g[:J]
     # z by backward summation, z_J treated as 0
@@ -220,7 +220,7 @@ def g_tilde_sequence(m2: float, g0: float,
 
     g~_j = g_j(0, g0) for j <= j_m and g~_j = g_{j_m}(0, g0) beyond, where
     j_m is the smallest j with L^{2j} m2 >= 1.  ``coeffs_massless`` must
-    hold the m2 = 0 beta sequence at the same L.  Raises on g0 as
+    hold the m2 = 0 beta sequence at the same L.  Raises on g0 and J as
     :func:`iterate_g`.
     """
     if coeffs_massless.m2 != 0.0:

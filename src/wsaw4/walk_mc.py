@@ -342,8 +342,9 @@ def _gaussian_pieces(g, nu, s, gap, ell, I_s):
     flip = x + y < 0.0
     p, q = np.where(flip, -y, x), np.where(flip, -x, y)
     inside = p < 0.0          # then m = 0, else m = p and p^2 - q^2 = -w(p+q)
-    peaked = np.where(inside, erfc(p), erfcx(p)) \
-        - np.exp(np.where(inside, -q * q, -w * (p + q))) * erfcx(q)
+    head = np.empty_like(p)   # e^{m^2} erfc(p), each function where it is kept
+    head[inside], head[~inside] = erfc(p[inside]), erfcx(p[~inside])
+    peaked = head - np.exp(np.where(inside, -q * q, -w * (p + q))) * erfcx(q)
     shift = np.where(inside, x * x, np.where(flip, w * (p + q), 0.0))
     return (0.5 * math.sqrt(math.pi / g)) \
         * np.exp(-nu * s - g * I_s + shift) * peaked

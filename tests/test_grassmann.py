@@ -450,17 +450,77 @@ class TestChunkSize:
             radial_nodes=36, angle_nodes=18)[(1, 1)][0],
     }
 
-    def test_default_triangle_chunks(self):
-        # 32 radial rows of 512 x 512 points: several chunks, the last partial
-        step = grassmann._CHUNK_POINTS // 512**2
-        assert 1 < step < 32 and 32 % step
+    def test_default_triangle_chunks(self, monkeypatch):
+        # the folded triangle 32/16 has 32 radial rows of 256 x 512 points:
+        # a row fits the tile, so each tile is two whole rows (16 tiles)
+        shapes = []
+        weight = grassmann._weight
 
-    @pytest.mark.parametrize("budget", [1, 10**12])  # one row; every row
+        def recording(*args):
+            E = weight(*args)
+            shapes.append(E.shape)
+            return E
+
+        monkeypatch.setattr(grassmann, "_weight", recording)
+        self.CASES["triangle self-normalisation"]()
+        assert shapes == [(2 * 256, 512)] * 16
+        assert 2 * 256 * 512 == grassmann._TILE_POINTS
+
+    @pytest.mark.parametrize("budget", [1, 4096, 10**12])  # one row; rows; all
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_value_independent_of_chunk_size(self, monkeypatch, case, budget):
         ref = self.CASES[case]()
-        monkeypatch.setattr(grassmann, "_CHUNK_POINTS", budget)
+        monkeypatch.setattr(grassmann, "_TILE_POINTS", budget)
         assert abs(self.CASES[case]() - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("budget", [1, 4096, 2**18, 10**12])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_tiles_bounded_and_cover_grid_once(self, monkeypatch, case,
+                                               budget):
+        # every exp(-W) tile holds at most max(budget, n_last) points, and
+        # the tiles' weights are the whole grid's, each point once
+        tiles, lasts = [], []
+        weight, axes_of = grassmann._weight, grassmann._boson_axes
+
+        def recording_weight(*args):
+            E = weight(*args)
+            tiles.append(E.ravel().copy())
+            return E
+
+        def recording_axes(*args):
+            axes = axes_of(*args)
+            lasts.append(len(axes[-1][0]))
+            return axes
+
+        monkeypatch.setattr(grassmann, "_weight", recording_weight)
+        monkeypatch.setattr(grassmann, "_boson_axes", recording_axes)
+        monkeypatch.setattr(grassmann, "_TILE_POINTS", 10**12)
+        self.CASES[case]()
+        (whole,) = tiles  # one tile: the whole grid
+        tiles.clear()
+        monkeypatch.setattr(grassmann, "_TILE_POINTS", budget)
+        self.CASES[case]()
+        assert max(t.size for t in tiles) <= max(budget, lasts[-1])
+        np.testing.assert_allclose(np.sort(np.concatenate(tiles)),
+                                   np.sort(whole), rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("integral, bound", [
+        # 16 tiles of 2 rows; 17.9 MiB as 3 chunks of up to 1,966,080 points
+        (CASES["triangle self-normalisation"], 6),
+        # one first-axis row is 3,276,800 points, over the old 2,000,000
+        # budget: 28.5 MiB as 64 one-row chunks
+        (lambda: two_point_integral(TRIANGLE, 0.3, 0.2, 0, 1, "grassmann",
+                                    radial_nodes=64, angle_nodes=40), 8),
+    ], ids=["triangle-32-16", "triangle-64-40"])
+    def test_memory_bounded_by_tile(self, integral, bound):
+        integral()  # the import and first-call caches are not the grid's
+        tracemalloc.start()
+        try:
+            integral()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2**20
 
 
 def expectation(C, F):
@@ -663,8 +723,8 @@ class TestThetaAndConvolution:
         assert res < 1e-6
 
     def test_memory_within_chunk_budget(self):
-        # the fluctuation integral runs through the chunk loop: its peak
-        # stays under twice the 16 MB chunk budget (a table over the whole
+        # the fluctuation integral runs through the tile loop: its peak
+        # (4.6 MiB) stays under four float64 tiles (a table over the whole
         # 648^2-point fluctuation grid per monomial peaked at 247 MiB)
         b = FermionBasis(2)
         F = wedge_product(tau_form(b, 0), tau_form(b, 1))
@@ -676,7 +736,7 @@ class TestThetaAndConvolution:
         finally:
             tracemalloc.stop()
         assert res < 1e-6
-        assert peak < 32 * 2**20
+        assert peak < 4 * 8 * grassmann._TILE_POINTS
 
     @pytest.mark.parametrize("form", [
         lambda b: wedge_product(phibar_poly(b, 0), phi_poly(b, 1)),
@@ -697,7 +757,7 @@ class TestThetaAndConvolution:
 
         monkeypatch.setattr(grassmann, "_weight", counting)
         points = 36 * 18  # one fluctuation site's polar grid
-        monkeypatch.setattr(grassmann, "_CHUNK_POINTS", 100 * points)
+        monkeypatch.setattr(grassmann, "_TILE_POINTS", 100 * points)
         pts = np.array([[0.3 + 0.2j, -0.4 + 0.1j]])
         integrate_fluctuation(theta_map(form(FermionBasis(2))), self.C1, pts,
                               radial_nodes=36, angle_nodes=18)
@@ -895,9 +955,10 @@ class TestTwoPoint:
 
     def test_three_site_values_frozen(self):
         # both routes' integrands are U(1)-invariant: fixed-phase grid values,
-        # folded (W has real coefficients)
-        frozen = {(0.3, 0.2, 0, 1): (0.49803742584298577, 0.49803742584298555),
-                  (0.5, -0.2, 2, 2): (0.9600221724475605, 0.9600221724475602)}
+        # folded (W has real coefficients); the grassmann values as summed
+        # in 16 tiles of two radial rows (one ulp from 3 chunks of 15 rows)
+        frozen = {(0.3, 0.2, 0, 1): (0.4980374258429857, 0.49803742584298555),
+                  (0.5, -0.2, 2, 2): (0.9600221724475604, 0.9600221724475602)}
         for (g, nu, a, b), values in frozen.items():
             assert tuple(two_point_integral(TRIANGLE, g, nu, a, b, method,
                                             radial_nodes=32, angle_nodes=16)

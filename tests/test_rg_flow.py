@@ -186,6 +186,23 @@ def test_every_g_flow_checks_its_coupling(flow, g0, named):
             flow(g0, synthetic_coeffs(8, m2=0.0, beta=1.0))
 
 
+@pytest.mark.parametrize("flow", [
+    lambda co, J: iterate_g(0.05, co.beta, J),
+    lambda co, J: solve_boundary_value(0.05, co, J),
+    lambda co, J: g_tilde_sequence(1e-3, 0.05, co, J),
+], ids=["iterate_g", "solve_boundary_value", "g_tilde_sequence"])
+@pytest.mark.parametrize("J", [5, 6, -1, -2])
+def test_every_g_flow_checks_its_table_length(flow, J):
+    # on a 4-entry table J = 6 raised numpy's bare "index 4 is out of
+    # bounds" from g_tilde_sequence, J = -1 "index 0 is out of bounds" from
+    # both flows, and J = -2 "negative dimensions" from iterate_g
+    co = synthetic_coeffs(4, m2=0.0, beta=1.0)
+    with pytest.raises(IndexError, match=f"J={J} beyond coefficient table "
+                                         "length 4"):
+        flow(co, J)
+    flow(co, 4)  # the whole table is accepted
+
+
 class TestGInfinity:
     def test_zero_beta(self):
         co = synthetic_coeffs(10)
