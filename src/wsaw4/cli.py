@@ -30,6 +30,7 @@ from . import cov_decomp, grassmann, lattice_green, rg_flow, susceptibility, wal
 
 SCHEMA_VERSION = 3  # bumped when the RNG stream layout for a seed changes
 _TAIL_PERIOD_CAP = 64  # largest torus period 4 L^j --measure-tails uses
+_TAIL_SIZE_CAP = 2**24  # and largest size (4 L^j)^d: 64^4, peak RSS 0.95 GB
 
 
 class _UserError(Exception):
@@ -100,8 +101,10 @@ def _run_decompose(p):
     dec, co, idx = _coeffs_from_params(p)
     rows = []
     for j in range(1, dec.J + 1):
-        tail = cov_decomp.range_tail_fraction(dec, j) \
-            if p["measure_tails"] and 4 * dec.L**j <= _TAIL_PERIOD_CAP else ""
+        period = 4 * dec.L**j
+        tail = cov_decomp.range_tail_fraction(dec, j) if p["measure_tails"] \
+            and period <= _TAIL_PERIOD_CAP \
+            and period ** p["dim"] <= _TAIL_SIZE_CAP else ""
         rows.append((j, dec.diagonals[j], tail))
     fcsv = _csv_text(["j", "diagonal", "range_tail_fraction"], rows)
     out = {"beta": co.beta, "eta": co.eta, "chi": idx.chi,

@@ -131,8 +131,8 @@ def build_decomposition(spec: LatticeSpec, L: int, m2: float,
 
     Parameters
     ----------
-    spec : LatticeSpec (window or torus geometry; a window is integrated
-        on the graded quadrature's default 32 points per axis and level)
+    spec : LatticeSpec (a window is integrated on the graded quadrature's
+        default 32 points per axis and level)
     L : scale base >= 2
     m2 : killing rate; on a torus, must be > 0 (zero mode)
     J : number of slices
@@ -145,8 +145,6 @@ def build_decomposition(spec: LatticeSpec, L: int, m2: float,
         raise ValueError(f"m2 must be finite and >= 0, got {m2}")
     if spec.geometry == "torus" and m2 == 0.0:
         raise ValueError("torus decomposition requires m2 > 0 (zero mode)")
-    if spec.geometry == "graph":
-        raise ValueError("decomposition supports window and torus geometries")
 
     d = spec.d
 

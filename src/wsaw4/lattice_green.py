@@ -13,16 +13,16 @@ and the bubble diagram is the squared l2 norm of the kernel,
 In d = 4 the bubble diverges logarithmically as ``m2 -> 0`` with slope
 ``1/(2 pi^2)`` in ``log(1/m2)``.
 
-Three geometries are supported: the infinite lattice (quadrature over the
+Two geometries are supported: the infinite lattice (quadrature over the
 Brillouin zone, with a dyadically graded grid that resolves the ``1/|k|^2``
-singularity at ``m2 = 0``), a torus of a given period (exact finite Fourier
-sums), and an explicit finite graph (dense matrix inversion).
+singularity at ``m2 = 0``) and a torus of a given period (exact finite
+Fourier sums).
 
 The graded quadrature splits the zone into dyadic boxes ``[-pi/2^l, pi/2^l]^d``
-and applies a tensor midpoint rule on each annular shell; the contribution of
-the innermost box is used both as a stopping criterion and as part of the
-reported error estimate.  A second pass at half resolution gives a Richardson
-error estimate.
+and applies a tensor midpoint rule on each annular shell; the innermost box
+stops the walk and is then added to the value.  A second pass at half
+resolution gives the Richardson extrapolation, and the reported error
+estimate ``|fine - coarse|/3 + 1e-14 |fine|``.
 
 The midpoint grid is symmetric under the 2^d sign flips and d! axis
 permutations of Z^d, and so is every integrand here: functions of the symbol,
@@ -59,15 +59,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Dimension plus geometry: infinite window, torus, or explicit graph.
+    """Z^d as the infinite window (``period`` None) or the torus (Z/period)^d.
 
-    Use the constructors :meth:`window`, :meth:`torus`, :meth:`graph`.
+    Use the constructors :meth:`window` and :meth:`torus`.
     """
 
     d: int
-    geometry: str
     period: int | None = None
-    laplacian: np.ndarray | None = None
 
     def __post_init__(self):
         for name, v in (("d", self.d), ("period", self.period)):
@@ -76,35 +74,25 @@ class LatticeSpec:
                 raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.d < 1:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
-        if self.geometry not in ("window", "torus", "graph"):
-            raise ValueError(f"unknown geometry {self.geometry!r}")
-        if self.geometry == "torus":
-            if self.period is None or self.period < 1:
-                raise ValueError("torus period must be >= 1")
-        if self.geometry == "graph":
-            L = self.laplacian
-            if L is None or L.ndim != 2 or L.shape[0] != L.shape[1]:
-                raise ValueError("graph geometry needs a square Laplacian matrix")
-            if not np.allclose(L, L.T, atol=1e-12):
-                raise ValueError("graph Laplacian must be symmetric")
-            if not np.allclose(L.sum(axis=1), 0.0, atol=1e-12):
-                raise ValueError("graph Laplacian rows must sum to zero")
+        if self.period is not None and self.period < 1:
+            raise ValueError(f"torus period must be >= 1, got {self.period}")
+
+    @property
+    def geometry(self) -> str:
+        """``"window"`` or ``"torus"``, read from ``period``."""
+        return "window" if self.period is None else "torus"
 
     @staticmethod
     def window(d: int) -> "LatticeSpec":
         """Infinite lattice Z^d (values by Brillouin-zone quadrature)."""
-        return LatticeSpec(d=d, geometry="window")
+        return LatticeSpec(d)
 
     @staticmethod
     def torus(d: int, period: int) -> "LatticeSpec":
         """Discrete torus (Z/period)^d (values by finite Fourier sums)."""
-        return LatticeSpec(d=d, geometry="torus", period=period)
-
-    @staticmethod
-    def graph(laplacian: np.ndarray) -> "LatticeSpec":
-        """Explicit finite graph given by its (positive semidefinite) Laplacian."""
-        lap = np.asarray(laplacian, dtype=float)
-        return LatticeSpec(d=1, geometry="graph", laplacian=lap)
+        if period is None:  # not the window that LatticeSpec(d) is
+            raise ValueError("period must be an integer, got None")
+        return LatticeSpec(d, period)
 
 
 # ---------------------------------------------------------------------------
@@ -242,24 +230,21 @@ def _window_green_raw(d, m2, x, n, max_levels):
 def green_function_with_error(spec: LatticeSpec, m2: float, x=None, *,
                               grid: int = 32):
     """Green function ``(-D + m2)^{-1}_{0x}`` for the given lattice
-    geometry, as ``(value, abs_error_estimate)``.  On a window the estimate
-    is a Richardson comparison against the half-resolution grid plus the
-    innermost-box contribution; torus and graph values are exact up to
-    roundoff.
+    geometry, as ``(value, abs_error_estimate)``.  On a window the value is
+    ``fine + (fine - coarse)/3`` from the full- and half-resolution grids,
+    and the estimate ``|fine - coarse|/3 + 1e-14 |fine|``, with no term for
+    the innermost box; torus values are exact up to roundoff.
 
     Parameters
     ----------
     spec : LatticeSpec
     m2 : float
         Killing rate (mass squared).  ``m2 = 0`` is allowed on the infinite
-        window only for ``d > 2``; it is rejected on a torus or on a graph
-        with a zero mode (singular matrix).
+        window only for ``d > 2``; it is rejected on a torus (zero mode).
     x : displacement, optional
         Lattice displacement of ``d`` integer coordinates (defaults to the
         origin); any other length, or a non-integral coordinate, raises
-        ValueError.  On the torus it is reduced modulo the period.  For
-        graph geometry, a pair ``(a, b)`` of vertex indices in ``0 .. M-1``
-        (an integer means ``(0, x)``); anything else raises ValueError.
+        ValueError.  On the torus it is reduced modulo the period.
     grid : int
         Points per axis and per dyadic level of the graded quadrature
         (window geometry only).  Must be a positive multiple of 8, so that
@@ -267,51 +252,29 @@ def green_function_with_error(spec: LatticeSpec, m2: float, x=None, *,
     """
     if not 0.0 <= m2 < np.inf:
         raise ValueError(f"m2 must be finite and >= 0, got {m2}")
-    if spec.geometry in ("window", "torus") and x is not None:
+    if x is not None:
         if np.size(x) != spec.d:
             raise ValueError(f"displacement x has {np.size(x)} coordinates, "
                              f"expected d = {spec.d}")
         if not np.all(np.mod(x, 1) == 0):
             raise ValueError(f"displacement x = {x!r} is not a lattice point")
-    if spec.geometry == "window":
-        if m2 == 0.0 and spec.d <= 2:
-            raise ValueError("massless Green function diverges for d <= 2")
-        if grid < 8 or grid % 8:
-            raise ValueError(f"grid must be a positive multiple of 8, "
-                             f"got {grid}")
-        # resolve structure down to the mass scale; 50 dyadic levels suffice
-        # for m2 >= 1e-28, the singular m2 = 0 case stops via rtol instead
-        levels = 52 if m2 <= 0.0 else \
-            min(60, max(6, int(np.ceil(np.log2(np.pi / np.sqrt(m2)))) + 4))
-        coarse = _window_green_raw(spec.d, m2, x, grid // 2, levels)
-        fine = _window_green_raw(spec.d, m2, x, grid, levels)
-        extrap = fine + (fine - coarse) / 3.0
-        return extrap, abs(fine - coarse) / 3.0 + 1e-14 * abs(fine)
     if spec.geometry == "torus":
         if m2 == 0.0:
             raise ValueError("torus has a zero mode: m2 must be > 0")
         val = _torus_green(spec.d, spec.period, m2, x)
         return val, 1e-14 * abs(val)
-    # graph
-    lap = spec.laplacian
-    if m2 == 0.0:
-        eigvals = np.linalg.eigvalsh(lap)
-        if eigvals[0] < 1e-12:
-            raise ValueError("graph Laplacian has a zero mode: m2 must be > 0")
-    M = lap.shape[0]
-    pair = (0, 0) if x is None else tuple(np.atleast_1d(x).tolist())
-    if len(pair) == 1:
-        pair = (0,) + pair
-    if len(pair) != 2:
-        raise ValueError(f"graph x is a vertex or a pair (a, b), got {x!r}")
-    if not all(isinstance(v, numbers.Integral) and 0 <= v < M for v in pair):
-        raise ValueError(f"vertices {pair} not in 0..{M - 1}")
-    a, b = pair
-    mat = lap + m2 * np.eye(M)
-    rhs = np.zeros(M)
-    rhs[b] = 1.0
-    val = float(np.linalg.solve(mat, rhs)[a])
-    return val, 1e-13 * abs(val)
+    if m2 == 0.0 and spec.d <= 2:
+        raise ValueError("massless Green function diverges for d <= 2")
+    if grid < 8 or grid % 8:
+        raise ValueError(f"grid must be a positive multiple of 8, got {grid}")
+    # resolve structure down to the mass scale; 50 dyadic levels suffice
+    # for m2 >= 1e-28, the singular m2 = 0 case stops via rtol instead
+    levels = 52 if m2 <= 0.0 else \
+        min(60, max(6, int(np.ceil(np.log2(np.pi / np.sqrt(m2)))) + 4))
+    coarse = _window_green_raw(spec.d, m2, x, grid // 2, levels)
+    fine = _window_green_raw(spec.d, m2, x, grid, levels)
+    extrap = fine + (fine - coarse) / 3.0
+    return extrap, abs(fine - coarse) / 3.0 + 1e-14 * abs(fine)
 
 
 def _torus_green(d, period, m2, x):

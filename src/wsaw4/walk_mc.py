@@ -217,8 +217,6 @@ def _draw(spec, T, rng, nblock, steps=True):
     """A block of walks in stream order: ``(N, times)`` or, with ``steps``,
     ``(N, times, dirs)``: the Poisson(2dT) jump counts, all jump times
     uniform on [0, T], then all steps as directions in 0 .. 2d-1."""
-    if spec.geometry == "graph":
-        raise ValueError("walks run on window or torus geometry")
     N = rng.poisson(2 * spec.d * T, size=nblock)
     times = rng.random(int(N.sum())) * T
     if not steps:
@@ -286,7 +284,9 @@ def _walk_values(spec, T, g, nu, N, times, dirs=None):
             base = 2 * int(np.abs(pos).max()) + 1
             pos += base // 2
         if nb * base**d >= 2**63:
-            raise OverflowError("site key would overflow; reduce T or block size")
+            per = f", period = {spec.period}" if torus else ""
+            raise ValueError(f"site key would overflow int64 at d = {d}, "
+                             f"T = {T}{per}")
         code = np.mod(pos, base) @ base ** np.arange(d - 1, -1, -1)
     else:
         k = np.arange(2 * d)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wsaw4 import cli, walk_mc
+from wsaw4 import cli, cov_decomp, walk_mc
 from wsaw4.cli import SCHEMA_VERSION, dispatch
 
 
@@ -79,6 +79,20 @@ class TestArtifacts:
         capsys.readouterr()
         assert dispatch(["reproduce", str(out / "manifest.json")]) == 0
         assert capsys.readouterr().out == "zero diff\n"
+
+    def test_decompose_tails_capped_by_size(self, tmp_path, monkeypatch):
+        # at d = 5 the period cap alone let slices 3 and 4 ask for 32^5 and
+        # 64^5 points, 8.6 GB in one float64 array of the last
+        periods = []
+        monkeypatch.setattr(cov_decomp, "range_tail_fraction",
+                            lambda dec, j: periods.append(4 * dec.L**j) or 0.5)
+        out, _ = run_cli(["decompose", "--dim", "5", "--mass2", "1e-2",
+                          "--scales", "4", "--measure-tails"], tmp_path, "d")
+        assert periods == [8, 16]
+        lines = (out / "slices.csv").read_text().splitlines()
+        rows = list(csv.DictReader(l for l in lines if not l.startswith("#")))
+        tails = [r["range_tail_fraction"] for r in rows]
+        assert tails == ["0.5", "0.5", "", ""]
 
     def test_predict_and_ode(self, tmp_path):
         out, _ = run_cli(["predict", "--g", "0.02", "--eps", "1e-6"],
@@ -340,6 +354,10 @@ class TestExitCodes:
         (["walk-mc", "--dim", "1", "--geometry", "torus:3", "--g", "0.3",
           "--nu=-1000", "--samples", "10", "--samples-chi", "10"],
          "tail bound overflows: nu = -1000.0"),
+        (["walk-mc", "--dim", "17", "--T", "2", "--samples", "10"],
+         "site key would overflow int64 at d = 17, T = 2.0"),
+        (["walk-mc", "--dim", "2", "--geometry", "torus:1099511627776"],
+         "period = 1099511627776"),
     ], ids=["bubble-nan", "green-nan", "decompose-inf", "flow-short-table",
             "susy-angle-nodes-0", "susy-angle-nodes-negative",
             "susy-radial-nodes-0", "bubble-overflow", "walk-mc-g-nan",
@@ -347,14 +365,15 @@ class TestExitCodes:
             "decompose-omega-nan", "green-x-not-int",
             "walk-mc-geometry-not-int", "susy-graph-not-int", "walk-mc-T-inf",
             "walk-mc-T-max-inf", "walk-mc-nu-inf",
-            "walk-mc-torus-tail-overflow"])
+            "walk-mc-torus-tail-overflow", "walk-mc-site-key-overflow",
+            "walk-mc-torus-site-key-overflow"])
     def test_user_error_names_parameter(self, args, named, tmp_path,
                                         monkeypatch, capsys):
         # a non-finite m2, g, nu, g0, Omega or horizon, a g0 whose coupling
         # turns negative, a beta table too short for g_inf, a node count
-        # below 1, a bubble past float64 and an integer option that is not
-        # an integer are the user's input: exit 1, naming the parameter or
-        # the overflow
+        # below 1, a bubble or a walk site key past its float or int range
+        # and an integer option that is not an integer are the user's
+        # input: exit 1, naming the parameter or the overflow
         monkeypatch.setattr(sys, "argv",
                             ["wsaw4"] + args + ["--out", str(tmp_path / "x")])
         with pytest.raises(SystemExit) as exc:

@@ -232,48 +232,15 @@ class TestGreenTorusAndGraph:
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
     def test_torus_matches_graph_laplacian(self):
-        # a 1d torus of period 5 is the 5-cycle graph
-        spec_t = LatticeSpec.torus(1, 5)
-        lap = np.zeros((5, 5))
+        # a 1d torus of period 5 is the 5-cycle graph: its Green function is
+        # row 0 of the inverse of that graph's Laplacian plus m2
+        lap = 2.0 * np.eye(5) - np.roll(np.eye(5), 1, axis=1) \
+            - np.roll(np.eye(5), -1, axis=1)
+        inv = np.linalg.inv(lap + 0.4 * np.eye(5))
+        spec = LatticeSpec.torus(1, 5)
         for x in range(5):
-            for s in (1, -1):
-                lap[x, x] += 1.0
-                lap[x, (x + s) % 5] -= 1.0
-        spec_g = LatticeSpec.graph(lap)
-        for x in range(5):
-            vt = green_function_with_error(spec_t, 0.4, [x])[0]
-            vg = green_function_with_error(spec_g, 0.4, (0, x))[0]
-            assert vt == pytest.approx(vg, rel=1e-12)
-
-    PATH3 = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-
-    def test_graph_vertex_forms(self):
-        spec = LatticeSpec.graph(self.PATH3)
-        v02 = green_function_with_error(spec, 0.5, (0, 2))[0]
-        assert green_function_with_error(spec, 0.5, 2)[0] == v02
-        assert green_function_with_error(spec, 0.5, [2])[0] == v02
-        assert green_function_with_error(spec, 0.5, np.array([0, 2]))[0] == v02
-
-    @pytest.mark.parametrize("x, match", [
-        ((0, -1), "not in 0..2"),         # not an index from the end
-        ((0, 1.7), "not in 0..2"),        # not truncated to (0, 1)
-        ((0, 3), "not in 0..2"),          # ValueError, not IndexError
-        ((0, 1, 2), "vertex or a pair"),  # the third entry is not dropped
-    ])
-    def test_graph_bad_vertex_rejected(self, x, match):
-        with pytest.raises(ValueError, match=match):
-            green_function_with_error(LatticeSpec.graph(self.PATH3), 0.5, x)
-
-    def test_graph_zero_mode_rejected(self):
-        lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        with pytest.raises(ValueError):
-            green_function_with_error(LatticeSpec.graph(lap), 0.0)
-
-    def test_graph_validation(self):
-        with pytest.raises(ValueError):
-            LatticeSpec.graph(np.array([[1.0, 0.5], [-0.5, 1.0]]))
-        with pytest.raises(ValueError):
-            LatticeSpec.graph(np.array([[1.0, -0.5], [-0.5, 1.0]]))
+            vt = green_function_with_error(spec, 0.4, [x])[0]
+            assert vt == pytest.approx(inv[0, x], rel=1e-12)
 
     @pytest.mark.parametrize("make,named", [
         (lambda: LatticeSpec.torus(1, 2.5), "period"),
@@ -297,6 +264,28 @@ class TestGreenTorusAndGraph:
         assert green_function_with_error(spec, 0.5) == \
             green_function_with_error(LatticeSpec.torus(2, 5), 0.5)
         assert LatticeSpec.window(np.int64(4)) == LatticeSpec.window(4)
+
+
+class TestLatticeSpec:
+    # Z^d is a window without a period and a torus with one
+    def test_constructors_are_the_fields(self):
+        assert LatticeSpec(4) == LatticeSpec.window(4)
+        assert LatticeSpec(4, period=8) == LatticeSpec.torus(4, 8)
+
+    def test_geometry_read_from_period(self):
+        assert LatticeSpec(4).geometry == "window"
+        assert LatticeSpec(4, period=8).geometry == "torus"
+        with pytest.raises(AttributeError):
+            LatticeSpec(4).geometry = "torus"
+
+    @pytest.mark.parametrize("make", [
+        lambda: LatticeSpec(4, period=0),
+        lambda: LatticeSpec.torus(4, -2),
+        lambda: LatticeSpec.torus(4, None),  # not the window LatticeSpec(4)
+    ], ids=["zero", "negative", "none"])
+    def test_bad_period_rejected(self, make):
+        with pytest.raises(ValueError, match="period"):
+            make()
 
 
 class TestBubble:

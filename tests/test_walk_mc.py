@@ -396,23 +396,6 @@ class TestJensen:
         assert e10.mean / 10.0 >= e1.mean / 1.0 - 3.0 * se
 
 
-class TestGraphGeometry:
-    # walks are simulated on Z^d or a torus only: a graph spec used to run
-    # on Z^1 and return the window(1) values, since no estimator read the
-    # Laplacian
-    TRI = LatticeSpec.graph(np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0],
-                                      [-1.0, -1.0, 2.0]]))
-
-    @pytest.mark.parametrize("estimator", [
-        lambda s: estimate_cT(s, 0.3, 2.0, 100, seed=1),
-        lambda s: estimate_mean_intersection(s, 2.0, 100, seed=1),
-        lambda s: susceptibility_mc(s, 0.3, 0.2, T_max=4.0, n=100, seed=1),
-    ], ids=["estimate_cT", "estimate_mean_intersection", "susceptibility_mc"])
-    def test_graph_spec_rejected(self, estimator):
-        with pytest.raises(ValueError, match="window or torus"):
-            estimator(self.TRI)
-
-
 class TestRngContract:
     def test_block_streams_differ(self):
         a = block_rng(1, 0).random(4)
@@ -654,8 +637,10 @@ class TestPartSize:
         assert vals.tolist() == [0.375, 0.375]
 
     def test_key_overflow_raises(self):
-        # even one walk's sites on a torus of period 2**40 do not fit
-        with pytest.raises(OverflowError, match="site key would overflow"):
+        # even one walk's sites on a torus of period 2**40 do not fit: a
+        # user error naming d, T and the period
+        with pytest.raises(ValueError, match="site key would overflow int64 "
+                           r"at d = 2, T = 3.0, period = 1099511627776"):
             _block_intersections(LatticeSpec.torus(2, 2**40), 3.0,
                                  block_rng(1, 0), 1)
 
@@ -820,7 +805,7 @@ class TestBlockPool:
         return idents
 
     def test_site_key_overflow_surfaces(self):
-        with pytest.raises(OverflowError, match="site key would overflow"):
+        with pytest.raises(ValueError, match="site key would overflow"):
             estimate_mean_intersection(LatticeSpec.torus(2, 2**40), 3.0,
                                        3 * BLOCK_SIZE, seed=1)
 
