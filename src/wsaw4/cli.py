@@ -74,9 +74,8 @@ def _csv_text(header, rows) -> str:
 # ---------------------------------------------------------------------------
 
 def _run_green(p):
-    spec = lattice_green.LatticeSpec.window(p["dim"])
     val, err = lattice_green.green_function_with_error(
-        spec, p["mass2"], p["x"], grid=p["grid"])
+        p["dim"], p["mass2"], p["x"], grid=p["grid"])
     out = {"value": val, "abs_error_estimate": err, "grid": p["grid"],
            "dim": p["dim"], "mass2": p["mass2"], "x": p["x"]}
     return {"green.json": out}
@@ -90,8 +89,7 @@ def _run_bubble(p):
 
 
 def _coeffs_from_params(p):
-    spec = lattice_green.LatticeSpec.window(p["dim"])
-    dec = cov_decomp.build_decomposition(spec, L=p["L"], m2=p["mass2"],
+    dec = cov_decomp.build_decomposition(p["dim"], L=p["L"], m2=p["mass2"],
                                          J=p["scales"])
     co = cov_decomp.coefficient_sequences(dec)
     return dec, co, cov_decomp.scale_indices(dec.m2, dec.L, p["omega"], co.beta)

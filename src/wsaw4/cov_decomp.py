@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice_green import LatticeSpec, graded_bz_sum, symbol
+from .lattice_green import _check_dimension, graded_bz_sum, symbol
 
 __all__ = [
     "smooth_step",
@@ -103,7 +103,7 @@ class Decomposition:
     ``diagonals[j] = C_{j;0,0} = int C_hat u_j`` (j = 1 .. J, slot 0 unused).
     """
 
-    spec: LatticeSpec
+    d: int
     L: int
     m2: float
     J: int
@@ -125,28 +125,24 @@ class Decomposition:
         return u + np.zeros_like(t)
 
 
-def build_decomposition(spec: LatticeSpec, L: int, m2: float,
-                        J: int = 16) -> Decomposition:
-    """Build the scale decomposition and its shared-pass integrals.
+def build_decomposition(d: int, L: int, m2: float, J: int) -> Decomposition:
+    """Build the scale decomposition on Z^d and its shared-pass integrals,
+    on the graded quadrature's default 32 points per axis and level.
 
     Parameters
     ----------
-    spec : LatticeSpec (a window is integrated on the graded quadrature's
-        default 32 points per axis and level)
+    d : dimension >= 1
     L : scale base >= 2
-    m2 : killing rate; on a torus, must be > 0 (zero mode)
+    m2 : killing rate >= 0
     J : number of slices
     """
+    _check_dimension(d)
     if L < 2:
         raise ValueError("scale base L must be >= 2")
     if J < 1:
         raise ValueError("J must be >= 1")
     if not 0.0 <= m2 < np.inf:
         raise ValueError(f"m2 must be finite and >= 0, got {m2}")
-    if spec.geometry == "torus" and m2 == 0.0:
-        raise ValueError("torus decomposition requires m2 > 0 (zero mode)")
-
-    d = spec.d
 
     def reducer(ks, weights, inner_mask):
         # Rows 0 .. J:   C_hat^2 f_j^2, and rows J+1 .. 2J: C_hat u_j,
@@ -179,27 +175,16 @@ def build_decomposition(spec: LatticeSpec, L: int, m2: float,
                 out[J + j] = u * base1
         return out[:, 0], out[:, 1]
 
-    if spec.geometry == "window":
-        # resolve the symbol down to L^{-2(J+1)} (or the mass scale if
-        # larger); 250 dyadic levels is the float64 ceiling for C_hat^2
-        k_floor = float(L) ** (-(J + 1))
-        if k_floor < 2.0**-248:
-            raise ValueError("J too deep for float64 multipliers at this L")
-        if m2 > 0:
-            k_floor = max(k_floor, 0.125 * np.sqrt(m2) * float(L) ** -2)
-        vals, _ = graded_bz_sum(d, reducer=reducer, max_levels=250,
-                                min_halfwidth=0.25 * k_floor, rtol=1e-13)
-    else:
-        P = spec.period
-        modes = 2.0 * np.pi * np.arange(P) / P
-        mesh = np.meshgrid(*([modes] * d), indexing="ij")
-        flat = [m.ravel() for m in mesh]
-        shell, inner = reducer(flat, np.ones(flat[0].size),
-                               np.zeros(flat[0].size, dtype=bool))
-        vals = (shell + inner) / P**d
-
+    # resolve the symbol down to L^{-2(J+1)} (or the mass scale if larger);
+    # 250 dyadic levels is the float64 ceiling for C_hat^2
+    k_floor = float(L) ** (-(J + 1))
+    if k_floor < 2.0**-248:
+        raise ValueError("J too deep for float64 multipliers at this L")
+    if m2 > 0:
+        k_floor = max(k_floor, 0.125 * np.sqrt(m2) * float(L) ** -2)
+    vals = graded_bz_sum(d, reducer, min_halfwidth=0.25 * k_floor, rtol=1e-13)
     diag = np.concatenate([[np.nan], np.asarray(vals[J + 1:])])  # index by j
-    return Decomposition(spec=spec, L=L, m2=m2, J=J,
+    return Decomposition(d=d, L=L, m2=m2, J=J,
                          w2_partial=np.asarray(vals[: J + 1]), diagonals=diag)
 
 
@@ -208,7 +193,7 @@ def slice_kernel_on_torus(decomp: Decomposition, j: int, period: int) -> np.ndar
     period (FFT); j = J+1 is the remainder."""
     if j not in range(1, decomp.J + 2):
         raise ValueError(f"slice j={j} not in 1..{decomp.J + 1}")
-    d = decomp.spec.d
+    d = decomp.d
     modes = 2.0 * np.pi * np.arange(period) / period
     mesh = np.meshgrid(*([modes] * d), indexing="ij", sparse=True)
     s = symbol(mesh) + decomp.m2
@@ -217,18 +202,18 @@ def slice_kernel_on_torus(decomp: Decomposition, j: int, period: int) -> np.ndar
     return np.fft.ifftn(chat).real
 
 
-def range_tail_fraction(decomp: Decomposition, j: int, period: int | None = None) -> float:
+def range_tail_fraction(decomp: Decomposition, j: int) -> float:
     """Mass fraction of |C_j| beyond the nominal range L^j / 2.
 
     Measured on a periodized window of period ``4 L^j`` (so the wrap-around
     contamination sits well beyond the measured shell).
     """
     L = decomp.L
-    period = 4 * L**j if period is None else period
+    period = 4 * L**j
     kern = np.abs(slice_kernel_on_torus(decomp, j, period))
     coords = np.arange(period)
     dist = np.minimum(coords, period - coords)  # torus distance per axis
-    mesh = np.meshgrid(*([dist] * decomp.spec.d), indexing="ij", sparse=True)
+    mesh = np.meshgrid(*([dist] * decomp.d), indexing="ij", sparse=True)
     r2 = sum(m.astype(float) ** 2 for m in mesh)
     outside = r2 >= (0.5 * L**j) ** 2
     total = kern.sum()

@@ -13,10 +13,10 @@ and the bubble diagram is the squared l2 norm of the kernel,
 In d = 4 the bubble diverges logarithmically as ``m2 -> 0`` with slope
 ``1/(2 pi^2)`` in ``log(1/m2)``.
 
-Two geometries are supported: the infinite lattice (quadrature over the
-Brillouin zone, with a dyadically graded grid that resolves the ``1/|k|^2``
-singularity at ``m2 = 0``) and a torus of a given period (exact finite
-Fourier sums).
+The Green function is a quadrature over the Brillouin zone of Z^d, on a
+dyadically graded grid that resolves the ``1/|k|^2`` singularity at
+``m2 = 0``.  :class:`LatticeSpec` also names a torus, for the walks of
+:mod:`wsaw4.walk_mc`.
 
 The graded quadrature splits the zone into dyadic boxes ``[-pi/2^l, pi/2^l]^d``
 and applies a tensor midpoint rule on each annular shell; the innermost box
@@ -57,9 +57,22 @@ __all__ = [
 # Lattice geometries
 # ---------------------------------------------------------------------------
 
+def _is_integer(v) -> bool:
+    """An int or numpy integer, not a bool."""
+    return isinstance(v, numbers.Integral) and type(v) is not bool
+
+
+def _check_dimension(d):
+    if not _is_integer(d):
+        raise ValueError(f"d must be an integer, got {d!r}")
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Z^d as the infinite window (``period`` None) or the torus (Z/period)^d.
+    """The walk geometry: Z^d as the infinite window (``period`` None) or
+    the torus (Z/period)^d.
 
     Use the constructors :meth:`window` and :meth:`torus`.
     """
@@ -68,12 +81,9 @@ class LatticeSpec:
     period: int | None = None
 
     def __post_init__(self):
-        for name, v in (("d", self.d), ("period", self.period)):
-            integer = isinstance(v, numbers.Integral) and type(v) is not bool
-            if v is not None and not integer:
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
+        _check_dimension(self.d)
+        if self.period is not None and not _is_integer(self.period):
+            raise ValueError(f"period must be an integer, got {self.period!r}")
         if self.period is not None and self.period < 1:
             raise ValueError(f"torus period must be >= 1, got {self.period}")
 
@@ -84,12 +94,12 @@ class LatticeSpec:
 
     @staticmethod
     def window(d: int) -> "LatticeSpec":
-        """Infinite lattice Z^d (values by Brillouin-zone quadrature)."""
+        """Infinite lattice Z^d."""
         return LatticeSpec(d)
 
     @staticmethod
     def torus(d: int, period: int) -> "LatticeSpec":
-        """Discrete torus (Z/period)^d (values by finite Fourier sums)."""
+        """Discrete torus (Z/period)^d."""
         if period is None:  # not the window that LatticeSpec(d) is
             raise ValueError("period must be an integer, got None")
         return LatticeSpec(d, period)
@@ -107,6 +117,9 @@ def symbol(k_axes) -> np.ndarray:
     return s
 
 
+_ORBIT_CAP = 2**22  # points a level; 3.27M (d = 10, grid 32) peak at 0.7 GB
+
+
 @lru_cache(maxsize=None)
 def _orbit_table(d: int, n: int):
     """One point per signed-permutation orbit of the n-point midpoint grid.
@@ -117,7 +130,12 @@ def _orbit_table(d: int, n: int):
     ``2^d d! / prod_r m_r!`` with ``m_r`` the multiplicities of repeated
     indices (no midpoint is 0, so every sign flip is a new point); and
     ``inner`` marks the points of the concentric half-box, ``i_d < n/4``.
+    More than ``_ORBIT_CAP`` representatives raise ValueError.
     """
+    count = math.comb(n // 2 + d - 1, d)
+    if count > _ORBIT_CAP:
+        raise ValueError(f"d = {d} at grid {n} needs {count:,} quadrature "
+                         f"points per level, more than the {_ORBIT_CAP:,} cap")
     idx = np.array(list(itertools.combinations_with_replacement(
         range(n // 2), d)))
     # prod_r m_r! is the product of each index's 1-based position in its
@@ -135,70 +153,46 @@ def _orbit_table(d: int, n: int):
     return half, mult, inner
 
 
-def _level_points(d: int, n: int, level: int):
-    """Orbit representatives of the midpoint grid of [-pi/2^level, pi/2^level]^d.
-
-    Returns ``(k_axes, mult, inner_mask, cell)``: ``mult`` counts the grid
-    points each representative stands for, ``inner_mask`` marks the points
-    of the concentric half-box (the next level's domain) and ``cell`` is the
-    measure ``w^d/(2pi)^d`` of one grid cell.  n must be divisible by 4 so
-    the half-box boundary falls on cell edges.
-    """
-    half, mult, inner = _orbit_table(d, n)
-    a = np.pi / 2.0**level
-    w = 2.0 * a / n
-    return [h * w for h in half], mult, inner, w**d / (2.0 * np.pi) ** d
-
-
-def graded_bz_sum(d, integrand=None, *, n=32, max_levels=60, rtol=1e-10,
-                  min_halfwidth=0.0, reducer=None):
-    """Integrate ``integrand(k_axes)`` over the Brillouin zone ``[-pi,pi]^d``.
+def graded_bz_sum(d, reducer, *, min_halfwidth, rtol, n=32):
+    """Integrate over the Brillouin zone ``[-pi,pi]^d``, one or several
+    integrals at once.
 
     Dyadically graded midpoint rule: level ``l`` covers the annular shell
-    between the boxes of half-width ``pi/2^l`` and ``pi/2^(l+1)``.  The walk
-    stops once the current estimate of the innermost box is negligible
-    (relative tolerance ``rtol``), the box is smaller than ``min_halfwidth``,
-    or ``max_levels`` is reached; the innermost-box estimate is then added.
+    between the boxes of half-width ``pi/2^l`` and ``pi/2^(l+1)`` with the
+    n-point midpoint grid of the outer box (n divisible by 4, so the inner
+    box's boundary falls on cell edges).  The walk stops once the current
+    estimate of the innermost box is negligible (relative tolerance
+    ``rtol``), the box is no larger than ``min_halfwidth``, or after 250
+    levels (the float64 floor); the innermost-box estimate is then added.
 
-    The integrand must be invariant under every sign flip ``k_i -> -k_i``
-    and every permutation of the axes: it is evaluated at one point per
-    orbit of the grid (``0 < k_1 <= ... <= k_d``) and weighted by the
-    orbit's size.
-
-    The integrand may return a stack of shape ``(m, npts)`` for ``m``
-    simultaneous integrals; a plain ``(npts,)`` return gives a scalar.
-    Alternatively pass ``reducer(k_axes, weights, inner_mask) -> (shell_vec,
-    inner_vec)`` of already point-summed contributions, each point counted
-    ``weights`` times (the cell measure is applied here); this avoids
-    materializing large stacks.
-
-    Returns ``(value, inner_box_contribution)``.
+    ``reducer(k_axes, weights, inner_mask) -> (shell, inner)`` returns the
+    point sums over the shell and over the inner box, each point counted
+    ``weights`` times (the cell measure is applied here); a vector of sums
+    gives a vector of integrals.  The integrands must be invariant under
+    every sign flip ``k_i -> -k_i`` and every permutation of the axes: they
+    are evaluated at one point per orbit of the grid
+    (``0 < k_1 <= ... <= k_d``) and weighted by the orbit's size.
     """
     if n % 4:
         raise ValueError("n must be divisible by 4")
+    half, mult, inner = _orbit_table(d, n)
     acc = None
-    inner_sum = None
-    for level in range(max_levels):
-        ks, mult, inner, cell = _level_points(d, n, level)
-        if reducer is not None:
-            shell_sum, inner_sum = reducer(ks, mult, inner)
-        else:
-            vals = np.asarray(integrand(ks))
-            shell_sum = vals[..., ~inner] @ mult[~inner]
-            inner_sum = vals[..., inner] @ mult[inner]
+    for level in range(250):
+        w = 2.0 * (np.pi / 2.0**level) / n  # the cell width
+        cell = w**d / (2.0 * np.pi) ** d
+        shell_sum, inner_sum = reducer([h * w for h in half], mult, inner)
         shell_sum = np.asarray(shell_sum) * cell
         inner_sum = np.asarray(inner_sum) * cell
         acc = shell_sum if acc is None else acc + shell_sum
         scale = np.max(np.abs(acc)) + np.max(np.abs(inner_sum))
         a_next = np.pi / 2.0 ** (level + 1)
-        if level == max_levels - 1 or a_next <= min_halfwidth or \
+        if level == 249 or a_next <= min_halfwidth or \
                 np.max(np.abs(inner_sum)) <= rtol * scale:
-            acc = acc + inner_sum
             break
-    return acc, inner_sum
+    return acc + inner_sum
 
 
-def _window_green_raw(d, m2, x, n, max_levels):
+def _window_green_raw(d, m2, x, n, levels):
     # C(x) is invariant under signed permutations of x, so reduce x to its
     # canonical form (every signed permutation then gives bit-identical
     # values) and average prod_i cos(k_i p_i) over its distinct
@@ -219,51 +213,53 @@ def _window_green_raw(d, m2, x, n, max_levels):
             acc = acc + term
         return acc / (len(perms) * s)
 
-    val, _ = graded_bz_sum(d, f, n=n, max_levels=max_levels)
-    return float(val)
+    def reducer(ks, mult, inner):
+        vals = f(ks)
+        return vals[~inner] @ mult[~inner], vals[inner] @ mult[inner]
+
+    return float(graded_bz_sum(d, reducer, n=n, rtol=1e-10,
+                               min_halfwidth=np.pi / 2.0**levels))
 
 
 # ---------------------------------------------------------------------------
 # Green function
 # ---------------------------------------------------------------------------
 
-def green_function_with_error(spec: LatticeSpec, m2: float, x=None, *,
-                              grid: int = 32):
-    """Green function ``(-D + m2)^{-1}_{0x}`` for the given lattice
-    geometry, as ``(value, abs_error_estimate)``.  On a window the value is
-    ``fine + (fine - coarse)/3`` from the full- and half-resolution grids,
-    and the estimate ``|fine - coarse|/3 + 1e-14 |fine|``, with no term for
-    the innermost box; torus values are exact up to roundoff.
+def green_function_with_error(d: int, m2: float, x=None, *, grid: int = 32):
+    """Green function ``(-D + m2)^{-1}_{0x}`` on Z^d, ``d >= 1``, as
+    ``(value, error_estimate)``.  The value is ``fine + (fine - coarse)/3``
+    from the full- and half-resolution grids, and the estimate
+    ``|fine - coarse|/3 + 1e-14 |fine|``, with no term for the innermost box.
+
+    The estimate is a Richardson gap, not a bound.  At the origin it covers
+    the true error in d = 4 (grids 8 to 64, ``m2`` from 0 to 4); off the
+    origin it need not: at ``m2 = 0.5`` and grid 16, ``x = (2,0,0,0)``
+    reports 1.3e-6 for an error of 6.3e-6, and far displacements, which the
+    grid cannot resolve, miss by more (ROADMAP item 1).
 
     Parameters
     ----------
-    spec : LatticeSpec
     m2 : float
-        Killing rate (mass squared).  ``m2 = 0`` is allowed on the infinite
-        window only for ``d > 2``; it is rejected on a torus (zero mode).
+        Killing rate (mass squared); ``m2 = 0`` requires ``d > 2``.
     x : displacement, optional
         Lattice displacement of ``d`` integer coordinates (defaults to the
         origin); any other length, or a non-integral coordinate, raises
-        ValueError.  On the torus it is reduced modulo the period.
+        ValueError.
     grid : int
-        Points per axis and per dyadic level of the graded quadrature
-        (window geometry only).  Must be a positive multiple of 8, so that
-        the half-resolution Richardson pass is a valid grid too.
+        Points per axis and per dyadic level of the graded quadrature.
+        Must be a positive multiple of 8, so that the half-resolution
+        Richardson pass is a valid grid too.
     """
+    _check_dimension(d)
     if not 0.0 <= m2 < np.inf:
         raise ValueError(f"m2 must be finite and >= 0, got {m2}")
     if x is not None:
-        if np.size(x) != spec.d:
+        if np.size(x) != d:
             raise ValueError(f"displacement x has {np.size(x)} coordinates, "
-                             f"expected d = {spec.d}")
+                             f"expected d = {d}")
         if not np.all(np.mod(x, 1) == 0):
             raise ValueError(f"displacement x = {x!r} is not a lattice point")
-    if spec.geometry == "torus":
-        if m2 == 0.0:
-            raise ValueError("torus has a zero mode: m2 must be > 0")
-        val = _torus_green(spec.d, spec.period, m2, x)
-        return val, 1e-14 * abs(val)
-    if m2 == 0.0 and spec.d <= 2:
+    if m2 == 0.0 and d <= 2:
         raise ValueError("massless Green function diverges for d <= 2")
     if grid < 8 or grid % 8:
         raise ValueError(f"grid must be a positive multiple of 8, got {grid}")
@@ -271,19 +267,11 @@ def green_function_with_error(spec: LatticeSpec, m2: float, x=None, *,
     # for m2 >= 1e-28, the singular m2 = 0 case stops via rtol instead
     levels = 52 if m2 <= 0.0 else \
         min(60, max(6, int(np.ceil(np.log2(np.pi / np.sqrt(m2)))) + 4))
-    coarse = _window_green_raw(spec.d, m2, x, grid // 2, levels)
-    fine = _window_green_raw(spec.d, m2, x, grid, levels)
+    # the fine pass first: a grid over the orbit cap raises before any work
+    fine = _window_green_raw(d, m2, x, grid, levels)
+    coarse = _window_green_raw(d, m2, x, grid // 2, levels)
     extrap = fine + (fine - coarse) / 3.0
     return extrap, abs(fine - coarse) / 3.0 + 1e-14 * abs(fine)
-
-
-def _torus_green(d, period, m2, x):
-    x = np.zeros(d) if x is None else np.mod(np.atleast_1d(x), period)
-    modes = 2.0 * np.pi * np.arange(period) / period
-    mesh = np.meshgrid(*([modes] * d), indexing="ij", sparse=True)
-    s = symbol(mesh) + m2
-    phase = sum(xi * k for xi, k in zip(x, mesh))
-    return float(np.sum(np.cos(phase) / s) / period**d)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +294,7 @@ def _bessel_series(w):
 
 def heat_kernel_diagonal(d: int, t) -> np.ndarray:
     """Return probability density ``P_t(0,0)`` of the rate-2d walk on Z^d."""
+    _check_dimension(d)
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0):
         raise ValueError("t must be >= 0")
@@ -374,8 +363,7 @@ def bubble_diagram_with_error(d: int, m2: float):
     ``d >= 1``; ``m2 = 0`` requires ``d > 4`` (the bubble diverges
     logarithmically in d = 4 and faster below).
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    _check_dimension(d)
     if not 0.0 <= m2 < np.inf:
         raise ValueError(f"m2 must be finite and >= 0, got {m2}")
     if m2 == 0.0 and d <= 4:

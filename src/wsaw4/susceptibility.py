@@ -108,8 +108,7 @@ def _bisect(below, lo, hi, tol):
 def default_flow_coefficients() -> cov_decomp.CoefficientSequences:
     """Massless coefficient tables of the d = 4 window decomposition at
     L = 2, J = 48 (cached)."""
-    spec = lattice_green.LatticeSpec.window(4)
-    dec = cov_decomp.build_decomposition(spec, L=2, m2=0.0, J=48)
+    dec = cov_decomp.build_decomposition(4, L=2, m2=0.0, J=48)
     return cov_decomp.coefficient_sequences(dec)
 
 

@@ -7,18 +7,12 @@ import pytest
 
 import wsaw4
 from wsaw4.cov_decomp import build_decomposition, coefficient_sequences
-from wsaw4.lattice_green import LatticeSpec
 
 
 @pytest.fixture(scope="session")
-def spec4():
-    return LatticeSpec.window(4)
-
-
-@pytest.fixture(scope="session")
-def dec0_J48(spec4):
+def dec0_J48():
     """Massless d=4 decomposition, L=2, J=48."""
-    return build_decomposition(spec4, L=2, m2=0.0, J=48)
+    return build_decomposition(4, L=2, m2=0.0, J=48)
 
 
 @pytest.fixture(scope="session")
@@ -27,14 +21,14 @@ def coeffs0(dec0_J48):
 
 
 @pytest.fixture(scope="session")
-def decomp_at(spec4):
+def decomp_at():
     """Factory with a session cache: decomposition at (m2, J)."""
     cache = {}
 
     def get(m2, J=32):
         key = (m2, J)
         if key not in cache:
-            cache[key] = build_decomposition(spec4, L=2, m2=m2, J=J)
+            cache[key] = build_decomposition(4, L=2, m2=m2, J=J)
         return cache[key]
 
     return get

@@ -137,7 +137,7 @@ class TestAcceptance:
 
     def test_criterion_02_beta_sum(self):
         t0 = time.monotonic()
-        dec = cov_decomp.build_decomposition(SPEC4, L=2, m2=1e-3, J=24)
+        dec = cov_decomp.build_decomposition(4, L=2, m2=1e-3, J=24)
         beta = cov_decomp.coefficient_sequences(dec).beta
         bub = bubble_diagram_with_error(4, 1e-3)[0]
         rel = abs(beta.sum() - bub) / bub

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -380,6 +381,29 @@ class TestExitCodes:
             cli.main()
         assert exc.value.code == 1
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("args,named", [
+        (["green", "--dim", "8", "--mass2", "0.1", "--grid", "64"],
+         "d = 8 at grid 64"),
+        (["decompose", "--dim", "11", "--mass2", "0.1"], "d = 11 at grid 32"),
+    ], ids=["green", "decompose"])
+    def test_quadrature_over_point_cap(self, args, named, tmp_path,
+                                       monkeypatch, capsys):
+        # green --dim 8 --grid 64 needs 61.5M points a level and ended in
+        # an internal MemoryError; the cap is checked before any is built
+        monkeypatch.setattr(sys, "argv",
+                            ["wsaw4"] + args + ["--out", str(tmp_path / "x")])
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.main()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.code == 1
+        assert named in capsys.readouterr().err
+        assert peak < 2**20
         assert not (tmp_path / "x").exists()
 
     def test_walk_mc_too_few_samples(self, run_proc, tmp_path):

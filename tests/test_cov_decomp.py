@@ -18,7 +18,6 @@ from wsaw4.cov_decomp import (
     smooth_step,
 )
 from wsaw4.lattice_green import (
-    LatticeSpec,
     bubble_diagram_with_error,
     constant_a,
     graded_bz_sum,
@@ -79,14 +78,12 @@ class TestPartition:
             u = dec0_J48.multiplier(j, s)
             assert np.all(u >= 0.0) and np.all(u <= 1.0)
 
-    def test_validation(self, spec4):
+    def test_validation(self):
         with pytest.raises(ValueError):
-            build_decomposition(spec4, L=1, m2=0.1, J=4)
-        with pytest.raises(ValueError):
-            build_decomposition(LatticeSpec.torus(2, 8), L=2, m2=0.0, J=4)
+            build_decomposition(4, L=1, m2=0.1, J=4)
         for m2 in (np.nan, np.inf):
             with pytest.raises(ValueError, match="m2"):
-                build_decomposition(spec4, L=2, m2=m2, J=4)
+                build_decomposition(4, L=2, m2=m2, J=4)
 
 
 class TestBetaSequence:
@@ -115,8 +112,8 @@ class TestBetaSequence:
         beta = coefficient_sequences(dec0_J48).beta
         assert abs(beta[12] - LOG2_OVER_PI2) / LOG2_OVER_PI2 < 0.05
 
-    def test_rapid_decay_beyond_mass_scale(self, spec4):
-        dec = build_decomposition(spec4, L=2, m2=0.04, J=12)
+    def test_rapid_decay_beyond_mass_scale(self):
+        dec = build_decomposition(4, L=2, m2=0.04, J=12)
         beta = coefficient_sequences(dec).beta
         idx = scale_indices(0.04, 2, 2.0, beta)
         j = int(idx.j_m) + 4
@@ -147,8 +144,8 @@ class TestDiagonalsAndEta:
         assert abs(c_a - c_b) < 0.05 * c_a
         assert np.all(ratios[2:] <= 1.05 * c_a)
 
-    def test_mass_suppression_beyond_mass_scale(self, spec4):
-        dec = build_decomposition(spec4, L=2, m2=0.01, J=10)
+    def test_mass_suppression_beyond_mass_scale(self):
+        dec = build_decomposition(4, L=2, m2=0.01, J=10)
         diag = dec.diagonals[1:]
         jm = 4  # smallest j with 4^j * 0.01 >= 1
         c = (diag[:jm] * 4.0 ** np.arange(1, jm + 1)).max()
@@ -167,19 +164,20 @@ class TestDiagonalsAndEta:
 
     def test_eta3_vs_direct_multiplier_quadrature(self, dec0_J48):
         # recompute C_{4;0,0} by direct quadrature of the single multiplier
-        def f(ks):
+        def reducer(ks, mult, inner):
             s = symbol(ks)
-            return dec0_J48.multiplier(4, s) / s
+            vals = dec0_J48.multiplier(4, s) / s
+            return vals[~inner] @ mult[~inner], vals[inner] @ mult[inner]
 
-        val, _ = graded_bz_sum(4, f, n=32, max_levels=40, rtol=1e-13,
-                               min_halfwidth=0.25 * 2.0**-12)
+        val = graded_bz_sum(4, reducer, n=32, rtol=1e-13,
+                            min_halfwidth=0.25 * 2.0**-12)
         eta3 = coefficient_sequences(dec0_J48).eta[3]
         assert abs(eta3 - 2.0 * 4.0**4 * float(val)) < 1e-8
 
 
 class TestKernelsAndTails:
-    def test_tail_fractions_measured_and_reported(self, spec4):
-        dec = build_decomposition(spec4, L=2, m2=0.0, J=4)
+    def test_tail_fractions_measured_and_reported(self):
+        dec = build_decomposition(4, L=2, m2=0.0, J=4)
         # smooth-partition kernels genuinely spread beyond L^j/2: the
         # measured mass fraction is O(1) and must be reported, not hidden
         tails = [range_tail_fraction(dec, j) for j in range(1, dec.J + 1)]
@@ -188,9 +186,9 @@ class TestKernelsAndTails:
         # regression band for the asymptotic slices
         assert tails[2] == pytest.approx(0.987, abs=0.02)
 
-    def test_tail_fraction_shrinks_with_wider_range(self, spec4):
-        dec = build_decomposition(spec4, L=2, m2=0.0, J=4)
-        inside_half = 1.0 - range_tail_fraction(dec, 3, period=32)
+    def test_tail_fraction_shrinks_with_wider_range(self):
+        dec = build_decomposition(4, L=2, m2=0.0, J=4)
+        inside_half = 1.0 - range_tail_fraction(dec, 3)
         # measuring against twice the nominal range captures much more mass
         k = np.abs(slice_kernel_on_torus(dec, 3, 32))
         coords = np.arange(32)
@@ -199,16 +197,6 @@ class TestKernelsAndTails:
         r2 = sum(m.astype(float) ** 2 for m in mesh)
         inside_double = k[r2 < (2 * 4.0) ** 2].sum() / k.sum()
         assert inside_double > 10 * inside_half
-
-    def test_torus_decomposition_telescopes(self):
-        spec = LatticeSpec.torus(2, 8)
-        dec = build_decomposition(spec, L=2, m2=0.05, J=8)
-        beta = coefficient_sequences(dec).beta
-        assert np.all(beta >= 0)
-        lhs = beta.sum()
-        assert len(dec.w2_partial) == len(dec.diagonals) == dec.J + 1
-        rhs = 8.0 * (dec.w2_partial[dec.J] - dec.w2_partial[0])
-        assert abs(lhs - rhs) < 1e-12 * max(1.0, rhs)
 
 
 class TestScaleIndices:

@@ -21,6 +21,7 @@ from mpmath import besseli, exp, mp, mpf
 from scipy import integrate
 from scipy.special import ive, polygamma
 
+from wsaw4.cov_decomp import build_decomposition
 from wsaw4.lattice_green import (
     _T_SERIES,
     LatticeSpec,
@@ -96,8 +97,13 @@ class TestOrbitQuadrature:
         def f(ks):
             return 1.0 / (symbol(ks) + 0.3) + np.cos(symbol(ks))
 
+        def reducer(ks, mult, inner):
+            vals = f(ks)
+            return vals[~inner] @ mult[~inner], vals[inner] @ mult[inner]
+
         ref = full_grid_graded_sum(4, f, n, 3)
-        val, _ = graded_bz_sum(4, f, n=n, max_levels=3, rtol=0.0)
+        val = graded_bz_sum(4, reducer, n=n, min_halfwidth=np.pi / 2.0**3,
+                            rtol=0.0)
         assert abs(val - ref) <= 1e-13 * abs(ref)
 
     @pytest.mark.parametrize("n", [8, 16])
@@ -117,131 +123,98 @@ class TestOrbitQuadrature:
 
 
 class TestGreenWindow:
-    def test_mass_dominated_limit(self, spec4):
-        v = green_function_with_error(spec4, 1e6)[0]
+    def test_mass_dominated_limit(self):
+        v = green_function_with_error(4, 1e6)[0]
         assert abs(1e6 * v - 1.0) < 1e-3
 
-    def test_mass_limit_rate(self, spec4):
+    def test_mass_limit_rate(self):
         # |m2 C(0) - 1| <= c/m2 with c ~ 2d, checked on a grid of masses
         for m2 in (4.0, 16.0, 64.0, 256.0):
-            v = green_function_with_error(spec4, m2)[0]
+            v = green_function_with_error(4, m2)[0]
             assert abs(m2 * v - 1.0) <= 9.0 / m2
 
-    def test_massless_value_grid_refinement(self, spec4):
-        coarse = green_function_with_error(spec4, 0.0, grid=16)[0]
-        fine = green_function_with_error(spec4, 0.0, grid=32)[0]
+    def test_massless_value_grid_refinement(self):
+        coarse = green_function_with_error(4, 0.0, grid=16)[0]
+        fine = green_function_with_error(4, 0.0, grid=32)[0]
         # 4 significant digits between successive resolutions
         assert abs(coarse - fine) < 1e-4 * abs(fine)
         assert abs(fine - C00_D4_ORACLE) < 1e-4 * C00_D4_ORACLE
 
-    def test_massless_value_vs_bessel_oracle(self, spec4):
+    def test_massless_value_vs_bessel_oracle(self):
         oracle = bessel_green_oracle(4, 0.0)
-        val, err = green_function_with_error(spec4, 0.0)
+        val, err = green_function_with_error(4, 0.0)
         assert abs(val - oracle) < max(5 * err, 1e-6)
 
-    def test_offsite_value_vs_bessel_oracle(self, spec4):
+    def test_offsite_value_vs_bessel_oracle(self):
         oracle = bessel_green_oracle(4, 0.5, [1, 0, 0, 0])
-        val = green_function_with_error(spec4, 0.5, [1, 0, 0, 0])[0]
+        val = green_function_with_error(4, 0.5, [1, 0, 0, 0])[0]
         assert abs(val - oracle) < 1e-6
 
-    def test_reflection_symmetry_exact(self, spec4):
-        a = green_function_with_error(spec4, 0.7, [2, 1, 0, 0])[0]
-        b = green_function_with_error(spec4, 0.7, [-2, -1, 0, 0])[0]
+    def test_reflection_symmetry_exact(self):
+        a = green_function_with_error(4, 0.7, [2, 1, 0, 0])[0]
+        b = green_function_with_error(4, 0.7, [-2, -1, 0, 0])[0]
         assert a == b
 
-    def test_signed_permutation_symmetry(self, spec4):
+    def test_signed_permutation_symmetry(self):
         x = (1, 2, 0, 0)
-        base = green_function_with_error(spec4, 0.9, x)[0]
+        base = green_function_with_error(4, 0.9, x)[0]
         for perm in itertools.islice(itertools.permutations(x), 5):
             for signs in ((1, 1, 1, 1), (-1, 1, -1, 1)):
                 y = [s * c for s, c in zip(signs, perm)]
-                assert green_function_with_error(spec4, 0.9, y)[0] == base
+                assert green_function_with_error(4, 0.9, y)[0] == base
 
-    def test_wrong_length_displacement_rejected(self, spec4):
+    def test_wrong_length_displacement_rejected(self):
         with pytest.raises(ValueError, match="coordinates"):
-            green_function_with_error(spec4, 0.5, [0, 0, 0, 0, 3])
+            green_function_with_error(4, 0.5, [0, 0, 0, 0, 3])
         with pytest.raises(ValueError, match="coordinates"):
-            green_function_with_error(spec4, 0.5, [1, 0, 0])
+            green_function_with_error(4, 0.5, [1, 0, 0])
 
-    def test_richardson_grid_multiple_of_8(self, spec4):
+    def test_richardson_grid_multiple_of_8(self):
         # at grid 4 the half-resolution pass would equal the full one and
         # report a zero error; grid 12 has no valid half-resolution grid
         for grid in (4, 12):
             with pytest.raises(ValueError, match="grid"):
-                green_function_with_error(spec4, 0.5, grid=grid)
-        val, err = green_function_with_error(spec4, 0.5, grid=16)
-        ref = green_function_with_error(spec4, 0.5, grid=32)[0]
+                green_function_with_error(4, 0.5, grid=grid)
+        val, err = green_function_with_error(4, 0.5, grid=16)
+        ref = green_function_with_error(4, 0.5, grid=32)[0]
         assert 0.0 < abs(val - ref) < 5.0 * err
 
-    def test_monotone_in_mass(self, spec4):
-        vals = [green_function_with_error(spec4, m2)[0]
+    def test_monotone_in_mass(self):
+        vals = [green_function_with_error(4, m2)[0]
                 for m2 in (0.0, 0.1, 1.0, 10.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_massless_rejected_low_dim(self):
         with pytest.raises(ValueError):
-            green_function_with_error(LatticeSpec.window(2), 0.0)
+            green_function_with_error(2, 0.0)
 
     @pytest.mark.parametrize("m2", [np.nan, np.inf])
-    def test_nonfinite_mass_rejected(self, spec4, m2):
+    def test_nonfinite_mass_rejected(self, m2):
         with pytest.raises(ValueError, match="m2"):
-            green_function_with_error(spec4, m2)
+            green_function_with_error(4, m2)
 
-
-class TestGreenTorusAndGraph:
-    def test_torus_zero_mode_rejected(self):
-        with pytest.raises(ValueError):
-            green_function_with_error(LatticeSpec.torus(2, 8), 0.0)
-
-    def test_torus_wrong_length_displacement_rejected(self):
-        spec = LatticeSpec.torus(2, 6)
-        with pytest.raises(ValueError, match="coordinates"):
-            green_function_with_error(spec, 0.3, [1, 2, 3])
-        with pytest.raises(ValueError, match="coordinates"):
-            green_function_with_error(spec, 0.3, [1])
-
-    @pytest.mark.parametrize("spec", [LatticeSpec.torus(2, 5),
-                                      LatticeSpec.window(2)],
-                             ids=["torus", "window"])
-    def test_non_integral_displacement_rejected(self, spec):
+    def test_non_integral_displacement_rejected(self):
         # a non-integral or NaN coordinate names no lattice point;
         # integer-valued numpy ints and floats stay accepted
         with pytest.raises(ValueError, match="lattice point"):
-            green_function_with_error(spec, 0.5, (0.5, 0))
+            green_function_with_error(2, 0.5, (0.5, 0))
         with pytest.raises(ValueError, match="lattice point"):
-            green_function_with_error(spec, 0.5, (1, float("nan")))
-        ref = green_function_with_error(spec, 0.5, (1, 0))[0]
-        assert green_function_with_error(spec, 0.5, (1.0, 0.0))[0] == ref
-        assert green_function_with_error(spec, 0.5, np.array([1, 0]))[0] == ref
+            green_function_with_error(2, 0.5, (1, float("nan")))
+        ref = green_function_with_error(2, 0.5, (1, 0))[0]
+        assert green_function_with_error(2, 0.5, (1.0, 0.0))[0] == ref
+        assert green_function_with_error(2, 0.5, np.array([1, 0]))[0] == ref
 
-    def test_torus_frozen_value(self):
-        # a 24^4 Fourier sum on sparse meshgrids; the dense grids gave the
-        # same bits
-        spec = LatticeSpec.torus(4, 24)
-        assert green_function_with_error(spec, 0.5, (1, 0, 2, 0))[0] \
-            == 0.0022198795162644163
+    def test_orbit_table_capped_before_any_work(self):
+        # d = 8 at grid 64 needs 61.5M points a level: it ran out of memory
+        # after 2 GB; the fine pass runs first, so no table is built
+        tables = _orbit_table.cache_info().currsize
+        with pytest.raises(ValueError, match="d = 8 at grid 64"):
+            green_function_with_error(8, 0.1, grid=64)
+        assert _orbit_table.cache_info().currsize == tables
 
-    def test_torus_parseval_identity(self):
-        spec = LatticeSpec.torus(2, 6)
-        m2 = 0.3
-        lhs = sum(green_function_with_error(spec, m2, x)[0] ** 2
-                  for x in itertools.product(range(6), repeat=2))
-        modes = 2.0 * np.pi * np.arange(6) / 6
-        mesh = np.meshgrid(modes, modes, indexing="ij")
-        rhs = np.sum((symbol(mesh) + m2) ** -2.0) / 6**2
-        assert lhs == pytest.approx(rhs, rel=1e-13)
 
-    def test_torus_matches_graph_laplacian(self):
-        # a 1d torus of period 5 is the 5-cycle graph: its Green function is
-        # row 0 of the inverse of that graph's Laplacian plus m2
-        lap = 2.0 * np.eye(5) - np.roll(np.eye(5), 1, axis=1) \
-            - np.roll(np.eye(5), -1, axis=1)
-        inv = np.linalg.inv(lap + 0.4 * np.eye(5))
-        spec = LatticeSpec.torus(1, 5)
-        for x in range(5):
-            vt = green_function_with_error(spec, 0.4, [x])[0]
-            assert vt == pytest.approx(inv[0, x], rel=1e-12)
-
+class TestGreenTorusAndGraph:
+    # the sizes of LatticeSpec, the walk geometry
     @pytest.mark.parametrize("make,named", [
         (lambda: LatticeSpec.torus(1, 2.5), "period"),
         (lambda: LatticeSpec.torus(2, 2.5), "period"),
@@ -260,9 +233,8 @@ class TestGreenTorusAndGraph:
             make()
 
     def test_numpy_integer_sizes_accepted(self):
-        spec = LatticeSpec.torus(np.int64(2), np.int32(5))
-        assert green_function_with_error(spec, 0.5) == \
-            green_function_with_error(LatticeSpec.torus(2, 5), 0.5)
+        assert LatticeSpec.torus(np.int64(2), np.int32(5)) == \
+            LatticeSpec.torus(2, 5)
         assert LatticeSpec.window(np.int64(4)) == LatticeSpec.window(4)
 
 
@@ -286,6 +258,38 @@ class TestLatticeSpec:
     def test_bad_period_rejected(self, make):
         with pytest.raises(ValueError, match="period"):
             make()
+
+
+DIMENSION_TAKERS = {
+    "LatticeSpec": LatticeSpec,
+    "green_function_with_error": lambda d: green_function_with_error(d, 0.5),
+    "bubble_diagram_with_error":
+        lambda d: bubble_diagram_with_error(d, 0.1),
+    "heat_kernel_diagonal": lambda d: heat_kernel_diagonal(d, 1.0),
+    "build_decomposition": lambda d: build_decomposition(d, 2, 0.5, 2),
+}
+
+
+class TestDimensionCheck:
+    # bubble_diagram_with_error(4.0, 0.1) raised numpy's TypeError,
+    # (True, 0.1) ran as d = 1 and heat_kernel_diagonal(2.5, 1.0) gave 0.0529
+    @pytest.mark.parametrize("name", DIMENSION_TAKERS)
+    @pytest.mark.parametrize("d, message", [
+        (4.0, "d must be an integer"), (2.5, "d must be an integer"),
+        (True, "d must be an integer"),
+        (np.float64(4.0), "d must be an integer"),
+        (0, "dimension must be >= 1"), (-1, "dimension must be >= 1"),
+    ])
+    def test_rejected(self, name, d, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            DIMENSION_TAKERS[name](d)
+
+    @pytest.mark.parametrize("name", DIMENSION_TAKERS)
+    def test_numpy_integer_accepted(self, name):
+        got, want = (DIMENSION_TAKERS[name](d) for d in (np.int64(1), 1))
+        if name == "build_decomposition":
+            got, want = got.w2_partial, want.w2_partial
+        np.testing.assert_array_equal(got, want)
 
 
 class TestBubble:
@@ -377,11 +381,11 @@ class TestHeatKernel:
 
 
 class TestConstantA:
-    def test_definition(self, spec4):
+    def test_definition(self):
         # a = 2 C_0(0) = G(0)/4 with Montroll's G(0) = 1.23946712184848 in
         # d = 4; the BZ sum of C_0(0) agrees within its reported error
         assert abs(constant_a() - 0.30986678046212) < 1e-12
-        c00, err = green_function_with_error(spec4, 0.0)
+        c00, err = green_function_with_error(4, 0.0)
         assert abs(constant_a() / 2.0 - c00) <= err
 
     def test_positive(self):

@@ -66,12 +66,12 @@ class TestStepForward:
         assert np.all(np.diff(g) < 0)
         assert np.all(g > 0)
 
-    def test_global_flow_envelope(self, spec4):
+    def test_global_flow_envelope(self):
         # g_j (1 + g0 j)/g0 stays in a fixed bracket out to scale 200;
         # measured sweep range is [1.0, 6.42] (the ratio drifts toward
         # 1/beta_limit = pi^2/log 2 ~ 14.3 only at far larger j)
         from wsaw4.cov_decomp import build_decomposition
-        dec = build_decomposition(spec4, L=2, m2=0.0, J=200)
+        dec = build_decomposition(4, L=2, m2=0.0, J=200)
         co = coefficient_sequences(dec)
         g0 = 0.05
         g = iterate_g(g0, co.beta, 200)
