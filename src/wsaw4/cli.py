@@ -31,6 +31,7 @@ from . import cov_decomp, grassmann, lattice_green, rg_flow, susceptibility, wal
 SCHEMA_VERSION = 3  # bumped when the RNG stream layout for a seed changes
 _TAIL_PERIOD_CAP = 64  # largest torus period 4 L^j --measure-tails uses
 _TAIL_SIZE_CAP = 2**24  # and largest size (4 L^j)^d: 64^4, peak RSS 0.95 GB
+_DETAIL_SAMPLES = 16  # walks listed in walk-mc's samples.csv
 
 
 class _UserError(Exception):
@@ -88,15 +89,11 @@ def _run_bubble(p):
     return {"bubble.json": out}
 
 
-def _coeffs_from_params(p):
+def _run_decompose(p):
     dec = cov_decomp.build_decomposition(p["dim"], L=p["L"], m2=p["mass2"],
                                          J=p["scales"])
     co = cov_decomp.coefficient_sequences(dec)
-    return dec, co, cov_decomp.scale_indices(dec.m2, dec.L, p["omega"], co.beta)
-
-
-def _run_decompose(p):
-    dec, co, idx = _coeffs_from_params(p)
+    idx = cov_decomp.scale_indices(dec.m2, dec.L, p["omega"], co.beta)
     rows = []
     for j in range(1, dec.J + 1):
         period = 4 * dec.L**j
@@ -113,12 +110,12 @@ def _run_decompose(p):
 
 
 def _run_flow(p):
-    _, co, idx = _coeffs_from_params(p)
-    traj = rg_flow.solve_boundary_value(p["g0"], co, p["scales"])
-    # chi_j beyond the table repeats its last entry
-    chi = idx.chi[np.minimum(np.arange(traj.J + 1), len(idx.chi) - 1)]
-    rows = zip(range(traj.J + 1), traj.g, traj.z, traj.mu, traj.Pi, chi)
-    fcsv = _csv_text(["j", "g", "z", "mu", "Pi", "chi_j"], rows)
+    # the flow is Z^4's: GAMMA = 1/4 holds there
+    co = cov_decomp.coefficient_sequences(cov_decomp.build_decomposition(
+        4, L=p["L"], m2=p["mass2"], J=p["scales"]))
+    traj = rg_flow.solve_boundary_value(p["g0"], co)
+    rows = zip(range(traj.J + 1), traj.g, traj.z, traj.mu, traj.Pi)
+    fcsv = _csv_text(["j", "g", "z", "mu", "Pi"], rows)
     summary = {"mu0_c": float(traj.mu[0]), "z0_c": float(traj.z[0]),
                "g0": p["g0"], "mass2": p["mass2"],
                "L": p["L"], "scales": p["scales"]}
@@ -148,8 +145,7 @@ def _run_predict(p):
 
 
 def _run_ode_lemma(p):
-    rows = susceptibility.ode_asymptotics(p["gamma"], p["tmin"],
-                                          points=p["points"])
+    rows = susceptibility.ode_asymptotics(p["gamma"], p["tmin"])
     fcsv = _csv_text(["t", "u", "asymptote", "ratio", "residual"], rows)
     out = {"gamma": p["gamma"], "tmin": p["tmin"],
            "final_ratio": rows[0][3], "max_residual": max(r[4] for r in rows)}
@@ -196,18 +192,15 @@ def _run_susy_verify(p):
         raise _UserError("graphs beyond 3 sites are out of budget")
     a, b = p["a"], p["b"]
     kw = dict(radial_nodes=p["radial_nodes"], angle_nodes=p["angle_nodes"])
-    value = grassmann.two_point_integral(lap, p["g"], p["nu"], a, b,
-                                         p["method"], **kw)
-    alt = "determinant" if p["method"] == "grassmann" else "grassmann"
+    value = grassmann.two_point_integral(lap, p["g"], p["nu"], a, b, **kw)
     residual = abs(value - grassmann.two_point_integral(
-        lap, p["g"], p["nu"], a, b, alt, **kw))
+        lap, p["g"], p["nu"], a, b, "determinant", **kw))
     rng = np.random.Generator(np.random.Philox(key=np.uint64(p["seed"])))
     pqr = (rng.uniform(0.0, 0.8, M), rng.uniform(0.4, 1.2, M),
            rng.uniform(-0.3, 0.8, M))
     sn = grassmann.self_normalisation_value(lap, *pqr, **kw)
     out = {"graph": p["graph"], "g": p["g"], "nu": p["nu"], "a": a, "b": b,
-           "method": p["method"], "value": value,
-           "residual_vs_alt_method": residual,
+           "value": value, "residual_vs_alt_method": residual,
            "self_norm_residual": abs(sn - 1.0)}
     return {"susy.json": out}
 
@@ -221,7 +214,8 @@ def _run_walk_mc(p):
     else:
         raise _UserError(f"unknown geometry {p['geometry']!r}")
     if p["nu"] is not None:  # rejects chi's inputs before c_T draws a walk
-        walk_mc._laplace_tail(spec, p["g"], p["nu"], p["T_max"])
+        walk_mc._laplace_tail(spec, p["g"], p["nu"], p["T_max"],
+                              p["samples_chi"])
     est = walk_mc.estimate_cT(spec, p["g"], p["T"], p["samples"], seed=p["seed"])
     out = {"c_T": {"mean": est.mean, "std_error": est.std_error,
                    "n_samples": est.n_samples},
@@ -236,7 +230,7 @@ def _run_walk_mc(p):
             "truncation_bound": chi.truncation_bound,
             "quadrature_error": chi.quadrature_error, "nu": p["nu"]}
     rows = []
-    for i in range(p["detail_samples"]):
+    for i in range(_DETAIL_SAMPLES):
         s = walk_mc.simulate(spec, p["T"], p["seed"], i)
         rows.append((i, len(s.jump_times), s.I_T))
     return {"walk.json": out,
@@ -381,22 +375,20 @@ def _build_parser():
              omega=(float, 2.0, False))
     dp.add_argument("--measure-tails", dest="measure_tails",
                     action="store_true")
-    add("flow", dim=(int, 4, False), g0=(float, None, True),
-        mass2=(float, None, True), L=(int, 2, False),
-        scales=(int, 48, False), omega=(float, 2.0, False))
+    add("flow", g0=(float, None, True), mass2=(float, None, True),
+        L=(int, 2, False), scales=(int, 48, False))
     add("predict", g=(float, None, True), eps=(float, None, True),
         mode=(str, "leading", False))
-    add("ode-lemma", gamma=(float, 0.25, False), tmin=(float, 1e-8, False),
-        points=(int, 9, False))
+    add("ode-lemma", gamma=(float, 0.25, False), tmin=(float, 1e-8, False))
     add("susy-verify", graph=(str, None, True), g=(float, None, True),
         nu=(float, None, True), a=(int, 0, False), b=(int, 0, False),
-        method=(str, "grassmann", False), seed=(int, 0, False),
+        seed=(int, 0, False),
         radial_nodes=(int, 48, False), angle_nodes=(int, 24, False))
     add("walk-mc", dim=(int, 4, False), geometry=(str, "window", False),
         g=(float, 0.0, False), T=(float, 1.0, False),
         nu=(float, None, False), T_max=(float, 16.0, False),
         samples=(int, 10000, False), samples_chi=(int, 2000, False),
-        seed=(int, 0, False), detail_samples=(int, 16, False))
+        seed=(int, 0, False))
     rp = sub.add_parser("reproduce")
     rp.add_argument("manifest")
     rp.set_defaults(parsers=sub.choices)  # reproduce checks params by them

@@ -75,6 +75,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lattice_green import _gauss_legendre
+
 __all__ = [
     "FermionBasis",
     "FieldPolynomial",
@@ -492,7 +494,7 @@ def _boson_axes(M, radial_nodes, angle_nodes, r_max, reduce_u1, fold=False):
                     ("angle_nodes", angle_nodes)):
         if n < 1:
             raise ValueError(f"{name} must be >= 1, got {n}")
-    x, w = np.polynomial.legendre.leggauss(radial_nodes)
+    x, w = _gauss_legendre(radial_nodes)
     r = 0.5 * r_max * (x + 1.0)
     wr = 0.5 * r_max * w * r  # includes the polar Jacobian r dr
     axes = [(r.astype(complex), wr * 2.0 * np.pi)] if reduce_u1 else []
@@ -830,6 +832,15 @@ def _check_finite(**values):
             raise ValueError(f"{name} must be finite, got {v}")
 
 
+def _finite(value, **couplings):
+    """value, or a ValueError naming the couplings where it is not finite:
+    the integral, or its grid sum, overflows float64 there."""
+    if not np.isfinite(value):
+        named = ", ".join(f"{k} = {v}" for k, v in couplings.items())
+        raise ValueError(f"Berezin integral is not finite in float64 at {named}")
+    return value
+
+
 def _superintegral(V, obs, radial_nodes, angle_nodes, r_max) -> complex:
     """int exp(-V) obs: the fermion part of exp(-V) by its series, the boson
     part ``exp(-V_0)`` as the integrator's weight."""
@@ -843,7 +854,8 @@ def self_normalisation_value(laplacian, p, q, r, *, radial_nodes=48,
     """int exp(-sum_x (p_x tau_{Delta,x} + q_x tau_x^2 + r_x tau_x)).
 
     Equals 1 identically for p_x >= 0, q_x > 0 (supersymmetry); evaluated
-    numerically as a machinery check.
+    numerically as a machinery check.  A value that is not finite raises
+    ValueError naming p, q and r.
     """
     _check_finite(p=p, q=q, r=r)
     lap = _square_laplacian(laplacian)
@@ -853,9 +865,11 @@ def self_normalisation_value(laplacian, p, q, r, *, radial_nodes=48,
     r = np.broadcast_to(np.asarray(r, dtype=float), (M,))
     if np.any(q <= 0):
         raise ValueError("q must be positive")
-    return _superintegral(_interaction_form(basis, lap, q, r, p=p),
-                          GrassmannForm.from_scalar(basis, 1.0),
-                          radial_nodes, angle_nodes, _auto_rmax(q, r))
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        value = _superintegral(_interaction_form(basis, lap, q, r, p=p),
+                               GrassmannForm.from_scalar(basis, 1.0),
+                               radial_nodes, angle_nodes, _auto_rmax(q, r))
+    return _finite(value, p=p, q=q, r=r)
 
 
 def two_point_integral(laplacian, g, nu, a, b, method="grassmann", *,
@@ -868,7 +882,8 @@ def two_point_integral(laplacian, g, nu, a, b, method="grassmann", *,
     int det(L + nu + 2g|phi|^2) phibar_a phi_b exp(-(phi, L phibar)
     - sum (g|phi|^4 + nu|phi|^2)) prod du dv / pi, det by principal minors.
 
-    Valid for g > 0, or g = 0 with nu > 0.
+    Valid for g > 0, or g = 0 with nu > 0.  A value that is not finite
+    raises ValueError naming g and nu.
     """
     _check_finite(g=g, nu=nu)
     lap = _square_laplacian(laplacian)
@@ -881,15 +896,18 @@ def two_point_integral(laplacian, g, nu, a, b, method="grassmann", *,
     basis = FermionBasis(M)
     V = _interaction_form(basis, lap, g, nu)
     obs = wedge_product(phibar_poly(basis, a), phi_poly(basis, b))
-    if method == "grassmann":
-        return float(_superintegral(V, obs, radial_nodes, angle_nodes,
-                                    r_max).real)
-    if method != "determinant":
+    if method not in ("grassmann", "determinant"):
         raise ValueError(f"unknown method {method!r}")
-    d = [tau_form(basis, x).degree0() * (2.0 * g) + nu for x in range(M)]
-    f = obs.degree0() * _shifted_det(lap, d)
-    return float(_grid_integral(f, V.degree0(), radial_nodes, angle_nodes,
-                                r_max).real)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        if method == "grassmann":
+            value = _superintegral(V, obs, radial_nodes, angle_nodes, r_max)
+        else:
+            d = [tau_form(basis, x).degree0() * (2.0 * g) + nu
+                 for x in range(M)]
+            f = obs.degree0() * _shifted_det(lap, d)
+            value = _grid_integral(f, V.degree0(), radial_nodes, angle_nodes,
+                                   r_max)
+    return float(_finite(value.real, g=g, nu=nu))
 
 
 def _shifted_det(L, d):

@@ -120,7 +120,6 @@ def symbol(k_axes) -> np.ndarray:
 _ORBIT_CAP = 2**22  # points a level; 3.27M (d = 10, grid 32) peak at 0.7 GB
 
 
-@lru_cache(maxsize=None)
 def _orbit_table(d: int, n: int):
     """One point per signed-permutation orbit of the n-point midpoint grid.
 
@@ -130,7 +129,9 @@ def _orbit_table(d: int, n: int):
     ``2^d d! / prod_r m_r!`` with ``m_r`` the multiplicities of repeated
     indices (no midpoint is 0, so every sign flip is a new point); and
     ``inner`` marks the points of the concentric half-box, ``i_d < n/4``.
-    More than ``_ORBIT_CAP`` representatives raise ValueError.
+    More than ``_ORBIT_CAP`` representatives raise ValueError.  At 1.3 ms
+    for d = 4 at grid 32 the table is built at each call, and none stays
+    held.
     """
     count = math.comb(n // 2 + d - 1, d)
     if count > _ORBIT_CAP:
@@ -147,10 +148,7 @@ def _orbit_table(d: int, n: int):
         denom *= run
     mult = 2.0**d * math.factorial(d) / denom
     inner = idx[:, -1] < n // 4
-    half = idx.T + 0.5
-    for arr in (half, mult, inner):
-        arr.setflags(write=False)
-    return half, mult, inner
+    return idx.T + 0.5, mult, inner
 
 
 def graded_bz_sum(d, reducer, *, min_halfwidth, rtol, n=32):
@@ -308,7 +306,14 @@ def heat_kernel_diagonal(d: int, t) -> np.ndarray:
     return out
 
 
-_GAUSS_LEGENDRE = [np.polynomial.legendre.leggauss(n) for n in (20, 10)]
+@lru_cache(maxsize=None)
+def _gauss_legendre(n):
+    """The n-node Gauss-Legendre rule ``(nodes, weights)`` on [-1, 1], made
+    once per n and read-only."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
 
 
 def _panel_rule(f, lo, hi):
@@ -318,7 +323,8 @@ def _panel_rule(f, lo, hi):
     n = math.ceil(2.0 * (hi - lo))
     h = 0.5 * (hi - lo) / n  # half a panel
     mid = lo + h * (2.0 * np.arange(n) + 1.0)[:, None]
-    fine, coarse = (f(mid + h * x) * (h * w) for x, w in _GAUSS_LEGENDRE)
+    fine, coarse = (f(mid + h * x) * (h * w)
+                    for x, w in map(_gauss_legendre, (20, 10)))
     value = fine.sum()
     return float(value), float(abs(value - coarse.sum())
                               + 1e-14 * np.abs(fine).sum())

@@ -9,7 +9,8 @@ Scale j plays the role of time for the triangular second-order system
 
 with GAMMA = 1/4 the exponent that ultimately produces the quarter-power
 logarithm in the susceptibility.  ``mu_j = L^{2j} nu_j`` is the rescaled
-mass coupling.
+mass coupling.  :func:`step_forward` applies one step to scalars or, entry
+by entry, to arrays of scales and couplings.
 
 The flow of interest solves a two-sided boundary-value problem: ``g_0``
 prescribed at scale 0, ``(z, mu) -> (0, 0)`` at infinity.  The triangular
@@ -45,7 +46,6 @@ from .cov_decomp import CoefficientSequences, _mass_scale
 
 __all__ = [
     "GAMMA",
-    "FlowState",
     "FlowTrajectory",
     "step_forward",
     "iterate_g",
@@ -56,19 +56,6 @@ __all__ = [
 ]
 
 GAMMA = 0.25
-
-
-@dataclass(frozen=True)
-class FlowState:
-    """Couplings (g, z, mu) at scale j.
-
-    mu is the rescaled mass coupling; the bare one is nu_j = L^{-2j} mu_j.
-    """
-
-    g: float
-    z: float
-    mu: float
-    j: int
 
 
 @dataclass(frozen=True)
@@ -96,41 +83,30 @@ class FlowTrajectory:
         return Pi
 
     def step_residual(self) -> float:
-        """Max absolute deviation when forward-stepping every stored pair.
-
-        The g-component is forward-constructed so its residual is exactly
-        zero; z and mu are solved backward against the boundary condition at
-        the truncation scale (mu is the expanding direction, so they cannot
-        also satisfy the forward float recursion bit-exactly), leaving
-        residuals at roundoff.
-        """
-        worst = 0.0
-        for j in range(self.J):
-            nxt = step_forward(FlowState(float(self.g[j]), float(self.z[j]),
-                                         float(self.mu[j]), j), self.coeffs)
-            worst = max(worst,
-                        abs(nxt.g - self.g[j + 1]),
-                        abs(nxt.z - self.z[j + 1]),
-                        abs(nxt.mu - self.mu[j + 1]))
-        return worst
+        """Max absolute deviation when forward-stepping every stored row:
+        0 in g, which is forward-constructed, and roundoff in z and mu,
+        which are solved backward from the truncation scale (mu is the
+        expanding direction, so they cannot also satisfy the forward float
+        recursion bit-exactly)."""
+        rows = np.stack([self.g, self.z, self.mu])
+        nxt = step_forward(self.coeffs, np.arange(self.J), *rows[:, :-1])
+        return float(np.max(np.abs(rows[:, 1:] - nxt), initial=0.0))
 
 
-def step_forward(state: FlowState, coeffs: CoefficientSequences) -> FlowState:
-    """One application of the quadratic recursion."""
-    j = state.j
-    if j >= len(coeffs.beta):
-        raise IndexError(f"scale {j} beyond coefficient table length "
-                         f"{len(coeffs.beta)}")
+def step_forward(coeffs: CoefficientSequences, j, g, z, mu):
+    """One application of the quadratic recursion: ``(g, z, mu)`` at scale
+    ``j + 1`` from scale ``j``.  Given arrays, entry i steps from scale
+    ``j[i]``.  A j outside ``0 .. len(beta) - 1`` raises IndexError."""
+    j = np.asarray(j)
+    outside = (j < 0) | (j >= len(coeffs.beta))
+    if np.any(outside):
+        raise IndexError(f"scale {j[outside].flat[0]} outside the coefficient "
+                         f"table 0..{len(coeffs.beta) - 1}")
     b, th = coeffs.beta[j], coeffs.theta[j]
     et, xi, pi = coeffs.eta[j], coeffs.xi[j], coeffs.pi[j]
     L2 = float(coeffs.L) ** 2
-    g, z, mu = state.g, state.z, state.mu
-    return FlowState(
-        g=g - b * g * g,
-        z=z - th * g * g,
-        mu=L2 * mu * (1.0 - GAMMA * b * g) + et * g - xi * g * g - pi * g * z,
-        j=j + 1,
-    )
+    return (g - b * g * g, z - th * g * g,
+            L2 * mu * (1.0 - GAMMA * b * g) + et * g - xi * g * g - pi * g * z)
 
 
 def iterate_g(g0: float, beta, J: int) -> np.ndarray:

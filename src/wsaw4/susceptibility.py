@@ -161,10 +161,12 @@ def m2_of_eps(g: float, eps: float, *, z0c: float = 0.0) -> float:
     """Effective killing rate m2 ~ (1+z0_c)/A_g * eps (log eps^{-1})^{-1/4}.
 
     Exact inverse of :func:`predict_susceptibility` in the sense that
-    m2 * chi = 1 + z0_c identically.
+    m2 * chi = 1 + z0_c identically; needs A_g > 0, so g > 0.
     """
     if not 0.0 < eps < math.exp(-1.0):
         raise ValueError("eps must lie in (0, 1/e): asymptotic regime only")
+    if amplitude(g) == 0.0:
+        raise ValueError(f"g must be > 0 for m2(eps), got {g}: A_g = 0")
     return (1.0 + z0c) / amplitude(g) * eps \
         * math.log(1.0 / eps) ** -rg_flow.GAMMA
 

@@ -60,6 +60,10 @@ __all__ = [
 
 BLOCK_SIZE = 4096
 _PART_VISITS = 12288  # visits valued per kernel call, so that no part pages
+# a block's bytes, from tracemalloc peaks at d = 1 .. 9: 16 a drawn jump time,
+# and 384 a visit valued at once, a part's and its longest walk's
+_DRAW_BYTES, _VISIT_BYTES = 16, 384
+_DRAW_BUDGET = 2**29  # d = 4: 4,096 walks reach T = 1009, one walk T = 1.66e5
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +167,27 @@ def _check_horizon(T):
         raise ValueError(f"T must be > 0 and finite, got {T}")
 
 
+def _check_draw(spec, T, nblock):
+    """Raise naming T unless it is a horizon whose block of ``nblock`` walks
+    fits ``_DRAW_BUDGET`` bytes.  The block holds its ``nblock 2dT``
+    expected jump times, and values at once a part and one walk, which is
+    valued whole where it is longer than a part."""
+    _check_horizon(T)
+    walk = 2 * spec.d * T
+    need = (nblock * _DRAW_BYTES + _VISIT_BYTES) * walk \
+        + _VISIT_BYTES * _PART_VISITS
+    if need > _DRAW_BUDGET:
+        raise ValueError(f"T = {T} needs about {need / 2**20:.3g} MiB for a "
+                         f"block of {nblock} walks at d = {spec.d}, more than "
+                         f"the {_DRAW_BUDGET // 2**20} MiB budget")
+
+
 def simulate(spec: LatticeSpec, T: float, seed: int, sample_index: int = 0) -> WalkSample:
     """Simulate one walk, the one-walk block of ``block_rng(seed,
     sample_index)``: drawn by :func:`_draw`, as every block is, so its
     ``I_T`` is that block's value up to roundoff.
     """
-    _check_horizon(T)
+    _check_draw(spec, T, 1)
     _, times, dirs = _draw(spec, T, block_rng(seed, sample_index), 1)
     jump_times = np.sort(times)
     n, d = times.size, spec.d
@@ -360,7 +379,7 @@ def _cores():
 def _walk_stream(spec, T, n, seed, **laplace):
     """Yield :func:`_block_intersections` for each block of n walks in block
     order, on up to :func:`_cores` threads; streams are made on this one."""
-    _check_horizon(T)
+    _check_draw(spec, T, min(BLOCK_SIZE, n))
     starts = range(0, n, BLOCK_SIZE)
     jobs = ((spec, T, block_rng(seed, b), min(BLOCK_SIZE, n - start))
             for b, start in enumerate(starts))
@@ -414,17 +433,17 @@ def susceptibility_mc(spec: LatticeSpec, g: float, nu: float, T_max: float,
     sites, by ``int_T_max^inf e^{-nu T - g T^2/|V|} dT`` for every nu.
     Otherwise nu <= 0 (near-critical, out of Monte Carlo reach) is rejected.
     """
-    tail = _laplace_tail(spec, g, nu, T_max)
+    tail = _laplace_tail(spec, g, nu, T_max, n)
     mean, se, count = _chan_stream(_walk_stream(spec, T_max, n, seed,
                                                  g=g, nu=nu))
     return LaplaceEstimate(mean=float(mean), std_error=float(se),
                            n_samples=count, truncation_bound=tail)
 
 
-def _laplace_tail(spec, g, nu, T_max):
-    """The tail bound of :func:`susceptibility_mc`, after its input checks:
-    a ValueError here means no walk is drawn."""
-    _check_horizon(T_max)
+def _laplace_tail(spec, g, nu, T_max, n):
+    """The tail bound of :func:`susceptibility_mc` for ``n`` walks, after
+    its input checks: a ValueError here means no walk is drawn."""
+    _check_draw(spec, T_max, min(BLOCK_SIZE, n))
     if not math.isfinite(g):
         raise ValueError(f"g must be >= 0 and finite, got {g}")
     if not math.isfinite(nu):

@@ -54,6 +54,7 @@ class TestArtifacts:
         data = [l for l in lines if not l.startswith(("#", "j,"))]
         assert len(data) == 49  # scales 0..48
         assert lines[0].startswith("# run_id ")
+        assert lines[1] == "j,g,z,mu,Pi"
         summary = json.loads((out / "flow.json").read_text())
         assert summary["mu0_c"] < 0
         assert summary["nu_prime_limit"] is not None
@@ -113,6 +114,7 @@ class TestArtifacts:
         data = json.loads((out / "susy.json").read_text())
         assert data["self_norm_residual"] < 1e-6
         assert data["residual_vs_alt_method"] < 1e-5
+        assert "method" not in data  # value is the grassmann route
 
     def test_susy_verify_residual_on_three_sites(self, tmp_path):
         out, _ = run_cli(["susy-verify", "--graph", "triangle", "--g", "0.3",
@@ -290,6 +292,8 @@ class TestExitCodes:
             assert "grid" in r.stderr
             assert not (tmp_path / "x").exists()
 
+    SUSY = ["susy-verify", "--graph", "path2", "--g", "0.2", "--nu", "0.1"]
+
     @pytest.mark.parametrize("args", [
         ["bubble", "--mass2", "1e-2", "--method", "grid"],
         ["bubble", "--mass2", "1e-2", "--grid", "32"],
@@ -297,8 +301,15 @@ class TestExitCodes:
         ["flow", "--g0", "0.05", "--mass2", "1e-3", "--grid", "32"],
         ["decompose", "--mass2", "1e-2", "--coeff-table", "t.csv"],
         ["flow", "--g0", "0.05", "--mass2", "1e-3", "--coeff-table", "t.csv"],
+        ["flow", "--g0", "0.05", "--mass2", "1e-3", "--dim", "4"],
+        ["flow", "--g0", "0.05", "--mass2", "1e-3", "--omega", "2"],
+        ["ode-lemma", "--points", "9"],
+        SUSY + ["--method", "determinant"],
+        ["walk-mc", "--samples", "100", "--detail-samples", "16"],
     ], ids=["bubble-method", "bubble-grid", "decompose-grid", "flow-grid",
-            "decompose-coeff-table", "flow-coeff-table"])
+            "decompose-coeff-table", "flow-coeff-table", "flow-dim",
+            "flow-omega", "ode-lemma-points", "susy-verify-method",
+            "walk-mc-detail-samples"])
     def test_removed_flags_rejected(self, args, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv",
                             ["wsaw4"] + args + ["--out", str(tmp_path / "x")])
@@ -318,8 +329,6 @@ class TestExitCodes:
             assert exc.value.code == 1
             assert "dimension" in capsys.readouterr().err
             assert not (tmp_path / "x").exists()
-
-    SUSY = ["susy-verify", "--graph", "path2", "--g", "0.2", "--nu", "0.1"]
 
     @pytest.mark.parametrize("args,named", [
         (["bubble", "--mass2", "nan"], "m2 must be finite"),
@@ -359,6 +368,11 @@ class TestExitCodes:
          "site key would overflow int64 at d = 17, T = 2.0"),
         (["walk-mc", "--dim", "2", "--geometry", "torus:1099511627776"],
          "period = 1099511627776"),
+        (["susy-verify", "--graph", "path2", "--g", "1e-12", "--nu", "-0.1"],
+         "not finite in float64 at g = 1e-12, nu = -0.1"),
+        (["susy-verify", "--graph", "one-site", "--g", "1e-300", "--nu",
+          "-1"], "not finite in float64 at g = 1e-300, nu = -1.0"),
+        (["predict", "--g", "0", "--eps", "1e-6"], "g must be > 0"),
     ], ids=["bubble-nan", "green-nan", "decompose-inf", "flow-short-table",
             "susy-angle-nodes-0", "susy-angle-nodes-negative",
             "susy-radial-nodes-0", "bubble-overflow", "walk-mc-g-nan",
@@ -367,7 +381,8 @@ class TestExitCodes:
             "walk-mc-geometry-not-int", "susy-graph-not-int", "walk-mc-T-inf",
             "walk-mc-T-max-inf", "walk-mc-nu-inf",
             "walk-mc-torus-tail-overflow", "walk-mc-site-key-overflow",
-            "walk-mc-torus-site-key-overflow"])
+            "walk-mc-torus-site-key-overflow", "susy-path2-overflow",
+            "susy-one-site-overflow", "predict-g-zero"])
     def test_user_error_names_parameter(self, args, named, tmp_path,
                                         monkeypatch, capsys):
         # a non-finite m2, g, nu, g0, Omega or horizon, a g0 whose coupling
@@ -403,6 +418,25 @@ class TestExitCodes:
             tracemalloc.stop()
         assert exc.value.code == 1
         assert named in capsys.readouterr().err
+        assert peak < 2**20
+        assert not (tmp_path / "x").exists()
+
+    def test_walk_horizon_over_draw_cap(self, tmp_path, monkeypatch, capsys):
+        # T_max = 1e9 drew 1.6e10 jump times at once and ended in an
+        # internal MemoryError ("Unable to allocate 119. GiB"); the draw
+        # budget raises before either pass draws a walk
+        monkeypatch.setattr(sys, "argv", [
+            "wsaw4", "walk-mc", "--nu", "0.5", "--T-max", "1e9", "--samples",
+            "2", "--samples-chi", "2", "--out", str(tmp_path / "x")])
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.main()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.code == 1
+        assert "T = 1000000000.0 needs about 3.17e+06 MiB" in capsys.readouterr().err
         assert peak < 2**20
         assert not (tmp_path / "x").exists()
 

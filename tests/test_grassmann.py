@@ -898,6 +898,12 @@ class TestSelfNormalisation:
         with pytest.raises(ValueError, match=f"^{named} must be finite"):
             self_normalisation_value(lap, *pqr)
 
+    def test_value_not_finite_rejected(self):
+        # the value is 1, but the grid sum overflowed to NaN at q = 1e-12
+        with pytest.raises(ValueError, match="not finite in float64 at "
+                           r"p = 0\.3, q = .*1\.e-12.*, r = "):
+            self_normalisation_value(PATH2, 0.3, 1e-12, -0.1)
+
 
 class TestTwoPoint:
     def test_one_site_matches_walk_quadrature(self):
@@ -1010,6 +1016,17 @@ class TestTwoPoint:
         # each returned NaN
         with pytest.raises(ValueError, match=f"^{named} must be finite"):
             two_point_integral(np.zeros((1, 1)), g, nu, 0, 0, method)
+
+    @pytest.mark.parametrize("method", ["grassmann", "determinant"])
+    @pytest.mark.parametrize("lap,g,nu", [
+        (PATH2, 1e-12, -0.1), (np.zeros((1, 1)), 1e-300, -1.0),
+    ], ids=["path2", "one-site"])
+    def test_value_not_finite_rejected(self, lap, g, nu, method):
+        # each returned NaN, written as null; on one site the exact value
+        # sqrt(pi/4g) erfcx(nu/2 sqrt(g)) overflows float64
+        with pytest.raises(ValueError, match="not finite in float64 at "
+                           f"g = {g}, nu = {nu}"):
+            two_point_integral(lap, g, nu, 0, lap.shape[0] - 1, method)
 
 
 class TestShiftedDeterminant:

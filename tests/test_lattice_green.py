@@ -14,6 +14,8 @@ Independent oracles used here:
 """
 
 import itertools
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from mpmath import besseli, exp, mp, mpf
 from scipy import integrate
 from scipy.special import ive, polygamma
 
+from wsaw4 import lattice_green
 from wsaw4.cov_decomp import build_decomposition
 from wsaw4.lattice_green import (
     _T_SERIES,
@@ -91,6 +94,19 @@ class TestOrbitQuadrature:
         assert np.all(np.diff(half, axis=0) >= 0)  # i_1 <= ... <= i_d
         assert mult.sum() == n**d
         assert mult[inner].sum() == (n // 2) ** d
+
+    def test_no_table_held_after_a_call(self, monkeypatch):
+        refs = []
+
+        def recording(d, n):
+            table = _orbit_table(d, n)
+            refs.extend(weakref.ref(a) for a in table)
+            return table
+
+        monkeypatch.setattr(lattice_green, "_orbit_table", recording)
+        green_function_with_error(4, 0.5, grid=16)
+        assert len(refs) == 6  # the fine and the coarse pass
+        assert all(r() is None for r in refs)
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_symbol_integrand_matches_full_grid(self, n):
@@ -207,10 +223,14 @@ class TestGreenWindow:
     def test_orbit_table_capped_before_any_work(self):
         # d = 8 at grid 64 needs 61.5M points a level: it ran out of memory
         # after 2 GB; the fine pass runs first, so no table is built
-        tables = _orbit_table.cache_info().currsize
-        with pytest.raises(ValueError, match="d = 8 at grid 64"):
-            green_function_with_error(8, 0.1, grid=64)
-        assert _orbit_table.cache_info().currsize == tables
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="d = 8 at grid 64"):
+                green_function_with_error(8, 0.1, grid=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestGreenTorusAndGraph:

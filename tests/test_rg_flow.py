@@ -15,13 +15,13 @@ from mpmath import mp, mpf
 
 from wsaw4.cov_decomp import (
     CoefficientSequences,
+    build_decomposition,
     coefficient_sequences,
     scale_indices,
 )
 from wsaw4.lattice_green import bubble_diagram_with_error, constant_a
 from wsaw4.rg_flow import (
     GAMMA,
-    FlowState,
     g_infinity,
     g_tilde_sequence,
     iterate_g,
@@ -45,17 +45,42 @@ def synthetic_coeffs(n, *, L=2, m2=0.1, beta=0.0, theta=0.0, eta=0.0,
 class TestStepForward:
     def test_zero_coefficients_fixed_point(self):
         co = synthetic_coeffs(4)
-        s = FlowState(g=0.07, z=0.01, mu=0.3, j=0)
-        nxt = step_forward(s, co)
-        assert (nxt.g, nxt.z) == (s.g, s.z)
-        assert nxt.mu == 4.0 * s.mu  # L^2 mu
-        assert nxt.j == 1
+        g, z, mu = step_forward(co, 0, 0.07, 0.01, 0.3)
+        assert (g, z) == (0.07, 0.01)
+        assert mu == 4.0 * 0.3  # L^2 mu
 
     def test_scale_beyond_table(self):
         co = synthetic_coeffs(2)
-        s = FlowState(g=0.05, z=0.0, mu=0.0, j=2)
-        with pytest.raises(IndexError):
-            step_forward(s, co)
+        with pytest.raises(IndexError, match="scale 2 outside"):
+            step_forward(co, 2, 0.05, 0.0, 0.0)
+
+    @pytest.mark.parametrize("j", [-1, [0, -2]], ids=["scalar", "array"])
+    def test_negative_scale_rejected(self, j):
+        # a negative index used to wrap to the end of the table
+        co = synthetic_coeffs(4, beta=1.0)
+        with pytest.raises(IndexError, match=f"scale {np.min(j)} outside"):
+            step_forward(co, j, 0.05, 0.0, 0.0)
+
+    def test_arrays_step_entry_by_entry(self, coeffs_at):
+        co = coeffs_at(1e-3, J=48)
+        traj = solve_boundary_value(0.05, co)
+        j = np.array([0, 7, 47, 3])
+        g, z, mu = step_forward(co, j, traj.g[j], traj.z[j], traj.mu[j])
+        for i, ji in enumerate(j):
+            one = step_forward(co, int(ji), float(traj.g[ji]),
+                               float(traj.z[ji]), float(traj.mu[ji]))
+            assert (g[i], z[i], mu[i]) == one
+
+    @pytest.mark.parametrize("m2,L,J,g0,residual", [
+        (1e-3, 2, 48, 0.05, 1.5178830414797062e-18),
+        (0.0, 2, 48, 0.02, 9.75781955236954e-19),
+        (1e-2, 3, 20, 0.1, 8.239936510889834e-18),
+    ])
+    def test_step_residual_frozen(self, m2, L, J, g0, residual):
+        # the values of the one-scale loop, bit for bit
+        dec = build_decomposition(4, L=L, m2=m2, J=J)
+        traj = solve_boundary_value(g0, coefficient_sequences(dec))
+        assert traj.step_residual() == residual
 
     def test_iteration_vs_arbitrary_precision_oracle(self):
         g = iterate_g(0.1, np.ones(90), 90)
@@ -70,7 +95,6 @@ class TestStepForward:
         # g_j (1 + g0 j)/g0 stays in a fixed bracket out to scale 200;
         # measured sweep range is [1.0, 6.42] (the ratio drifts toward
         # 1/beta_limit = pi^2/log 2 ~ 14.3 only at far larger j)
-        from wsaw4.cov_decomp import build_decomposition
         dec = build_decomposition(4, L=2, m2=0.0, J=200)
         co = coefficient_sequences(dec)
         g0 = 0.05
@@ -157,11 +181,11 @@ class TestBoundaryValue:
         assert np.all(np.abs(traj.mu[:-1]) <= envelope)
         # perturbing mu_0 exposes the expanding direction
         for sign in (+1.0, -1.0):
-            s = FlowState(g=0.05, z=traj.z[0], mu=traj.mu[0] + sign * 1e-3, j=0)
+            g, z, mu = 0.05, traj.z[0], traj.mu[0] + sign * 1e-3
             violated = False
             for j in range(30):
-                s = step_forward(s, co)
-                if abs(s.mu) > 10.0 * chi[s.j] * traj.g[s.j]:
+                g, z, mu = step_forward(co, j, g, z, mu)
+                if abs(mu) > 10.0 * chi[j + 1] * traj.g[j + 1]:
                     violated = True
                     break
             assert violated

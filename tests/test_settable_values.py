@@ -5,9 +5,11 @@ A settable value is a parameter with a default of a name in a module's
 ``__all__``: a function's, a class constructor's (a dataclass field with a
 default), or a public method's of such a class.  A public name is an entry
 of a module's ``__all__``, and a public function is named in some other
-file of the package, the benchmark or the tests.
+file of the package, the benchmark or the tests.  A CLI option is a flag
+of a subcommand other than ``--help`` and ``--out``.
 """
 
+import argparse
 import importlib
 import inspect
 import pathlib
@@ -15,9 +17,11 @@ import pkgutil
 import re
 
 import wsaw4
+from wsaw4 import cli
 
 TALLY = 30  # ROADMAP aim 2, "One value in use means a constant"
-PUBLIC_TALLY = 65  # ROADMAP aim 2, "No public name without a caller or a test"
+PUBLIC_TALLY = 64  # ROADMAP aim 2, "No public name without a caller or a test"
+CLI_TALLY = 38  # ROADMAP aim 2, "One value in use means a constant"
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -83,3 +87,22 @@ def test_public_functions_named_outside_their_module():
     assert not unnamed, (
         f"public functions named only in their own module: {unnamed}; "
         f"make them private or give them a caller or a test")
+
+
+def cli_options():
+    """``{"subcommand": [flag, ...]}`` without ``--help`` and ``--out``."""
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: [act.option_strings[-1] for act in parser._actions
+                   if act.option_strings
+                   and act.option_strings[-1] not in ("--help", "--out")]
+            for name, parser in sub.choices.items()}
+
+
+def test_cli_options_within_tally():
+    options = cli_options()
+    total = sum(map(len, options.values()))
+    assert total <= CLI_TALLY, (
+        f"{total} CLI options against the tally of {CLI_TALLY}: make an "
+        f"option that nothing sets a constant, or update ROADMAP aim 2 and "
+        f"CLI_TALLY ({options})")

@@ -71,6 +71,12 @@ class TestSusceptibilityFormulas:
         with pytest.raises(ValueError):
             m2_of_eps(0.02, 1.0)
 
+    def test_m2_needs_positive_amplitude(self):
+        # A_0 = 0: this divided by zero
+        with pytest.raises(ValueError, match="g must be > 0"):
+            m2_of_eps(0.0, 1e-6)
+        assert predict_nu_c(0.0, "flow") == 0.0
+
     def test_pair_is_exact_inverse(self):
         g = 0.02
         for eps in (1e-8, 1e-6, 1e-4):

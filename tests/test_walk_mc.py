@@ -10,6 +10,7 @@ self-avoiding walks, and the Green constant from the quadrature module.
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -316,6 +317,54 @@ class TestTooFewSamples:
     def test_rejected(self, estimator, n):
         with pytest.raises(ValueError, match="need >= 2"):
             estimator(n)
+
+
+class TestDrawCap:
+    # a horizon whose block needs more than _DRAW_BUDGET bytes ended in a
+    # MemoryError (T_max = 1e9: "Unable to allocate 119. GiB") or in a
+    # kill; it raises naming T before any draw
+    @pytest.mark.parametrize("call,mib", [
+        (lambda: estimate_cT(SPEC4, 0.1, 1e9, 2), "3.17e+06"),
+        (lambda: estimate_mean_intersection(SPEC4, 1e9, 2), "3.17e+06"),
+        (lambda: susceptibility_mc(SPEC4, 0.1, 0.5, T_max=1e9, n=2),
+         "3.17e+06"),
+        (lambda: jensen_bound_check(0.2, 1e9, 2), "3.17e+06"),
+        (lambda: simulate(SPEC4, 1e9, 1), "3.05e+06"),
+    ], ids=["estimate_cT", "estimate_mean_intersection", "susceptibility_mc",
+            "jensen_bound_check", "simulate"])
+    def test_rejected_before_any_draw(self, call, mib):
+        pattern = rf"T = 1000000000\.0 needs about {re.escape(mib)} MiB"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=pattern):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("spec,T,nblock", [
+        (SPEC4, 64.0, BLOCK_SIZE),
+        (SPEC4, 1009.0, BLOCK_SIZE),
+        (LatticeSpec.window(9), 16.0, BLOCK_SIZE),
+        (SPEC4, 1e5, 1),   # TestHorizonReach's one walk, the largest use
+        (SPEC4, 1.66e5, 1),
+    ], ids=["4096-T64", "4096-T1009", "4096-d9-T16", "one-T1e5",
+            "one-T1.66e5"])
+    def test_within_the_budget_accepted(self, spec, T, nblock):
+        # a block of many short walks is valued in parts at about 16 B a
+        # jump time, one long walk whole at up to 400 B; a cap of 2**20
+        # jump times sized for the second rejected the first from T = 33
+        walk_mc._check_draw(spec, T, nblock)
+
+    @pytest.mark.parametrize("T,nblock", [(1010.0, BLOCK_SIZE), (1.67e5, 1)])
+    def test_over_the_budget_rejected(self, T, nblock):
+        with pytest.raises(ValueError, match="more than the 512 MiB budget"):
+            walk_mc._check_draw(SPEC4, T, nblock)
+
+    def test_block_at_T64_runs(self):
+        e = estimate_cT(SPEC4, 0.1, 64.0, BLOCK_SIZE)
+        assert e.n_samples == BLOCK_SIZE and 0.0 < e.mean < 1.0
 
 
 class TestInvalidInputs:
