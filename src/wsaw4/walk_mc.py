@@ -19,7 +19,9 @@ share a stream.  A block draws all jump counts ~ Poisson(2dT), then all
 jump times, i.i.d. uniform on [0, T], then all steps; :func:`simulate`
 draws the one-walk block of its stream.  A block values its walks in
 parts of ``_PART_VISITS`` visits; a walk's value depends on its own
-draws only, so no value depends on where the parts are cut.
+draws only, so no value depends on where the parts are cut.  A part is
+valued on arrays over its jumps: one sort of a packed ``(walk, site,
+visit)`` key groups its local times, each site's in visit order.
 ``I(t)`` is piecewise quadratic along a walk, so :func:`susceptibility_mc`
 integrates each walk's ``e^{-nu t - g I(t)}`` over ``[0, T_max]`` exactly
 and takes its standard error across one stream of ``n`` walks;
@@ -41,7 +43,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .lattice_green import LatticeSpec, constant_a
+from .lattice_green import LatticeSpec, _is_integer, constant_a
 
 __all__ = [
     "WalkSample",
@@ -94,15 +96,13 @@ def _chan_stream(blocks):
     Each block has shape ``(k, nb)`` (k statistics of nb samples) or
     ``(nb,)``.  Rows are reduced along their contiguous axis, so each is
     summed as a 1-D block would be.  Returns per-row ``(mean, se, count)``;
-    fewer than 2 samples in all raise, as they give no standard error.
+    callers check first for the 2 samples that a standard error needs.
     """
     count, mean, m2 = 0, 0.0, 0.0
     for vals in blocks:
         bmean = vals.mean(axis=-1)
         bm2 = ((vals - bmean[..., None]) ** 2).sum(axis=-1)
         count, mean, m2 = _combine(count, mean, m2, vals.shape[-1], bmean, bm2)
-    if count < 2:
-        raise ValueError(f"{count} samples give no standard error; need >= 2")
     return mean, np.sqrt(m2 / (count - 1) / count), count
 
 
@@ -167,11 +167,20 @@ def _check_horizon(T):
         raise ValueError(f"T must be > 0 and finite, got {T}")
 
 
+def _check_count(name, v, least=2):
+    """Raise naming ``name`` unless ``v`` is an integer (numpy's too) >=
+    ``least``; 2 samples are the fewest that give a standard error."""
+    if not _is_integer(v):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    if v < least:
+        raise ValueError(f"{name} = {v}: need >= {least}")
+
+
 def _check_draw(spec, T, nblock):
     """Raise naming T unless it is a horizon whose block of ``nblock`` walks
     fits ``_DRAW_BUDGET`` bytes.  The block holds its ``nblock 2dT``
     expected jump times, and values at once a part and one walk, which is
-    valued whole where it is longer than a part."""
+    valued whole where it is longer than a part.  Returns the bytes."""
     _check_horizon(T)
     walk = 2 * spec.d * T
     need = (nblock * _DRAW_BYTES + _VISIT_BYTES) * walk \
@@ -180,6 +189,7 @@ def _check_draw(spec, T, nblock):
         raise ValueError(f"T = {T} needs about {need / 2**20:.3g} MiB for a "
                          f"block of {nblock} walks at d = {spec.d}, more than "
                          f"the {_DRAW_BUDGET // 2**20} MiB budget")
+    return need
 
 
 def simulate(spec: LatticeSpec, T: float, seed: int, sample_index: int = 0) -> WalkSample:
@@ -187,6 +197,7 @@ def simulate(spec: LatticeSpec, T: float, seed: int, sample_index: int = 0) -> W
     sample_index)``: drawn by :func:`_draw`, as every block is, so its
     ``I_T`` is that block's value up to roundoff.
     """
+    _check_count("sample_index", sample_index, 0)
     _check_draw(spec, T, 1)
     _, times, dirs = _draw(spec, T, block_rng(seed, sample_index), 1)
     jump_times = np.sort(times)
@@ -265,83 +276,81 @@ def _block_intersections(spec, T, rng, nblock, g=0.0, nu=None):
 def _walk_values(spec, T, g, nu, N, times, dirs=None):
     """Values of consecutive walks with jump counts ``N`` from their draws.
 
-    Visits sit in walk order, and ``slot`` places each in a padded
-    ``(walk, visit)`` table, where the times are sorted and the Laplace
-    prefix sums taken row by row.  One sort of the packed ``(walk, site,
-    visit)`` int64 key groups the local times, each site's in visit order.
+    Arrays run over the jumps, the walks' start visits apart.  One sort of
+    the packed ``(walk, site, visit)`` int64 key, the starts first, groups
+    the local times, each site's in visit order; walks keep their places.
     """
-    nb, d, nv = N.size, spec.d, times.size + N.size
-    vowner = np.repeat(np.arange(nb), N + 1)
-    first = np.repeat(np.concatenate([[0], np.cumsum(N[:-1] + 1)]), N + 1)
-    cols = np.arange(nv) - first
-    jumps = np.flatnonzero(cols)   # all but starts
-    width = int(N.max()) + 2
-    slot = vowner * width + cols   # a visit's cell in the flat (walk, col) table
-    # each walk's visit start times sorted along one T-padded row; an
-    # interval ends at the next visit's start, or T
+    nb, d, nj = N.size, spec.d, times.size
+    width, cbits = int(N.max()) + 2, int(N.max()).bit_length()
+    start = np.cumsum(N) - N                        # each walk's first jump
+    cell = np.repeat(np.arange(0, nb * width, width) - start, N) \
+        + np.arange(1, nj + 1)   # a jump's (walk, visit) in the flat table
+    # each walk's visit start times sorted along a T-padded row of the table
     table = np.full(nb * width, T)
-    table[slot[jumps]] = times
+    table[cell] = times
     table[::width] = 0.0
     table.reshape(nb, width).sort(axis=1)
-    gaps = np.diff(table)[slot]
-    vtimes = None if nu is None else table[slot]   # read by Laplace only
-    if dirs is None:
-        return np.bincount(vowner, np.exp(-nu * vtimes)
-                           * -np.expm1(-nu * gaps) / nu, nb)
-
+    gaps = np.diff(table)   # an interval ends at the next visit's start, or T
+    if nu is not None:   # the visits' cells, in visit order
+        visit = np.repeat(np.arange(nb) * (width - 1) - start, N + 1) \
+            + np.arange(nj + nb)
+        vtimes, vgaps = table[visit], gaps[visit]
+        if dirs is None:
+            return np.bincount(visit // width, np.exp(-nu * vtimes)
+                               * -np.expm1(-nu * vgaps) / nu, nb)
     torus = spec.geometry == "torus"
-    cbits = int(N.max()).bit_length()
     # a site is one int64 of digits, axis 0 the most significant; on a window
     # a coordinate is a balanced digit, bounded by the part's longest walk
     base = spec.period if torus else 2 * int(N.max()) + 1
-    if torus or (nb * base**d) << cbits > 2**63:
-        pos = np.zeros((nv, d), dtype=np.int64)
-        pos[jumps, dirs >> 1] = 1 - 2 * (dirs & 1)
-        pos = np.cumsum(pos, axis=0)
-        pos -= pos[first]
-        if not torus:   # too wide a base: take the part's coordinate range
-            base = 2 * int(np.abs(pos).max()) + 1
-            pos += base // 2
-        if nb * base**d >= 2**63:
-            per = f", period = {spec.period}" if torus else ""
-            raise ValueError(f"site key would overflow int64 at d = {d}, "
-                             f"T = {T}{per}")
-        code = np.mod(pos, base) @ base ** np.arange(d - 1, -1, -1)
+    if not torus and (nb * base**d) << cbits <= 2**63:
+        # cumsum of (step code << cbits) + 1, less its value before the walk
+        step = np.array([(s * base**a << cbits) + 1
+                         for a in range(d - 1, -1, -1) for s in (1, -1)])
+        S = np.cumsum(np.append(0, step[dirs]))
+        key, shift = S[1:] - np.repeat(S[start], N), cbits
     else:
-        k = np.arange(2 * d)
-        code = np.zeros(nv, dtype=np.int64)
-        code[jumps] = ((1 - 2 * (k & 1)) * base ** (d - 1 - (k >> 1)))[dirs]
-        code = np.cumsum(code)
-        code += base**d // 2 - code[first]
+        pos = np.zeros((nj + 1, d), dtype=np.int64)
+        pos[np.arange(1, nj + 1), dirs >> 1] = 1 - 2 * (dirs & 1)
+        pos = np.cumsum(pos, axis=0)
+        pos = pos[1:] - np.repeat(pos[start], N, axis=0)   # from the start
+        if torus:
+            pos = np.mod(pos, base)
+        else:   # too wide a base: take the part's coordinate range
+            base = 2 * int(np.abs(pos).max(initial=0)) + 1
+        if nb * base**d >= 2**63:
+            raise ValueError(f"site key would overflow int64 at d = {d}, T = "
+                             f"{T}" + (f", period = {base}" if torus else ""))
+        shift = cbits if (nb * base**d) << cbits <= 2**63 else 0  # 0: no room
+        key = (pos @ base ** np.arange(d - 1, -1, -1)) << shift \
+            | (cell % width if shift else 0)
     span = base**d
-    key = vowner * span + code
-    if (nb * span) << cbits <= 2**63:
-        key = np.sort((key << cbits) | cols)
-        # walks stay in order under the sort, so first and vowner still apply
-        sorter = first + (key & ((1 << cbits) - 1))
-        key >>= cbits
-    else:   # no room for the visit index; a stable sort keeps visit order
+    wkey = (np.arange(nb) * span + (0 if torus else span // 2)) << shift
+    key = np.concatenate([wkey, key + np.repeat(wkey, N)])   # starts first
+    if shift:
+        key.sort()
+        col, key = key & ((1 << shift) - 1), key >> shift
+    else:   # no room for the visit index: a stable sort keeps visit order
         sorter = np.argsort(key, kind="stable")
+        col = np.append(np.zeros(nb, np.int64), cell % width)[sorter]
         key = key[sorter]
+    walk = key // span   # a visit's walk, in visit order too
+    cell = walk * width + col
     seg = np.concatenate([[0], np.flatnonzero(key[1:] != key[:-1]) + 1])
-    sgaps = gaps[sorter]
     if nu is None:
-        lt = np.add.reduceat(sgaps, seg)
-        return np.bincount(vowner[seg], lt * lt, nb)
+        lt = np.add.reduceat(gaps[cell], seg)
+        return np.bincount(walk[seg], lt * lt, nb)
     # prefix sums over a walk's earlier entries, one padded row per walk, so
-    # roundoff scales with one walk's total rather than the block's
-    table = np.zeros(nb * width)
-
-    def walk_prefix(x):
-        table[slot + 1] = x
-        return np.cumsum(table.reshape(nb, width), axis=1).ravel()[slot]
-
-    # the site's local time before each visit, then I(t) at its start
-    c = walk_prefix(sgaps)
-    ell = np.empty(nv)
-    ell[sorter] = c - np.repeat(c[seg], np.diff(np.append(seg, nv)))
-    I_s = walk_prefix((2.0 * ell + gaps) * gaps)
-    return np.bincount(vowner, _gaussian_pieces(g, nu, vtimes, gaps, ell, I_s), nb)
+    # roundoff scales with one walk's total rather than the block's: of the
+    # gaps in site order, then of I(t)'s increments in visit order
+    rows = np.zeros(nb * width)
+    rows[visit + 1] = gaps[cell]
+    c = np.cumsum(rows.reshape(nb, width), axis=1).ravel()[visit]
+    table[cell] = c - np.repeat(c[seg], np.diff(seg, append=nj + nb))
+    ell = table[visit]   # the site's local time before each visit
+    rows[visit + 1] = (2.0 * ell + vgaps) * vgaps
+    I_s = np.cumsum(rows.reshape(nb, width), axis=1).ravel()[visit]
+    return np.bincount(walk, _gaussian_pieces(g, nu, vtimes, vgaps, ell, I_s),
+                       nb)
 
 
 def _gaussian_pieces(g, nu, s, gap, ell, I_s):
@@ -379,6 +388,7 @@ def _cores():
 def _walk_stream(spec, T, n, seed, **laplace):
     """Yield :func:`_block_intersections` for each block of n walks in block
     order, on up to :func:`_cores` threads; streams are made on this one."""
+    _check_count("n", n)
     _check_draw(spec, T, min(BLOCK_SIZE, n))
     starts = range(0, n, BLOCK_SIZE)
     jobs = ((spec, T, block_rng(seed, b), min(BLOCK_SIZE, n - start))
@@ -443,6 +453,7 @@ def susceptibility_mc(spec: LatticeSpec, g: float, nu: float, T_max: float,
 def _laplace_tail(spec, g, nu, T_max, n):
     """The tail bound of :func:`susceptibility_mc` for ``n`` walks, after
     its input checks: a ValueError here means no walk is drawn."""
+    _check_count("n", n)
     _check_draw(spec, T_max, min(BLOCK_SIZE, n))
     if not math.isfinite(g):
         raise ValueError(f"g must be >= 0 and finite, got {g}")
@@ -479,10 +490,8 @@ def conditioned_intersection(T: float, n: int, n_samples: int,
     I(T) is the sum of squared gaps.  The exact value is 2T^2/(n+2).
     """
     _check_horizon(T)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n_samples < 2:
-        raise ValueError(f"{n_samples} samples give no standard error; need >= 2")
+    _check_count("n", n, 0)
+    _check_count("n_samples", n_samples)
     if n == 0:
         return Estimate(mean=T * T, std_error=0.0, n_samples=n_samples)
     per_block = max(1, BLOCK_SIZE // n)

@@ -7,6 +7,7 @@ interval by interval, a brute-force product-space enumeration of
 self-avoiding walks, and the Green constant from the quadrature module.
 """
 
+import hashlib
 import itertools
 import math
 import os
@@ -412,6 +413,26 @@ class TestInvalidInputs:
          "nu must be finite, got -inf"),
         (lambda: susceptibility_mc(SPEC4, 0.0, math.inf, T_max=4.0, n=100),
          "nu must be finite, got inf"),
+        # a float count raised a TypeError in a draw; a negative one was
+        # reported as "0 samples"; a float sample index was truncated
+        (lambda: estimate_cT(SPEC4, 0.1, 2.0, 1e4),
+         "n must be an integer, got 10000.0"),
+        (lambda: estimate_mean_intersection(SPEC4, 2.0, 1e4),
+         "n must be an integer"),
+        (lambda: susceptibility_mc(SPEC4, 0.1, 0.5, T_max=4.0, n=1e4),
+         "n must be an integer"),
+        (lambda: jensen_bound_check(0.2, 2.0, 1e4), "n must be an integer"),
+        (lambda: conditioned_intersection(1.0, 5.0, 100),
+         "n must be an integer, got 5.0"),
+        (lambda: conditioned_intersection(1.0, 5, 100.0),
+         "n_samples must be an integer, got 100.0"),
+        (lambda: conditioned_intersection(1.0, -1, 100), r"n = -1: need >= 0"),
+        (lambda: estimate_cT(SPEC4, 0.1, 2.0, -5), r"n = -5: need >= 2"),
+        (lambda: estimate_cT(SPEC4, 0.1, 2.0, True),
+         "n must be an integer, got True"),
+        (lambda: simulate(SPEC4, 1.0, 1, 1.5),
+         "sample_index must be an integer, got 1.5"),
+        (lambda: simulate(SPEC4, 1.0, 1, -1), r"sample_index = -1: need >= 0"),
     ], ids=["estimate_cT", "estimate_mean_intersection", "susceptibility_mc",
             "jensen_bound_check", "jensen_bound_check_negative_g",
             "conditioned_intersection", "estimate_cT_nan_g",
@@ -421,10 +442,40 @@ class TestInvalidInputs:
             "simulate_nan_T", "simulate_inf_T", "susceptibility_mc_inf_nu",
             "susceptibility_mc_inf_g", "susceptibility_mc_torus_nan_nu",
             "susceptibility_mc_torus_minus_inf_nu",
-            "susceptibility_mc_free_inf_nu"])
+            "susceptibility_mc_free_inf_nu", "estimate_cT_float_n",
+            "estimate_mean_intersection_float_n", "susceptibility_mc_float_n",
+            "jensen_bound_check_float_n", "conditioned_intersection_float_n",
+            "conditioned_intersection_float_n_samples",
+            "conditioned_intersection_negative_n", "estimate_cT_negative_n",
+            "estimate_cT_bool_n", "simulate_float_index",
+            "simulate_negative_index"])
     def test_rejected(self, call, match):
         with pytest.raises(ValueError, match=match):
             call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: estimate_cT(SPEC4, 0.1, 2.0, 1e4),
+        lambda: susceptibility_mc(SPEC4, 0.1, 0.5, T_max=4.0, n=2.5),
+        lambda: jensen_bound_check(0.2, 2.0, -5),
+        lambda: conditioned_intersection(1.0, 5, 1e3),
+        lambda: simulate(SPEC4, 1.0, 1, 1.5),
+    ], ids=["estimate_cT", "susceptibility_mc", "jensen_bound_check",
+            "conditioned_intersection", "simulate"])
+    def test_counts_rejected_before_any_draw(self, monkeypatch, call):
+        def no_draw(seed, block_index):
+            raise AssertionError("a stream was made")
+
+        monkeypatch.setattr(walk_mc, "block_rng", no_draw)
+        with pytest.raises(ValueError, match="must be an integer|need >= "):
+            call()
+
+    def test_numpy_integer_counts_accepted(self):
+        n, i = np.int64(100), np.int32(3)
+        assert estimate_cT(SPEC4, 0.1, 2.0, n, seed=2) \
+            == estimate_cT(SPEC4, 0.1, 2.0, 100, seed=2)
+        assert conditioned_intersection(1.0, np.int64(5), n, seed=2) \
+            == conditioned_intersection(1.0, 5, 100, seed=2)
+        assert simulate(SPEC4, 1.0, 4, i).I_T == simulate(SPEC4, 1.0, 4, 3).I_T
 
 
 class TestJensen:
@@ -726,6 +777,131 @@ class TestHorizonReach:
         e = susceptibility_mc(SPEC4, 0.1, 0.5, T_max=64.0, n=2, seed=3)
         assert (e.mean, e.std_error) == (1.9123511044724986,
                                          0.0008228067112565629)
+
+
+def local_time_oracle(spec, T, rng, nblock):
+    """Each walk's I(T) = sum_x L_x^2, its local times summed in a dict.
+
+    Redraws the block sampler's walks from its stream (jump counts, jump
+    times, directions), as :func:`interval_quad_oracle` does, and adds each
+    residence interval to the local time of its site, one by one.
+    """
+    d = spec.d
+    N = rng.poisson(2 * d * T, size=nblock)
+    times = rng.random(int(N.sum())) * T
+    dirs = rng.integers(0, 2 * d, size=int(N.sum()))
+    values, k = [], 0
+    for n in N:
+        pos, site, L = [0] * d, (0,) * d, {}
+        bounds = [0.0, *np.sort(times[k:k + n]), T]
+        for j, (s, e) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if j:
+                dr = dirs[k + j - 1]
+                pos[dr >> 1] += 1 - 2 * (dr & 1)
+                site = tuple(p % spec.period for p in pos) if spec.period \
+                    else tuple(pos)
+            L[site] = L.get(site, 0.0) + (e - s)
+        k += n
+        values.append(sum(v * v for v in L.values()))
+    return np.array(values), N
+
+
+class TestLocalTimeOracle:
+    """The block sampler's I(T) against a dict of local times, walk by walk:
+    windows and tori, the cumsum and the coordinate site codes, the stable
+    sort, and blocks with zero-jump walks."""
+
+    @pytest.mark.parametrize("spec", [
+        LatticeSpec.window(1), LatticeSpec.window(2), LatticeSpec.window(3),
+        SPEC4, LatticeSpec.window(5), LatticeSpec.window(9),
+        LatticeSpec.torus(1, 3), LatticeSpec.torus(2, 4),
+        LatticeSpec.torus(3, 6), LatticeSpec.torus(4, 3),
+    ], ids=lambda s: f"{s.geometry}(d={s.d}, period={s.period})")
+    @pytest.mark.parametrize("T", [0.05, 3.0])
+    def test_block_matches_dict(self, spec, T):
+        vals = _block_intersections(spec, T, block_rng(12, 3), 200)
+        oracle, N = local_time_oracle(spec, T, block_rng(12, 3), 200)
+        if T < 0.1:   # walks that never jump, valued T^2 with no jump array
+            assert (N == 0).sum() > 50
+        assert vals == pytest.approx(oracle, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("spec,T,nblock", [
+        (SPEC4, 300.0, 3),                        # coordinate-range base
+        (LatticeSpec.torus(2, 2**28), 10.0, 4),   # no room: stable sort
+        (LatticeSpec.window(2), 1e-3, 5),         # no walk jumps at all
+    ], ids=["window-long", "torus-wide", "no-jumps"])
+    def test_wide_keys_match_dict(self, spec, T, nblock):
+        vals = _block_intersections(spec, T, block_rng(12, 4), nblock)
+        oracle, _ = local_time_oracle(spec, T, block_rng(12, 4), nblock)
+        assert vals == pytest.approx(oracle, rel=1e-13, abs=0)
+
+
+class TestKernelBits:
+    """sha256 of ``_block_intersections(...).tobytes()``, recorded before the
+    kernel ran on jump-indexed arrays: every path keeps its bits."""
+
+    CASES = {
+        "window4-T2": (SPEC4, 2.0, BLOCK_SIZE, {}),
+        "window4-T16": (SPEC4, 16.0, BLOCK_SIZE, {}),
+        "torus(4,6)": (LatticeSpec.torus(4, 6), 4.0, 600, {}),
+        "laplace": (SPEC4, 16.0, 600, dict(g=0.1, nu=0.5)),
+        "laplace-g0": (SPEC4, 16.0, 600, dict(g=0.0, nu=0.5)),
+        "torus(1,3)-nu<0": (LatticeSpec.torus(1, 3), 6.0, 600,
+                            dict(g=0.3, nu=-0.2)),
+        "window9-T16": (LatticeSpec.window(9), 16.0, 600, {}),
+        "stable-sort": (LatticeSpec.torus(2, 2**28), 10.0, 4, {}),
+    }
+    SHA256 = {
+        "window4-T2": "8bebc35b40511953ca4eccdc93cd3deaca8be769a789bd98a2209d16904f7984",
+        "window4-T16": "f656cfe09fb8ce208ce781f6398c1ca0596f92519ed88217fc179b3602976669",
+        "torus(4,6)": "bb5fff85660a047d271f690819d7008ae9c5647fdafb86b299d0826324f4f871",
+        "laplace": "4ba77feba32bf1dc7a20f8fef2c3ef4160ecba04abbeeb58d69e66d63f3cb282",
+        "laplace-g0": "aceb4beecc07b1b59ced527306b694ea9c4958214eee3cbf85a9159f4564440b",
+        "torus(1,3)-nu<0": "c3d892f0fb51e5a2ad35a70e43b78ec5cd69dbf8e86f6592d6a86de4c02f2e3a",
+        "window9-T16": "03c58f610a3267ae042a491f9effe06f62dd880f8e36d397561534dc9fc62e31",
+        "stable-sort": "24aadbff060017b115adaa17de4f436e849525bd2397c69a4c586cfd1e77f4c2",
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bits(self, case):
+        spec, T, nblock, kw = self.CASES[case]
+        vals = _block_intersections(spec, T, block_rng(31, 1), nblock, **kw)
+        assert hashlib.sha256(vals.tobytes()).hexdigest() == self.SHA256[case]
+
+    def test_stable_sort_case_sorts_stably(self, monkeypatch):
+        kinds, argsort = [], np.argsort
+
+        def recording(a, kind=None):
+            kinds.append(kind)
+            return argsort(a, kind=kind)
+
+        monkeypatch.setattr(np, "argsort", recording)
+        spec, T, nblock, kw = self.CASES["stable-sort"]
+        _block_intersections(spec, T, block_rng(31, 1), nblock, **kw)
+        assert kinds == ["stable"]
+
+
+class TestDrawBudgetMeasured:
+    """The tracemalloc peak of a block stays below the bytes _check_draw
+    estimates for it, so a kernel that holds more per visit fails here
+    before _VISIT_BYTES goes stale (0.33-0.93 of the estimate when set)."""
+
+    @pytest.mark.parametrize("spec,T,nblock,kw", [
+        (SPEC4, 64.0, BLOCK_SIZE, {}),
+        (LatticeSpec.window(9), 16.0, BLOCK_SIZE, {}),
+        (SPEC4, 16.0, 2000, dict(g=0.1, nu=0.5)),
+        (SPEC4, 1e5, 1, {}),
+    ], ids=["4096-T64", "4096-d9-T16", "laplace-2000-T16", "one-T1e5"])
+    def test_peak_below_estimate(self, spec, T, nblock, kw):
+        # a first small block imports scipy.special, which is not the kernel's
+        _block_intersections(spec, 1.0, block_rng(1, 0), 2, **kw)
+        tracemalloc.start()
+        try:
+            _block_intersections(spec, T, block_rng(1, 0), nblock, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < walk_mc._check_draw(spec, T, nblock)
 
 
 class TestFrozenValues:
