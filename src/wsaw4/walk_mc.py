@@ -14,14 +14,14 @@ All estimators draw from counter-based Philox streams keyed by
 statistics in block order with the pairwise (Chan) update of one reducer.
 Results are therefore bit-reproducible for a given seed however blocks are
 distributed over workers (the walk estimators value one block per usable
-core at once on threads), and independent samples never
-share a stream.  A block draws all jump counts ~ Poisson(2dT), then all
-jump times, i.i.d. uniform on [0, T], then all steps; :func:`simulate`
-draws the one-walk block of its stream.  A block values its walks in
-parts of ``_PART_VISITS`` visits; a walk's value depends on its own
-draws only, so no value depends on where the parts are cut.  A part is
-valued on arrays over its jumps: one sort of a packed ``(walk, site,
-visit)`` key groups its local times, each site's in visit order.
+core at once on threads), and independent samples never share a stream.
+A block's stream holds all jump counts ~ Poisson(2dT), then all jump
+times, i.i.d. uniform on [0, T], then all steps; :func:`simulate` draws
+the one-walk block of its stream.  A block is drawn and valued part by
+part, ``_PART_VISITS`` visits at a time, in arrays reused across its
+parts; a walk's value depends on its own draws only, so no value depends
+on where the parts are cut.  One sort of a packed ``(walk, site, visit)``
+key groups a part's local times, each site's in visit order.
 ``I(t)`` is piecewise quadratic along a walk, so :func:`susceptibility_mc`
 integrates each walk's ``e^{-nu t - g I(t)}`` over ``[0, T_max]`` exactly
 and takes its standard error across one stream of ``n`` walks;
@@ -62,10 +62,10 @@ __all__ = [
 
 BLOCK_SIZE = 4096
 _PART_VISITS = 12288  # visits valued per kernel call, so that no part pages
-# a block's bytes, from tracemalloc peaks at d = 1 .. 9: 16 a drawn jump time,
-# and 384 a visit valued at once, a part's and its longest walk's
-_DRAW_BYTES, _VISIT_BYTES = 16, 384
-_DRAW_BUDGET = 2**29  # d = 4: 4,096 walks reach T = 1009, one walk T = 1.66e5
+# a block's bytes, from tracemalloc peaks at d = 1 .. 9: 32 a walk, and 384
+# a visit valued at once, a part's and its longest walk's (375 at most, d = 9)
+_WALK_BYTES, _VISIT_BYTES = 32, 384
+_DRAW_BUDGET = 2**29  # d = 4: 4,096 walks or one reach T = 1.73e5
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +74,8 @@ _DRAW_BUDGET = 2**29  # d = 4: 4,096 walks reach T = 1009, one walk T = 1.66e5
 
 def block_rng(seed: int, block_index: int) -> np.random.Generator:
     """Philox stream for one block, keyed by (seed, block_index)."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
+    _check_count("seed", seed, -math.inf)
+    key = np.array([np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF),
                     np.uint64(block_index)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -177,14 +178,11 @@ def _check_count(name, v, least=2):
 
 
 def _check_draw(spec, T, nblock):
-    """Raise naming T unless it is a horizon whose block of ``nblock`` walks
-    fits ``_DRAW_BUDGET`` bytes.  The block holds its ``nblock 2dT``
-    expected jump times, and values at once a part and one walk, which is
-    valued whole where it is longer than a part.  Returns the bytes."""
+    """Raise naming T unless a block of ``nblock`` walks fits ``_DRAW_BUDGET``
+    bytes: its walks, and the visits of a part and of one walk, valued whole
+    where it is longer than a part, valued at once.  Returns the bytes."""
     _check_horizon(T)
-    walk = 2 * spec.d * T
-    need = (nblock * _DRAW_BYTES + _VISIT_BYTES) * walk \
-        + _VISIT_BYTES * _PART_VISITS
+    need = _WALK_BYTES * nblock + _VISIT_BYTES * (2 * spec.d * T + _PART_VISITS)
     if need > _DRAW_BUDGET:
         raise ValueError(f"T = {T} needs about {need / 2**20:.3g} MiB for a "
                          f"block of {nblock} walks at d = {spec.d}, more than "
@@ -199,7 +197,7 @@ def simulate(spec: LatticeSpec, T: float, seed: int, sample_index: int = 0) -> W
     """
     _check_count("sample_index", sample_index, 0)
     _check_draw(spec, T, 1)
-    _, times, dirs = _draw(spec, T, block_rng(seed, sample_index), 1)
+    _, (_, _, times, dirs) = _draw(spec, T, block_rng(seed, sample_index), 1)
     jump_times = np.sort(times)
     n, d = times.size, spec.d
     sites = np.zeros((n + 1, d), dtype=np.int64)   # start, then the steps
@@ -244,57 +242,72 @@ def fold_and_compare(sample: WalkSample, periods) -> dict:
 # ---------------------------------------------------------------------------
 
 def _draw(spec, T, rng, nblock, steps=True):
-    """A block of walks in stream order: ``(N, times)`` or, with ``steps``,
-    ``(N, times, dirs)``: the Poisson(2dT) jump counts, all jump times
-    uniform on [0, T], then all steps as directions in 0 .. 2d-1."""
-    N = rng.poisson(2 * spec.d * T, size=nblock)
-    times = rng.random(int(N.sum())) * T
-    if not steps:
-        return N, times
-    return N, times, rng.integers(0, 2 * spec.d, size=times.size)
+    """A block in stream order, part by part: yields its Poisson(2dT) jump
+    counts ``N``, then ``(a, b, times[, dirs])`` for the walks ``a:b`` whose
+    last visits fall in a part.  Times, uniform on [0, T], continue the
+    stream; steps, 0 .. 2d-1, follow all times, from a second Philox."""
+    yield (N := rng.poisson(2 * spec.d * T, size=nblock))
+    ends = np.cumsum(N)   # the jumps of each walk and of those before it
+    part = (ends + np.arange(nblock)) // _PART_VISITS   # of its last visit
+    edges = [0, *((part[1:] != part[:-1]).nonzero()[0] + 1).tolist(), nblock]
+    cut = [0, *ends[[b - 1 for b in edges[1:]]].tolist()]
+    step_rng = rng   # one part: its steps follow its times on the stream
+    if steps and len(edges) > 2:   # a time is one 64-bit word, 4 a counter
+        bits = np.random.Philox()
+        bits.state = state = rng.bit_generator.state
+        ahead, rest = divmod(state["buffer_pos"] + cut[-1], 4)
+        step_rng = np.random.Generator(bits.advance(ahead - 1))
+        bits.random_raw(rest)
+    buf = np.empty(max(j - i for i, j in zip(cut, cut[1:])))
+    for a, b, i, j in zip(edges, edges[1:], cut, cut[1:]):
+        times = np.multiply(rng.random(out=buf[:j - i]), T, out=buf[:j - i])
+        yield (a, b, times, step_rng.integers(0, 2 * spec.d, size=j - i)) \
+            if steps else (a, b, times)
 
 
 def _block_intersections(spec, T, rng, nblock, g=0.0, nu=None):
-    """I(T) for a block of walks, or with ``nu`` each walk's Laplace integral.
-
-    The block is drawn by :func:`_draw`, without steps for the ``g = 0``
-    Laplace integral, which needs no sites.  A walk is valued in the part
-    where its last visit falls, so a part holds at most ``_PART_VISITS``
-    visits plus one walk and its arrays do not page at any horizon.
-    Returns shape ``(nblock,)``: ``I(T)``, or with ``nu`` given
-    ``int_0^T e^{-nu t - g I(t)} dt``.
-    """
-    N, *draws = _draw(spec, T, rng, nblock, steps=nu is None or g != 0)
-    part = (np.cumsum(N + 1) - 1) // _PART_VISITS
-    edges = [0, *(np.flatnonzero(np.diff(part)) + 1), nblock]
-    cut = np.concatenate([[0], np.cumsum(N)])[edges]
-    return np.concatenate([
-        _walk_values(spec, T, g, nu, N[a:b], *(x[i:j] for x in draws))
-        for a, b, i, j in zip(edges, edges[1:], cut, cut[1:])])
+    """I(T) for a block of walks, or with ``nu`` each walk's ``int_0^T e^{-nu
+    t - g I(t)} dt``, shape ``(nblock,)``.  :func:`_draw` draws each part just
+    before it is valued (no steps at ``g = 0``), in arrays kept for the block."""
+    draws = _draw(spec, T, rng, nblock, steps=nu is None or g != 0)
+    N, buf = next(draws), {}
+    return np.concatenate([_walk_values(spec, T, g, nu, N[a:b], *x, buf=buf)
+                           for a, b, *x in draws])
 
 
-def _walk_values(spec, T, g, nu, N, times, dirs=None):
+def _walk_values(spec, T, g, nu, N, times, dirs=None, buf=None):
     """Values of consecutive walks with jump counts ``N`` from their draws.
 
     Arrays run over the jumps, the walks' start visits apart.  One sort of
     the packed ``(walk, site, visit)`` int64 key, the starts first, groups
     the local times, each site's in visit order; walks keep their places.
-    """
+    Part-sized arrays are views of the block's arrays in the dict ``buf``."""
+    buf = {} if buf is None else buf
+
+    def kept(name, n, dtype=float):   # made anew only where too short
+        if name not in buf or buf[name].size < n:
+            buf[name] = np.empty(n, dtype)
+        return buf[name][:n]
+
     nb, d, nj = N.size, spec.d, times.size
-    width, cbits = int(N.max()) + 2, int(N.max()).bit_length()
+    m, width, cbits = nj + nb, int(N.max()) + 2, int(N.max()).bit_length()
     start = np.cumsum(N) - N                        # each walk's first jump
-    cell = np.repeat(np.arange(0, nb * width, width) - start, N) \
-        + np.arange(1, nj + 1)   # a jump's (walk, visit) in the flat table
+    cell = kept("cell", m, int)   # a jump's (walk, visit) in the flat table
+    np.add(np.repeat(np.arange(0, nb * width, width) - start, N),
+           np.arange(1, nj + 1), out=cell[:nj])
     # each walk's visit start times sorted along a T-padded row of the table
-    table = np.full(nb * width, T)
-    table[cell] = times
+    table = kept("table", nb * width)
+    table.fill(T)
+    table[cell[:nj]] = times
     table[::width] = 0.0
     table.reshape(nb, width).sort(axis=1)
-    gaps = np.diff(table)   # an interval ends at the next visit's start, or T
+    # an interval ends at the next visit's start, or T
+    gaps = np.subtract(table[1:], table[:-1], out=kept("gaps", nb * width - 1))
     if nu is not None:   # the visits' cells, in visit order
-        visit = np.repeat(np.arange(nb) * (width - 1) - start, N + 1) \
-            + np.arange(nj + nb)
-        vtimes, vgaps = table[visit], gaps[visit]
+        visit = np.add(np.repeat(np.arange(nb) * (width - 1) - start, N + 1),
+                       np.arange(m), out=kept("visit", m, int))
+        vtimes = np.take(table, visit, out=kept("s", m), mode="clip")
+        vgaps = np.take(gaps, visit, out=kept("gap", m), mode="clip")
         if dirs is None:
             return np.bincount(visit // width, np.exp(-nu * vtimes)
                                * -np.expm1(-nu * vgaps) / nu, nb)
@@ -302,12 +315,14 @@ def _walk_values(spec, T, g, nu, N, times, dirs=None):
     # a site is one int64 of digits, axis 0 the most significant; on a window
     # a coordinate is a balanced digit, bounded by the part's longest walk
     base = spec.period if torus else 2 * int(N.max()) + 1
+    key = kept("key", m, int)   # the starts' keys, then the jumps'
     if not torus and (nb * base**d) << cbits <= 2**63:
         # cumsum of (step code << cbits) + 1, less its value before the walk
         step = np.array([(s * base**a << cbits) + 1
                          for a in range(d - 1, -1, -1) for s in (1, -1)])
-        S = np.cumsum(np.append(0, step[dirs]))
-        key, shift = S[1:] - np.repeat(S[start], N), cbits
+        key[nb - 1] = 0   # then the steps' prefix sums
+        np.cumsum(np.take(step, dirs, out=key[nb:], mode="clip"), out=key[nb:])
+        first, shift = key[nb - 1:][start], cbits
     else:
         pos = np.zeros((nj + 1, d), dtype=np.int64)
         pos[np.arange(1, nj + 1), dirs >> 1] = 1 - 2 * (dirs & 1)
@@ -320,62 +335,87 @@ def _walk_values(spec, T, g, nu, N, times, dirs=None):
         if nb * base**d >= 2**63:
             raise ValueError(f"site key would overflow int64 at d = {d}, T = "
                              f"{T}" + (f", period = {base}" if torus else ""))
-        shift = cbits if (nb * base**d) << cbits <= 2**63 else 0  # 0: no room
-        key = (pos @ base ** np.arange(d - 1, -1, -1)) << shift \
-            | (cell % width if shift else 0)
+        first, shift = 0, cbits if (nb * base**d) << cbits <= 2**63 else 0
+        key[nb:] = (pos @ base ** np.arange(d - 1, -1, -1)) << shift \
+            | (cell[:nj] % width if shift else 0)   # shift 0: no room
     span = base**d
     wkey = (np.arange(nb) * span + (0 if torus else span // 2)) << shift
-    key = np.concatenate([wkey, key + np.repeat(wkey, N)])   # starts first
+    key[nb:] += np.repeat(wkey - first, N)
+    key[:nb] = wkey
     if shift:
         key.sort()
-        col, key = key & ((1 << shift) - 1), key >> shift
+        col = np.bitwise_and(key, (1 << shift) - 1, out=kept("col", m, int))
+        key >>= shift
     else:   # no room for the visit index: a stable sort keeps visit order
         sorter = np.argsort(key, kind="stable")
-        col = np.append(np.zeros(nb, np.int64), cell % width)[sorter]
+        col = np.append(np.zeros(nb, np.int64), cell[:nj] % width)[sorter]
         key = key[sorter]
-    walk = key // span   # a visit's walk, in visit order too
-    cell = walk * width + col
+    # a visit's walk, in visit order too, and its cell
+    walk = np.floor_divide(key, span, out=kept("walk", m, int))
+    cell = np.add(np.multiply(walk, width, out=cell), col, out=cell)
     seg = np.concatenate([[0], np.flatnonzero(key[1:] != key[:-1]) + 1])
+    f = np.take(gaps, cell, out=kept("f", m), mode="clip")
     if nu is None:
-        lt = np.add.reduceat(gaps[cell], seg)
+        lt = np.add.reduceat(f, seg)
         return np.bincount(walk[seg], lt * lt, nb)
     # prefix sums over a walk's earlier entries, one padded row per walk, so
     # roundoff scales with one walk's total rather than the block's: of the
     # gaps in site order, then of I(t)'s increments in visit order
-    rows = np.zeros(nb * width)
-    rows[visit + 1] = gaps[cell]
-    c = np.cumsum(rows.reshape(nb, width), axis=1).ravel()[visit]
-    table[cell] = c - np.repeat(c[seg], np.diff(seg, append=nj + nb))
-    ell = table[visit]   # the site's local time before each visit
-    rows[visit + 1] = (2.0 * ell + vgaps) * vgaps
-    I_s = np.cumsum(rows.reshape(nb, width), axis=1).ravel()[visit]
-    return np.bincount(walk, _gaussian_pieces(g, nu, vtimes, vgaps, ell, I_s),
-                       nb)
+    rows = kept("rows", nb * width)   # summed in place, zeroed once: the
+    rows.fill(0.0)   # second sum rewrites a row's cells 1 .. N+1, all it reads
+    rows[1:][visit] = f
+    np.cumsum(rows.reshape(nb, width), axis=1, out=rows.reshape(nb, width))
+    c = np.take(rows, visit, out=f, mode="clip")
+    c -= np.repeat(c[seg], np.diff(seg, append=m))
+    table[cell] = c
+    ell = np.take(table, visit, out=f, mode="clip")   # the site's local time
+    inc = np.multiply(ell, 2.0, out=kept("I", m))   # before each visit
+    inc += vgaps
+    rows[1:][visit] = np.multiply(inc, vgaps, out=inc)
+    np.cumsum(rows.reshape(nb, width), axis=1, out=rows.reshape(nb, width))
+    I_s = np.take(rows, visit, out=inc, mode="clip")
+    return np.bincount(walk, _gaussian_pieces(
+        g, nu, vtimes, vgaps, ell, I_s, *(kept(k, m) for k in "pqh")), nb)
 
 
-def _gaussian_pieces(g, nu, s, gap, ell, I_s):
+def _gaussian_pieces(g, nu, s, gap, ell, I_s, p, q, h):
     """``int_s^{s+gap} e^{-nu t - g I(t)} dt``, ``I(t) = I_s + 2 ell u + u^2``.
 
     With ``u = t - s``, ``x = sqrt(g) (ell + nu/2g)`` and ``y = x + sqrt(g)
     gap`` it is ``sqrt(pi/g)/2 e^{-nu s - g I_s + x^2} (erfc(x) - erfc(y))``
     for g > 0, formed about ``m``, the point of ``[x, y]`` nearest 0 where
     the integrand peaks: ``e^{m^2} (erfc(x) - erfc(y))`` lies in ``[0, 2]``,
-    so no factor overflows where the integral is finite.
+    so no factor overflows where the integral is finite.  Formed in place
+    over its arguments, ``p``, ``q`` and ``h`` as workspace; returns ``s``.
     """
     from scipy.special import erfc, erfcx  # only Laplace estimates load it
-    x = math.sqrt(g) * (ell + nu / (2.0 * g))
-    w = math.sqrt(g) * gap
-    y = x + w
+    ell += nu / (2.0 * g)
+    x = np.multiply(ell, math.sqrt(g), out=ell)
+    w = np.multiply(gap, math.sqrt(g), out=gap)
+    np.add(x, w, out=q)   # y
     # erfc(x) - erfc(y) = erfc(-y) - erfc(-x): take the pair p <= q, p + q >= 0
-    flip = x + y < 0.0
-    p, q = np.where(flip, -y, x), np.where(flip, -x, y)
+    flip = np.add(x, q, out=p) < 0.0
+    np.copyto(p, x)
+    np.negative(q, out=p, where=flip)
+    np.negative(x, out=q, where=flip)
     inside = p < 0.0          # then m = 0, else m = p and p^2 - q^2 = -w(p+q)
-    head = np.empty_like(p)   # e^{m^2} erfc(p), each function where it is kept
-    head[inside], head[~inside] = erfc(p[inside]), erfcx(p[~inside])
-    peaked = head - np.exp(np.where(inside, -q * q, -w * (p + q))) * erfcx(q)
-    shift = np.where(inside, x * x, np.where(flip, w * (p + q), 0.0))
-    return (0.5 * math.sqrt(math.pi / g)) \
-        * np.exp(-nu * s - g * I_s + shift) * peaked
+    w = np.multiply(np.add(p, q, out=h), w, out=w)   # now w (p + q)
+    shift = np.multiply(x, x, out=x)
+    np.copyto(shift, w, where=flip & ~inside)
+    np.copyto(shift, 0.0, where=~(flip | inside))
+    np.copyto(np.multiply(q, q, out=h), w, where=~inside)
+    np.exp(np.negative(h, out=h), out=h)
+    np.multiply(erfcx(q, out=q), h, out=q)
+    # e^{m^2} erfc(p) less e^{m^2} erfc(q); scipy's erfc, erfcx under where=
+    # masks corrupt the heap
+    erfcx(p, out=h)[inside] = erfc(p[inside])
+    peaked = np.subtract(h, q, out=h)
+    s *= -nu
+    s -= np.multiply(I_s, g, out=I_s)
+    s += shift
+    np.exp(s, out=s)
+    s *= 0.5 * math.sqrt(math.pi / g)
+    return np.multiply(s, peaked, out=s)
 
 
 def _cores():

@@ -436,7 +436,7 @@ class TestExitCodes:
         finally:
             tracemalloc.stop()
         assert exc.value.code == 1
-        assert "T = 1000000000.0 needs about 3.17e+06 MiB" in capsys.readouterr().err
+        assert "T = 1000000000.0 needs about 2.93e+06 MiB" in capsys.readouterr().err
         assert peak < 2**20
         assert not (tmp_path / "x").exists()
 

@@ -325,12 +325,12 @@ class TestDrawCap:
     # MemoryError (T_max = 1e9: "Unable to allocate 119. GiB") or in a
     # kill; it raises naming T before any draw
     @pytest.mark.parametrize("call,mib", [
-        (lambda: estimate_cT(SPEC4, 0.1, 1e9, 2), "3.17e+06"),
-        (lambda: estimate_mean_intersection(SPEC4, 1e9, 2), "3.17e+06"),
+        (lambda: estimate_cT(SPEC4, 0.1, 1e9, 2), "2.93e+06"),
+        (lambda: estimate_mean_intersection(SPEC4, 1e9, 2), "2.93e+06"),
         (lambda: susceptibility_mc(SPEC4, 0.1, 0.5, T_max=1e9, n=2),
-         "3.17e+06"),
-        (lambda: jensen_bound_check(0.2, 1e9, 2), "3.17e+06"),
-        (lambda: simulate(SPEC4, 1e9, 1), "3.05e+06"),
+         "2.93e+06"),
+        (lambda: jensen_bound_check(0.2, 1e9, 2), "2.93e+06"),
+        (lambda: simulate(SPEC4, 1e9, 1), "2.93e+06"),
     ], ids=["estimate_cT", "estimate_mean_intersection", "susceptibility_mc",
             "jensen_bound_check", "simulate"])
     def test_rejected_before_any_draw(self, call, mib):
@@ -350,15 +350,16 @@ class TestDrawCap:
         (LatticeSpec.window(9), 16.0, BLOCK_SIZE),
         (SPEC4, 1e5, 1),   # TestHorizonReach's one walk, the largest use
         (SPEC4, 1.66e5, 1),
+        (SPEC4, 1.73e5, BLOCK_SIZE),
     ], ids=["4096-T64", "4096-T1009", "4096-d9-T16", "one-T1e5",
-            "one-T1.66e5"])
+            "one-T1.66e5", "4096-T1.73e5"])
     def test_within_the_budget_accepted(self, spec, T, nblock):
-        # a block of many short walks is valued in parts at about 16 B a
-        # jump time, one long walk whole at up to 400 B; a cap of 2**20
-        # jump times sized for the second rejected the first from T = 33
+        # a block is drawn and valued part by part, so its size adds 32 B a
+        # walk, not 16 B a jump time: 4,096 walks stopped at T = 1009 when
+        # the block's draws were held whole, and now reach one walk's T
         walk_mc._check_draw(spec, T, nblock)
 
-    @pytest.mark.parametrize("T,nblock", [(1010.0, BLOCK_SIZE), (1.67e5, 1)])
+    @pytest.mark.parametrize("T,nblock", [(1.74e5, BLOCK_SIZE), (1.74e5, 1)])
     def test_over_the_budget_rejected(self, T, nblock):
         with pytest.raises(ValueError, match="more than the 512 MiB budget"):
             walk_mc._check_draw(SPEC4, T, nblock)
@@ -468,6 +469,27 @@ class TestInvalidInputs:
         monkeypatch.setattr(walk_mc, "block_rng", no_draw)
         with pytest.raises(ValueError, match="must be an integer|need >= "):
             call()
+
+    @pytest.mark.parametrize("call", [
+        lambda seed: simulate(SPEC4, 1.0, seed).I_T,
+        lambda seed: estimate_cT(SPEC4, 0.1, 2.0, 100, seed=seed),
+        lambda seed: estimate_mean_intersection(SPEC4, 2.0, 100, seed=seed),
+        lambda seed: susceptibility_mc(SPEC4, 0.1, 0.5, 4.0, 100, seed=seed),
+        lambda seed: jensen_bound_check(0.2, 2.0, 100, seed=seed),
+        lambda seed: conditioned_intersection(1.0, 3, 10, seed=seed),
+    ], ids=["simulate", "estimate_cT", "estimate_mean_intersection",
+            "susceptibility_mc", "jensen_bound_check",
+            "conditioned_intersection"])
+    def test_seed_must_be_an_integer(self, monkeypatch, call):
+        # block_rng's mask raised a bare TypeError on a float seed
+        drawn = []
+        monkeypatch.setattr(walk_mc, "_draw", lambda *a, **k: drawn.append(1))
+        for seed in (1.5, 2.0, True, "3"):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                call(seed)
+        assert drawn == []
+        monkeypatch.undo()
+        assert call(np.int64(7)) == call(7)
 
     def test_numpy_integer_counts_accepted(self):
         n, i = np.int64(100), np.int32(3)
@@ -600,31 +622,41 @@ class TestBlockDraws:
         assert e.n_samples == n
 
 
-class RecordingRng:
-    """Wraps a Generator and records each draw as ``(method, args...)``."""
+def whole_block_draw(spec, T, rng, nblock):
+    """The stream layout of a block, drawn whole from one generator: all
+    jump counts, then all jump times, then all steps, each in one call."""
+    N = rng.poisson(2 * spec.d * T, size=nblock)
+    times = rng.random(int(N.sum())) * T
+    return N, times, rng.integers(0, 2 * spec.d, size=times.size)
 
-    def __init__(self, rng):
-        self.rng, self.calls = rng, []
 
-    def poisson(self, lam, size=None):
-        self.calls.append(("poisson", size))
-        return self.rng.poisson(lam, size=size)
-
-    def random(self, size=None):
-        self.calls.append(("random", size))
-        return self.rng.random(size)
-
-    def integers(self, low, high=None, size=None):
-        self.calls.append(("integers", low, high, size))
-        return self.rng.integers(low, high, size=size)
-
-    def __getattr__(self, name):
-        raise AssertionError(f"unexpected draw {name!r}")
+def part_draws(spec, T, rng, nblock, steps=True):
+    """Concatenate ``_draw``'s parts, checking that they tile the block."""
+    draws = walk_mc._draw(spec, T, rng, nblock, steps)
+    N, parts, end = next(draws), [], 0
+    for a, b, *x in draws:
+        assert a == end and b > a
+        end = b
+        parts.append([np.array(v) for v in x])   # a part's times are reused
+    assert end == nblock
+    return (N, *map(np.concatenate, zip(*parts)))
 
 
 class TestBlockDrawOrder:
     """The stream layout of a block (what keeps the manifest schema): its
-    jump counts, then all jump times, then all steps, each in one call."""
+    jump counts, then all jump times, then all steps, value for value as a
+    whole-block draw gives them, however the block is cut into parts."""
+
+    PARTS = (1, 100, 10**9)   # 1: one walk a part; 10**9: one part
+
+    def check_layout(self, monkeypatch, spec, T, nblock, steps=True):
+        ref = whole_block_draw(spec, T, block_rng(6, 2), nblock)
+        for part in self.PARTS:
+            monkeypatch.setattr(walk_mc, "_PART_VISITS", part)
+            got = part_draws(spec, T, block_rng(6, 2), nblock, steps)
+            assert len(got) == 2 + steps
+            for x, y in zip(got, ref):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), part
 
     @pytest.mark.parametrize("spec,kw", [
         (SPEC4, {}),
@@ -634,35 +666,43 @@ class TestBlockDrawOrder:
         (LatticeSpec.torus(1, 3), dict(g=0.3, nu=-0.2)),
     ], ids=["I", "laplace", "laplace-g0", "torus-I", "torus-laplace"])
     @pytest.mark.parametrize("nblock", [1, 600])
-    def test_draws(self, spec, kw, nblock):
+    def test_draws(self, monkeypatch, spec, kw, nblock):
+        # the g = 0 Laplace integral draws no steps; every block values as
+        # its whole-block draw does in one part
+        T, steps = 3.0, kw.get("g", 1.0) != 0
+        self.check_layout(monkeypatch, spec, T, nblock, steps)
+        N, times, dirs = whole_block_draw(spec, T, block_rng(6, 2), nblock)
+        whole = walk_mc._walk_values(spec, T, kw.get("g", 0.0), kw.get("nu"),
+                                     N, times, dirs if steps else None)
+        for part in self.PARTS:
+            monkeypatch.setattr(walk_mc, "_PART_VISITS", part)
+            vals = _block_intersections(spec, T, block_rng(6, 2), nblock, **kw)
+            assert vals.tobytes() == whole.tobytes(), part
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    @pytest.mark.parametrize("geometry", ["window", "torus"])
+    @pytest.mark.parametrize("nblock", [1, 600, BLOCK_SIZE])
+    def test_layout_every_dimension(self, monkeypatch, d, geometry, nblock):
+        # 2d is not a power of two at d = 3, 5, 6, 7 and 9, where a bounded
+        # step draw may reject a word: the steps are still read in order
+        spec = LatticeSpec.window(d) if geometry == "window" \
+            else LatticeSpec.torus(d, 3)
+        self.check_layout(monkeypatch, spec, 0.5, nblock)
+
+    @pytest.mark.parametrize("spec", [SPEC4, LatticeSpec.torus(2, 5),
+                                      LatticeSpec.window(3)],
+                             ids=["window", "torus", "window3"])
+    def test_simulate_draws_one_walk_block(self, spec):
         T = 3.0
-        rec = RecordingRng(block_rng(6, 2))
-        vals = _block_intersections(spec, T, rec, nblock, **kw)
-        jumps = int(block_rng(6, 2).poisson(2 * spec.d * T, nblock).sum())
-        expected = [("poisson", nblock), ("random", jumps)]
-        if kw.get("g", 1.0) != 0:
-            expected.append(("integers", 0, 2 * spec.d, jumps))
-        assert rec.calls == expected
-        plain = _block_intersections(spec, T, block_rng(6, 2), nblock, **kw)
-        assert vals.tobytes() == plain.tobytes()
-
-
-    @pytest.mark.parametrize("spec", [SPEC4, LatticeSpec.torus(2, 5)],
-                             ids=["window", "torus"])
-    def test_simulate_draws_one_walk_block(self, monkeypatch, spec):
-        recs = []
-
-        def recording(seed, block_index):
-            recs.append(RecordingRng(block_rng(seed, block_index)))
-            return recs[-1]
-
-        monkeypatch.setattr(walk_mc, "block_rng", recording)
-        T = 3.0
+        N, times, dirs = whole_block_draw(spec, T, block_rng(6, 2), 1)
         s = simulate(spec, T, 6, 2)
-        jumps = len(s.jump_times)
-        assert [r.calls for r in recs] == [[
-            ("poisson", 1), ("random", jumps),
-            ("integers", 0, 2 * spec.d, jumps)]]
+        assert s.jump_times.tobytes() == np.sort(times).tobytes()
+        steps = np.diff(s.sites, axis=0)   # the k-th jump takes dirs[k]
+        if spec.geometry == "torus":   # a step across the seam wraps
+            steps = (steps + 1) % spec.period - 1
+        expected = np.zeros_like(steps)
+        expected[np.arange(N[0]), dirs >> 1] = 1 - 2 * (dirs & 1)
+        assert steps.tolist() == expected.tolist()
 
 
 class TestPartSize:
@@ -702,9 +742,9 @@ class TestPartSize:
         # one walk, and no more parts are cut than the windows there are
         calls, kernel = [], walk_mc._walk_values
 
-        def recording(spec, T, g, nu, N, *draws):
+        def recording(spec, T, g, nu, N, *draws, **buffers):
             calls.append(N.copy())
-            return kernel(spec, T, g, nu, N, *draws)
+            return kernel(spec, T, g, nu, N, *draws, **buffers)
 
         monkeypatch.setattr(walk_mc, "_PART_VISITS", part)
         monkeypatch.setattr(walk_mc, "_walk_values", recording)
@@ -902,6 +942,37 @@ class TestDrawBudgetMeasured:
         finally:
             tracemalloc.stop()
         assert peak < walk_mc._check_draw(spec, T, nblock)
+
+
+class TestDrawBudgetReach:
+    """Blocks past the T = 1009 that held a block's draws whole, and the
+    tracemalloc peaks of two estimator passes, guarded at about 1.4 times
+    their measured 2.9 and 2.2 MiB (7.4 and 6.5 MiB with whole draws)."""
+
+    def test_estimate_cT_4096_walks_past_T1009(self):
+        tracemalloc.start()
+        try:
+            e = estimate_cT(SPEC4, 0.1, 1500.0, BLOCK_SIZE, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert e.n_samples == BLOCK_SIZE and 0.0 < e.mean < 1e-15
+        assert peak < walk_mc._check_draw(SPEC4, 1500.0, BLOCK_SIZE)
+
+    @pytest.mark.parametrize("call,mib", [
+        (lambda: jensen_bound_check(0.2, 5.0, 100_000, seed=1), 4.0),
+        (lambda: susceptibility_mc(SPEC4, 0.1, 0.5, 16.0, 2000), 3.0),
+    ], ids=["jensen", "readme-chi"])
+    def test_estimator_peak_guarded(self, call, mib):
+        # a first small pass imports scipy.special, which is not the kernel's
+        susceptibility_mc(SPEC4, 0.1, 0.5, 1.0, 2)
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mib * 2**20
 
 
 class TestFrozenValues:
