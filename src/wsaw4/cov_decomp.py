@@ -40,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice_green import _check_dimension, graded_bz_sum, symbol
+from .lattice_green import (_check_dimension, _is_integer, graded_bz_sum,
+                            symbol)
 
 __all__ = [
     "smooth_step",
@@ -137,10 +138,10 @@ def build_decomposition(d: int, L: int, m2: float, J: int) -> Decomposition:
     J : number of slices
     """
     _check_dimension(d)
-    if L < 2:
-        raise ValueError("scale base L must be >= 2")
-    if J < 1:
-        raise ValueError("J must be >= 1")
+    if not (_is_integer(L) and L >= 2):
+        raise ValueError(f"scale base L must be an integer >= 2, got {L!r}")
+    if not (_is_integer(J) and J >= 1):
+        raise ValueError(f"J must be an integer >= 1, got {J!r}")
     if not 0.0 <= m2 < np.inf:
         raise ValueError(f"m2 must be finite and >= 0, got {m2}")
 

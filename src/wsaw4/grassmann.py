@@ -70,12 +70,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice_green import _gauss_legendre
+from .lattice_green import _gauss_legendre, _is_integer
 
 __all__ = [
     "FermionBasis",
@@ -460,16 +459,17 @@ def _exp_series(F, step, n) -> GrassmannForm:
 # ---------------------------------------------------------------------------
 
 def _auto_rmax(g, nu):
-    """Radius past which exp(-g r^4 - nu r^2) < e^{-42} of its peak, all sites."""
+    """Radius past which exp(-g r^4 - nu r^2) < e^{-42} of its peak, all
+    sites; raises where the integral diverges."""
     g, nu_min = float(np.min(g)), float(np.min(nu))
+    if g < 0 or (g == 0 and nu_min <= 0):
+        raise ValueError("need g > 0, or g = 0 with nu > 0 (divergent integral)")
     cuts = [math.sqrt(42.0 / nu_min)] if nu_min > 0 else []
     if g > 0:  # the quartic decay, and past the peak at r^2 = -nu/2g if nu < 0
         peak = max(-nu_min, 0.0) / (2 * g)
         cuts.append(max(((42.0 + abs(nu_min) ** 2 / (4 * g)) / g) ** 0.25 + 1.0,
                         math.sqrt(peak + math.sqrt(42.0 / g))))
-    if cuts:
-        return min(cuts)
-    raise ValueError("need g > 0, or g = 0 with nu > 0 (divergent integral)")
+    return min(cuts)
 
 
 def _gaussian_rmax(A, degree=0):
@@ -888,10 +888,8 @@ def two_point_integral(laplacian, g, nu, a, b, method="grassmann", *,
     _check_finite(g=g, nu=nu)
     lap = _square_laplacian(laplacian)
     M = lap.shape[0]
-    if not all(isinstance(v, numbers.Integral) and 0 <= v < M for v in (a, b)):
+    if not all(_is_integer(v) and 0 <= v < M for v in (a, b)):
         raise ValueError(f"vertices a={a}, b={b} not in 0..{M - 1}")
-    if g < 0 or (g == 0 and nu <= 0):
-        raise ValueError("need g > 0, or g = 0 with nu > 0 (divergent)")
     r_max = _auto_rmax(g, nu)
     basis = FermionBasis(M)
     V = _interaction_form(basis, lap, g, nu)

@@ -16,9 +16,9 @@ The flow of interest solves a two-sided boundary-value problem: ``g_0``
 prescribed at scale 0, ``(z, mu) -> (0, 0)`` at infinity.  The triangular
 structure solves it directly: iterate g forward, then sum the z-recursion
 backward from ``z_inf = 0`` and iterate the mu-recursion backward from
-``mu_J = 0`` at a truncation scale J chosen so the neglected tail is below
-roundoff.  The resulting ``(z_0, mu_0)`` are the critical initial data of
-the quadratic truncation.
+``mu_J = 0`` at J = len(beta), the one truncation scale: the table ends
+where the neglected tail is below roundoff.  The resulting ``(z_0, mu_0)``
+are the critical initial data of the quadratic truncation.
 
 A trajectory's derivative track is ``d/dmu_0`` along it, starting from
 ``(g', z', mu') = (0, 0, 1)``; g and z do not depend on mu_0, so
@@ -109,23 +109,21 @@ def step_forward(coeffs: CoefficientSequences, j, g, z, mu):
             L2 * mu * (1.0 - GAMMA * b * g) + et * g - xi * g * g - pi * g * z)
 
 
-def iterate_g(g0: float, beta, J: int) -> np.ndarray:
-    """Forward g-iteration g_{j+1} = g_j - beta_j g_j^2, j = 0..J-1.
+def iterate_g(g0: float, beta) -> np.ndarray:
+    """Forward g-iteration g_{j+1} = g_j - beta_j g_j^2, j = 0..J-1, over
+    the whole table: J = len(beta).
 
-    Raises unless g0 is finite and >= 0 and J in 0..len(beta), and where
-    beta_j g_j >= 1: there g_{j+1} would leave (0, g_j), and the quadratic
-    recursion fails.
+    Raises unless g0 is finite and >= 0, and where beta_j g_j >= 1: there
+    g_{j+1} would leave (0, g_j), and the quadratic recursion fails.
     """
-    if not 0 <= J <= len(beta):
-        raise IndexError(f"J={J} beyond coefficient table length {len(beta)}")
     if not 0.0 <= g0 < np.inf:
         raise ValueError(f"g0 must be >= 0 and finite, got {g0}")
-    g = np.empty(J + 1)
+    g = np.empty(len(beta) + 1)
     g[0] = g0
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
-        for j in range(J):
+        for j in range(len(beta)):
             g[j + 1] = g[j] - beta[j] * g[j] * g[j]
-        bg = beta[:J] * g[:J]
+        bg = beta * g[:-1]
     if np.any(bg >= 1.0):
         j = int(np.argmax(bg >= 1.0))
         raise ValueError(f"g0 too large: beta*g = {bg[j]:.4g} >= 1 at scale "
@@ -133,17 +131,17 @@ def iterate_g(g0: float, beta, J: int) -> np.ndarray:
     return g
 
 
-def solve_boundary_value(g0: float, coeffs: CoefficientSequences,
-                         J: int | None = None) -> FlowTrajectory:
+def solve_boundary_value(g0: float, coeffs: CoefficientSequences) -> FlowTrajectory:
     """Solve the two-sided boundary-value problem of the quadratic flow.
 
     g iterates forward from g0; z_j = sum_{k>=j} theta_k g_k^2 (backward
     summation of the z-recursion with z_inf = 0); mu iterates backward from
-    mu_J = 0.  The returned (z_0, mu_0) are the critical initial data of the
-    quadratic truncation.  Raises on g0 and J as :func:`iterate_g`.
+    mu_J = 0 at the truncation scale J = len(coeffs.beta).  The returned
+    (z_0, mu_0) are the critical initial data of the quadratic truncation.
+    Raises on g0 as :func:`iterate_g`.
     """
-    J = len(coeffs.beta) if J is None else J
-    g = iterate_g(g0, coeffs.beta, J)
+    J = len(coeffs.beta)
+    g = iterate_g(g0, coeffs.beta)
     gg = g[:J] * g[:J]
     # z by backward summation, z_J treated as 0
     z = np.zeros(J + 1)
@@ -165,7 +163,7 @@ def g_infinity(g0: float, coeffs: CoefficientSequences) -> float:
     exhausts the table: beta must be summable (m2 > 0).
     """
     tol = 1e-14
-    g = iterate_g(g0, coeffs.beta, len(coeffs.beta))
+    g = iterate_g(g0, coeffs.beta)
     settled = np.flatnonzero(np.abs(np.diff(g)) < tol)
     if settled.size:
         return float(g[settled[0] + 1])
@@ -190,20 +188,18 @@ def nu_prime_limit(traj: FlowTrajectory) -> float:
 
 
 def g_tilde_sequence(m2: float, g0: float,
-                     coeffs_massless: CoefficientSequences,
-                     J: int | None = None) -> np.ndarray:
-    """Massless g-flow frozen at the mass scale.
+                     coeffs_massless: CoefficientSequences) -> np.ndarray:
+    """Massless g-flow frozen at the mass scale, over the whole table.
 
     g~_j = g_j(0, g0) for j <= j_m and g~_j = g_{j_m}(0, g0) beyond, where
     j_m is the smallest j with L^{2j} m2 >= 1.  ``coeffs_massless`` must
-    hold the m2 = 0 beta sequence at the same L.  Raises on g0 and J as
+    hold the m2 = 0 beta sequence at the same L.  Raises on g0 as
     :func:`iterate_g`.
     """
     if coeffs_massless.m2 != 0.0:
         raise ValueError("g_tilde_sequence needs the massless beta table")
-    J = len(coeffs_massless.beta) if J is None else J
-    g = iterate_g(g0, coeffs_massless.beta, J)
+    g = iterate_g(g0, coeffs_massless.beta)
     j_m = _mass_scale(m2, coeffs_massless.L)
-    if j_m < J:
+    if j_m < len(g):
         g[j_m + 1:] = g[j_m]
     return g

@@ -11,9 +11,9 @@ the critical point itself obeys ``nu_c(g) = -a g + O(g^2)`` with
 
     m2(eps) ~ (1 + z0_c) / A_g * eps (log eps^{-1})^{-1/4}.
 
-The pair (chi_of_eps, m2_of_eps) is built as exact mutual inverses:
-``m2 * chi = 1 + z0_c`` identically, mirroring the identity
-``chi = (1 + z0) / m2`` that holds at the critical parameter choice.
+The pair (predict_susceptibility, m2_of_eps) is built as exact mutual
+inverses at z0_c = 0 (the flow's theta table is zero): ``m2 * chi = 1``,
+as ``chi = (1 + z0) / m2`` holds at the critical parameter choice.
 
 Bare couplings (g, nu) and renormalised ones (m2, g0, nu0, z0) are related
 by  g0 = g (1 + z0)^2  and  nu0 = (1 + z0) nu - m2; the inverse map on g is
@@ -157,17 +157,17 @@ def predict_susceptibility(g: float, eps: float) -> float:
     return amplitude(g) / eps * math.log(1.0 / eps) ** rg_flow.GAMMA
 
 
-def m2_of_eps(g: float, eps: float, *, z0c: float = 0.0) -> float:
-    """Effective killing rate m2 ~ (1+z0_c)/A_g * eps (log eps^{-1})^{-1/4}.
+def m2_of_eps(g: float, eps: float) -> float:
+    """Killing rate m2 ~ eps (log eps^{-1})^{-1/4} / A_g, at z0_c = 0.
 
     Exact inverse of :func:`predict_susceptibility` in the sense that
-    m2 * chi = 1 + z0_c identically; needs A_g > 0, so g > 0.
+    m2 * chi = 1 identically; needs A_g > 0, so g > 0.
     """
     if not 0.0 < eps < math.exp(-1.0):
         raise ValueError("eps must lie in (0, 1/e): asymptotic regime only")
     if amplitude(g) == 0.0:
         raise ValueError(f"g must be > 0 for m2(eps), got {g}: A_g = 0")
-    return (1.0 + z0c) / amplitude(g) * eps \
+    return 1.0 / amplitude(g) * eps \
         * math.log(1.0 / eps) ** -rg_flow.GAMMA
 
 

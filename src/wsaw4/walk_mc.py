@@ -82,8 +82,6 @@ def block_rng(seed: int, block_index: int) -> np.random.Generator:
 
 def _combine(n1, mean1, m2_1, n2, mean2, m2_2):
     """Chan's pairwise combination of (count, mean, sum of squared devs)."""
-    if n2 == 0:
-        return n1, mean1, m2_1
     n = n1 + n2
     delta = mean2 - mean1
     mean = mean1 + delta * (n2 / n)
@@ -168,6 +166,11 @@ def _check_horizon(T):
         raise ValueError(f"T must be > 0 and finite, got {T}")
 
 
+def _check_coupling(g):
+    if not 0.0 <= g < np.inf:
+        raise ValueError(f"g must be >= 0 and finite, got {g}")
+
+
 def _check_count(name, v, least=2):
     """Raise naming ``name`` unless ``v`` is an integer (numpy's too) >=
     ``least``; 2 samples are the fewest that give a standard error."""
@@ -199,10 +202,7 @@ def simulate(spec: LatticeSpec, T: float, seed: int, sample_index: int = 0) -> W
     _check_draw(spec, T, 1)
     _, (_, _, times, dirs) = _draw(spec, T, block_rng(seed, sample_index), 1)
     jump_times = np.sort(times)
-    n, d = times.size, spec.d
-    sites = np.zeros((n + 1, d), dtype=np.int64)   # start, then the steps
-    sites[np.arange(1, n + 1), dirs >> 1] = 1 - 2 * (dirs & 1)
-    sites = np.cumsum(sites, axis=0)
+    sites = _positions(dirs, spec.d)
     if spec.geometry == "torus":
         sites = np.mod(sites, spec.period)
     gaps = np.diff(np.concatenate([[0.0], jump_times, [T]]))
@@ -221,11 +221,9 @@ def fold_and_compare(sample: WalkSample, periods) -> dict:
     """
     out = {None: sample.I_T}
     for p in periods:
-        p = int(p)
-        if p < 3:
-            raise ValueError("folding comparisons need period >= 3")
+        _check_count("period", p, 3)
         out[p] = _intersection_local_time(np.mod(sample.sites, p), sample.gaps)
-    ps = sorted(int(p) for p in periods)
+    ps = sorted(periods)
     tol = 1e-12 * (1.0 + sample.I_T)
     # explicit raises, not assert, so the check survives python -O
     for small, big in zip(ps, ps[1:]):
@@ -324,9 +322,7 @@ def _walk_values(spec, T, g, nu, N, times, dirs=None, buf=None):
         np.cumsum(np.take(step, dirs, out=key[nb:], mode="clip"), out=key[nb:])
         first, shift = key[nb - 1:][start], cbits
     else:
-        pos = np.zeros((nj + 1, d), dtype=np.int64)
-        pos[np.arange(1, nj + 1), dirs >> 1] = 1 - 2 * (dirs & 1)
-        pos = np.cumsum(pos, axis=0)
+        pos = _positions(dirs, d)
         pos = pos[1:] - np.repeat(pos[start], N, axis=0)   # from the start
         if torus:
             pos = np.mod(pos, base)
@@ -376,6 +372,13 @@ def _walk_values(spec, T, g, nu, N, times, dirs=None, buf=None):
     I_s = np.take(rows, visit, out=inc, mode="clip")
     return np.bincount(walk, _gaussian_pieces(
         g, nu, vtimes, vgaps, ell, I_s, *(kept(k, m) for k in "pqh")), nb)
+
+
+def _positions(dirs, d):
+    """Z^d sites from the origin after each step of ``dirs``, the origin first."""
+    pos = np.zeros((dirs.size + 1, d), dtype=np.int64)
+    pos[np.arange(1, dirs.size + 1), dirs >> 1] = 1 - 2 * (dirs & 1)
+    return np.cumsum(pos, axis=0)
 
 
 def _gaussian_pieces(g, nu, s, gap, ell, I_s, p, q, h):
@@ -453,8 +456,7 @@ def _walk_stream(spec, T, n, seed, **laplace):
 
 def estimate_cT(spec: LatticeSpec, g: float, T: float, n: int, seed: int = 0) -> Estimate:
     """Monte Carlo estimate of ``c_T = E exp(-g I(T))``."""
-    if not 0.0 <= g < np.inf:
-        raise ValueError(f"g must be >= 0 and finite, got {g}")
+    _check_coupling(g)
     mean, se, count = _chan_stream(
         np.exp(-g * I) for I in _walk_stream(spec, T, n, seed))
     return Estimate(mean=float(mean), std_error=float(se), n_samples=count)
@@ -532,7 +534,8 @@ def conditioned_intersection(T: float, n: int, n_samples: int,
     _check_horizon(T)
     _check_count("n", n, 0)
     _check_count("n_samples", n_samples)
-    if n == 0:
+    if n == 0:   # no stream is made: check its seed as block_rng does
+        _check_count("seed", seed, -math.inf)
         return Estimate(mean=T * T, std_error=0.0, n_samples=n_samples)
     per_block = max(1, BLOCK_SIZE // n)
 
@@ -563,8 +566,9 @@ def saw_counts(d: int, n_max: int):
     and 10 for d = 1, 2, 3, 4, so that the largest allowed call takes a
     few seconds (one step more takes 8-12 s); larger requests raise.
     """
-    if not 1 <= d <= 4:
-        raise ValueError("d must be in 1..4")
+    if not (_is_integer(d) and 1 <= d <= 4):
+        raise ValueError(f"d must be an integer in 1..4, got {d!r}")
+    _check_count("n_max", n_max, 0)
     budget = {1: 64, 2: 17, 3: 12, 4: 10}[d]
     if n_max > budget:
         raise ValueError(f"enumeration budget exceeded: n_max <= {budget} for d={d}")
@@ -605,8 +609,7 @@ def jensen_bound_check(g: float, T: float, n: int, seed: int = 0) -> JensenRepor
 
     Both means come from one pass over the same n walks.
     """
-    if not 0.0 <= g < np.inf:
-        raise ValueError(f"g must be >= 0 and finite, got {g}")
+    _check_coupling(g)
     spec = LatticeSpec.window(4)
     (mean_I, c_hat), (se_I, se_c), _ = _chan_stream(
         np.stack([I, np.exp(-g * I)]) for I in _walk_stream(spec, T, n, seed))

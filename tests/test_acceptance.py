@@ -204,7 +204,7 @@ class TestAcceptance:
         xs, xs_fc, ys, products, corrected = [], [], [], [], []
         for m2 in (1e-1, 1e-2, 1e-3, 1e-4):
             co = coeffs_at(m2, J=32)
-            traj = rg_flow.solve_boundary_value(g0, co, 32)
+            traj = rg_flow.solve_boundary_value(g0, co)
             npl = rg_flow.nu_prime_limit(traj)
             bub = bubble_diagram_with_error(4, m2)[0]
             xs.append(math.log(bub))

@@ -85,6 +85,23 @@ class TestPartition:
             with pytest.raises(ValueError, match="m2"):
                 build_decomposition(4, L=2, m2=m2, J=4)
 
+    @pytest.mark.parametrize("L,J,named", [
+        (2, 8.0, "J must be an integer"), (2, True, "J must be an integer"),
+        (2.2, 4, "L must be an integer"), (2.0, 4, "L must be an integer"),
+        (True, 4, "L must be an integer"), (2, 0, "J must be an integer >= 1"),
+    ], ids=["float-J", "bool-J", "fractional-L", "float-L", "bool-L", "J-0"])
+    def test_scale_base_and_depth_must_be_integers(self, L, J, named):
+        # J = 8.0 ended in a bare TypeError and J = True ran as 1; L = 2.2
+        # built a decomposition whose torus kernels had period 4 L = 8.8
+        with pytest.raises(ValueError, match=named):
+            build_decomposition(4, L=L, m2=0.1, J=J)
+
+    def test_numpy_integer_scale_base_and_depth_accepted(self):
+        a = build_decomposition(4, L=np.int64(2), m2=0.1, J=np.int32(4))
+        b = build_decomposition(4, L=2, m2=0.1, J=4)
+        assert np.array_equal(a.w2_partial, b.w2_partial)
+        assert np.array_equal(a.diagonals, b.diagonals, equal_nan=True)
+
 
 class TestBetaSequence:
     def test_positive_on_active_scales(self, dec0_J48, decomp_at):

@@ -973,8 +973,9 @@ class TestTwoPoint:
     @pytest.mark.parametrize("method", ["grassmann", "determinant"])
     def test_vertex_out_of_range_rejected(self, method):
         # a = -1 must not mean the last vertex, a = M must not IndexError,
-        # a = 0.5 must not TypeError
-        for a, b in [(-1, 0), (0, -1), (2, 0), (0, 2), (0.5, 0), (0, 1.0)]:
+        # a = 0.5 must not TypeError, a = True must not mean vertex 1
+        for a, b in [(-1, 0), (0, -1), (2, 0), (0, 2), (0.5, 0), (0, 1.0),
+                     (True, 0), (0, False)]:
             with pytest.raises(ValueError, match="not in 0..1"):
                 two_point_integral(PATH2, 0.2, 0.1, a, b, method,
                                    radial_nodes=8, angle_nodes=4)
@@ -1006,6 +1007,13 @@ class TestTwoPoint:
     def test_divergent_rejected(self):
         with pytest.raises(ValueError):
             two_point_integral(PATH2, 0.0, -0.1, 0, 1)
+
+    @pytest.mark.parametrize("g,nu", [(-0.1, 0.5), (0.0, 0.0), (0.0, -0.1),
+                                      (np.array([0.2, -0.1]), 0.5)])
+    def test_radius_rejects_a_divergent_weight(self, g, nu):
+        # a negative g with nu > 0 was given the Gaussian radius sqrt(42/nu)
+        with pytest.raises(ValueError, match="divergent integral"):
+            grassmann._auto_rmax(g, nu)
 
     @pytest.mark.parametrize("method", ["grassmann", "determinant"])
     @pytest.mark.parametrize("g,nu,named", [

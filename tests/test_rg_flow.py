@@ -83,11 +83,11 @@ class TestStepForward:
         assert traj.step_residual() == residual
 
     def test_iteration_vs_arbitrary_precision_oracle(self):
-        g = iterate_g(0.1, np.ones(90), 90)
+        g = iterate_g(0.1, np.ones(90))
         assert abs(g[90] - G90_BETA_ONE) < 5e-18
 
     def test_monotone_decrease(self, coeffs0):
-        g = iterate_g(0.05, coeffs0.beta, 40)
+        g = iterate_g(0.05, coeffs0.beta[:40])
         assert np.all(np.diff(g) < 0)
         assert np.all(g > 0)
 
@@ -98,7 +98,7 @@ class TestStepForward:
         dec = build_decomposition(4, L=2, m2=0.0, J=200)
         co = coefficient_sequences(dec)
         g0 = 0.05
-        g = iterate_g(g0, co.beta, 200)
+        g = iterate_g(g0, co.beta)
         j = np.arange(201, dtype=float)
         ratio = g * (1.0 + g0 * j) / g0
         assert ratio.min() > 0.2 and ratio.max() < 8.0
@@ -117,15 +117,15 @@ class TestBoundaryValue:
         assert abs(traj.mu[-1]) < 1e-12
 
     def test_truncation_stability(self, coeffs_at):
-        co = coeffs_at(1e-3, J=48)
-        mu24 = solve_boundary_value(0.05, co, 24).mu[0]
-        mu48 = solve_boundary_value(0.05, co, 48).mu[0]
+        # the truncation scale is the table's length: J = 24 against J = 48
+        mu24 = solve_boundary_value(0.05, coeffs_at(1e-3, J=24)).mu[0]
+        mu48 = solve_boundary_value(0.05, coeffs_at(1e-3, J=48)).mu[0]
         assert abs(mu24 - mu48) < 1e-10
 
     def test_replay_bit_exact(self, coeffs_at):
         co = coeffs_at(1e-3, J=48)
         traj = solve_boundary_value(0.05, co)
-        again = solve_boundary_value(traj.g[0], traj.coeffs, traj.J)
+        again = solve_boundary_value(traj.g[0], traj.coeffs)
         assert np.array_equal(traj.g, again.g)
         assert np.array_equal(traj.z, again.z)
         assert np.array_equal(traj.mu, again.mu)
@@ -175,7 +175,7 @@ class TestBoundaryValue:
 
     def test_critical_trajectory_envelope_and_instability(self, coeffs_at):
         co = coeffs_at(1e-3, J=48)
-        traj = solve_boundary_value(0.05, co, 48)
+        traj = solve_boundary_value(0.05, co)
         chi = scale_indices(co.m2, co.L, 2.0, co.beta).chi
         envelope = 10.0 * chi * traj.g[:-1]
         assert np.all(np.abs(traj.mu[:-1]) <= envelope)
@@ -211,20 +211,17 @@ def test_every_g_flow_checks_its_coupling(flow, g0, named):
 
 
 @pytest.mark.parametrize("flow", [
-    lambda co, J: iterate_g(0.05, co.beta, J),
-    lambda co, J: solve_boundary_value(0.05, co, J),
-    lambda co, J: g_tilde_sequence(1e-3, 0.05, co, J),
+    lambda co: iterate_g(0.05, co.beta),
+    lambda co: solve_boundary_value(0.05, co).g,
+    lambda co: g_tilde_sequence(1e-3, 0.05, co),
 ], ids=["iterate_g", "solve_boundary_value", "g_tilde_sequence"])
-@pytest.mark.parametrize("J", [5, 6, -1, -2])
-def test_every_g_flow_checks_its_table_length(flow, J):
-    # on a 4-entry table J = 6 raised numpy's bare "index 4 is out of
-    # bounds" from g_tilde_sequence, J = -1 "index 0 is out of bounds" from
-    # both flows, and J = -2 "negative dimensions" from iterate_g
-    co = synthetic_coeffs(4, m2=0.0, beta=1.0)
-    with pytest.raises(IndexError, match=f"J={J} beyond coefficient table "
-                                         "length 4"):
-        flow(co, J)
-    flow(co, 4)  # the whole table is accepted
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_every_g_flow_runs_its_whole_table(flow, n):
+    # the truncation scale is the table's length, decided once
+    g = [0.05]
+    for _ in range(n):
+        g.append(g[-1] - 0.5 * g[-1] * g[-1])
+    assert np.array_equal(flow(synthetic_coeffs(n, m2=0.0, beta=0.5)), g)
 
 
 class TestGInfinity:
@@ -264,7 +261,7 @@ class TestDerivativeFlow:
     def test_pure_rescaling(self):
         # beta = 0: Pi_j = L^{2j} exactly, so the limit is 1
         co = synthetic_coeffs(16)
-        traj = solve_boundary_value(0.03, co, 16)
+        traj = solve_boundary_value(0.03, co)
         assert np.array_equal(traj.Pi, 4.0 ** np.arange(17))
         assert nu_prime_limit(traj) == 1.0
 
@@ -272,7 +269,7 @@ class TestDerivativeFlow:
         # prod(1 - gamma beta g) (g0/g_J)^gamma = 1 + O(g0)
         g0 = 0.05
         co = coeffs_at(1e-3, J=48)
-        traj = solve_boundary_value(g0, co, 48)
+        traj = solve_boundary_value(g0, co)
         prod = traj.Pi[48] * 4.0**-48.0
         check = prod * (g0 / traj.g[48]) ** GAMMA
         assert abs(check - 1.0) <= 5.0 * g0
@@ -282,7 +279,7 @@ class TestDerivativeFlow:
         # a 50-digit mpmath re-run of the recursion on the same tables
         # agrees with the float64 path to every printed digit
         co = coeffs_at(1e-3, J=48)
-        traj = solve_boundary_value(0.05, co, 48)
+        traj = solve_boundary_value(0.05, co)
         assert nu_prime_limit(traj) == pytest.approx(0.9933129644085481,
                                                      rel=1e-6)
         assert traj.mu[0] == pytest.approx(-0.015529685917702301, rel=1e-6)
@@ -298,7 +295,7 @@ class TestDerivativeFlow:
             mup = L2 * mup * (1 - gam * b * g)
             g = g - b * g * g
         oracle = float(mup / L2**48)
-        traj = solve_boundary_value(0.05, co, 48)
+        traj = solve_boundary_value(0.05, co)
         assert nu_prime_limit(traj) == pytest.approx(oracle, rel=1e-13)
 
 
@@ -309,7 +306,7 @@ class TestNuPrimeLaws:
         g0 = 0.02
         for m2 in (1e-3, 1e-4):
             co = coeffs_at(m2, J=32)
-            traj = solve_boundary_value(g0, co, 32)
+            traj = solve_boundary_value(g0, co)
             npl = nu_prime_limit(traj)
             bub, _ = bubble_diagram_with_error(4, m2)
             prod = npl * (1.0 + g0 * bub) ** GAMMA
@@ -322,7 +319,7 @@ class TestNuPrimeLaws:
         xs, ys = [], []
         for m2 in (1e-1, 1e-2, 1e-3, 1e-4):
             co = coeffs_at(m2, J=32)
-            traj = solve_boundary_value(g0, co, 32)
+            traj = solve_boundary_value(g0, co)
             xs.append(np.log(1.0 + g0 * bubble_diagram_with_error(4, m2)[0]))
             ys.append(np.log(nu_prime_limit(traj)))
         slope = np.polyfit(xs, ys, 1)[0]
@@ -330,17 +327,18 @@ class TestNuPrimeLaws:
 
 
 class TestGTilde:
-    def test_frozen_above_mass_scale(self, coeffs0):
-        gt = g_tilde_sequence(4.0, 0.05, coeffs0, J=10)
+    def test_frozen_above_mass_scale(self, coeffs_at):
+        gt = g_tilde_sequence(4.0, 0.05, coeffs_at(0.0, J=10))
+        assert gt.shape == (11,)
         assert np.all(gt == 0.05)  # j_m = 0 freezes at g_0
 
-    def test_monotone_nonincreasing(self, coeffs0):
-        gt = g_tilde_sequence(1e-3, 0.05, coeffs0, J=40)
+    def test_monotone_nonincreasing(self, coeffs_at):
+        gt = g_tilde_sequence(1e-3, 0.05, coeffs_at(0.0, J=40))
+        assert gt.shape == (41,)
         assert np.all(np.diff(gt) <= 0)
 
-    def test_close_to_massive_flow(self, coeffs0, coeffs_at):
-        co_m = coeffs_at(1e-3, J=32)
-        g_m = iterate_g(0.05, co_m.beta, 32)
-        gt = g_tilde_sequence(1e-3, 0.05, coeffs0, J=32)
+    def test_close_to_massive_flow(self, coeffs_at):
+        g_m = iterate_g(0.05, coeffs_at(1e-3, J=32).beta)
+        gt = g_tilde_sequence(1e-3, 0.05, coeffs_at(0.0, J=32))
         cs = np.abs(gt - g_m) / g_m**2
         assert cs.max() < 2.0  # |g~ - g| <= c g^2 with modest c

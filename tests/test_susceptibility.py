@@ -83,10 +83,6 @@ class TestSusceptibilityFormulas:
             chi = predict_susceptibility(g, eps)
             m2 = m2_of_eps(g, eps)
             assert m2 * chi == pytest.approx(1.0, rel=1e-14)
-        # with a z0 correction the product is 1 + z0
-        chi = predict_susceptibility(g, 1e-6)
-        m2 = m2_of_eps(g, 1e-6, z0c=-0.05)
-        assert m2 * chi == pytest.approx(0.95, rel=1e-14)
 
     def test_inverse_killing_rate_consistency(self):
         # 1/m2(eps) reproduces chi within 15% (exact at z0 = 0)

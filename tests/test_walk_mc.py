@@ -158,6 +158,21 @@ class TestFolding:
         with pytest.raises(ValueError):
             fold_and_compare(s, [2])
 
+    @pytest.mark.parametrize("periods,named", [
+        ([4.5], "period must be an integer, got 4.5"),
+        ([True], "period must be an integer, got True"),
+        ([8, 4.0], "period must be an integer, got 4.0"),
+    ], ids=["fractional", "bool", "float"])
+    def test_period_must_be_an_integer(self, periods, named):
+        # 4.5 folded at period 4 and came back under key 4
+        with pytest.raises(ValueError, match=named):
+            fold_and_compare(simulate(LatticeSpec.window(4), 2.0, 1), periods)
+
+    def test_numpy_integer_period_accepted(self):
+        s = simulate(SPEC4, 2.0, 1)
+        assert fold_and_compare(s, [np.int64(4), 8]) \
+            == fold_and_compare(s, [4, 8])
+
     def test_estimator_ordering_across_periods(self):
         # c_{N,T} <= c_{N+1,T} <= c_T within Monte Carlo error
         g, T, n = 0.2, 3.0, 20000
@@ -296,6 +311,23 @@ class TestSawCounts:
         for d, budget in ((2, 17), (3, 12), (4, 10)):
             with pytest.raises(ValueError, match="budget"):
                 saw_counts(d, budget + 1)
+
+    @pytest.mark.parametrize("d,n_max,named", [
+        (4, 7.0, "n_max must be an integer, got 7.0"),
+        (4.0, 3, "d must be an integer in 1..4, got 4.0"),
+        (True, 3, "d must be an integer in 1..4, got True"),
+        (2, -1, r"n_max = -1: need >= 0"),
+        (5, 3, "d must be an integer in 1..4, got 5"),
+    ], ids=["float-n_max", "float-d", "bool-d", "negative-n_max", "d-5"])
+    def test_invalid_inputs_named(self, d, n_max, named):
+        # a float ended in a bare TypeError, d = True counted as d = 1, and
+        # n_max = -1 returned []
+        with pytest.raises(ValueError, match=named):
+            saw_counts(d, n_max)
+
+    def test_no_steps(self):
+        assert saw_counts(2, 0) == [] and saw_counts(np.int64(3), 0) == []
+        assert saw_counts(np.int64(2), np.int32(4)) == saw_counts(2, 4)
 
     def test_d4_eight_steps(self):
         # OEIS A010575: self-avoiding walks on Z^4
@@ -477,11 +509,15 @@ class TestInvalidInputs:
         lambda seed: susceptibility_mc(SPEC4, 0.1, 0.5, 4.0, 100, seed=seed),
         lambda seed: jensen_bound_check(0.2, 2.0, 100, seed=seed),
         lambda seed: conditioned_intersection(1.0, 3, 10, seed=seed),
+        lambda seed: conditioned_intersection(1.0, 0, 10, seed=seed),
+        lambda seed: conditioned_intersection(2.5, np.int64(0), 2, seed=seed),
     ], ids=["simulate", "estimate_cT", "estimate_mean_intersection",
             "susceptibility_mc", "jensen_bound_check",
-            "conditioned_intersection"])
+            "conditioned_intersection", "conditioned_intersection_n0",
+            "conditioned_intersection_numpy_n0"])
     def test_seed_must_be_an_integer(self, monkeypatch, call):
-        # block_rng's mask raised a bare TypeError on a float seed
+        # block_rng's mask raised a bare TypeError on a float seed, and the
+        # n = 0 shortcut, which makes no stream, took any seed
         drawn = []
         monkeypatch.setattr(walk_mc, "_draw", lambda *a, **k: drawn.append(1))
         for seed in (1.5, 2.0, True, "3"):
