@@ -13,8 +13,7 @@ All estimators draw from counter-based Philox streams keyed by
 ``(seed, block_index)`` over fixed-size blocks of samples, and merge block
 statistics in block order with the pairwise (Chan) update of one reducer.
 Results are therefore bit-reproducible for a given seed however blocks are
-distributed over workers (the walk estimators value one block per usable
-core at once on threads), and independent samples never share a stream.
+distributed over threads, and independent samples never share a stream.
 A block's stream holds all jump counts ~ Poisson(2dT), then all jump
 times, i.i.d. uniform on [0, T], then all steps; :func:`simulate` draws
 the one-walk block of its stream.  A block is drawn and valued part by
@@ -38,6 +37,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -219,7 +219,7 @@ def fold_and_compare(sample: WalkSample, periods) -> dict:
     folding dominates the unfolded walk.  Periods must be >= 3 (unique
     unfolding regime for nearest-neighbour walks).
     """
-    out = {None: sample.I_T}
+    out, periods = {None: sample.I_T}, list(periods)   # a generator too
     for p in periods:
         _check_count("period", p, 3)
         out[p] = _intersection_local_time(np.mod(sample.sites, p), sample.gaps)
@@ -263,12 +263,13 @@ def _draw(spec, T, rng, nblock, steps=True):
             if steps else (a, b, times)
 
 
-def _block_intersections(spec, T, rng, nblock, g=0.0, nu=None):
+def _block_intersections(spec, T, rng, nblock, g=0.0, nu=None, arrays=None):
     """I(T) for a block of walks, or with ``nu`` each walk's ``int_0^T e^{-nu
     t - g I(t)} dt``, shape ``(nblock,)``.  :func:`_draw` draws each part just
-    before it is valued (no steps at ``g = 0``), in arrays kept for the block."""
+    before it is valued (no steps at ``g = 0``), in arrays kept for the block,
+    or in ``arrays``, a ``threading.local``, for every block of its thread."""
     draws = _draw(spec, T, rng, nblock, steps=nu is None or g != 0)
-    N, buf = next(draws), {}
+    N, buf = next(draws), {} if arrays is None else vars(arrays)
     return np.concatenate([_walk_values(spec, T, g, nu, N[a:b], *x, buf=buf)
                            for a, b, *x in draws])
 
@@ -430,28 +431,38 @@ def _cores():
 
 def _walk_stream(spec, T, n, seed, **laplace):
     """Yield :func:`_block_intersections` for each block of n walks in block
-    order, on up to :func:`_cores` threads; streams are made on this one."""
+    order.  This thread makes the streams, hands each block to ``min(cores,
+    blocks) - 1`` pool threads, holding 2 (pool threads) + 1 blocks at most,
+    and values those no pool thread has begun; each thread keeps its arrays."""
     _check_count("n", n)
     _check_draw(spec, T, min(BLOCK_SIZE, n))
     starts = range(0, n, BLOCK_SIZE)
-    jobs = ((spec, T, block_rng(seed, b), min(BLOCK_SIZE, n - start))
-            for b, start in enumerate(starts))
-    workers = min(_cores(), len(starts))
-    if workers < 2:  # the serial loop, no pool
-        yield from (_block_intersections(*job, **laplace) for job in jobs)
-        return
-    from concurrent.futures import ThreadPoolExecutor  # only pooled runs load it
-    # workers + 1 in flight; submitting all blocks cost +22.6 MiB at n = 4e7
-    pool, ahead = ThreadPoolExecutor(workers), []
+    laplace["arrays"], held, pool = threading.local(), [], None
+    if (threads := min(_cores(), len(starts)) - 1) > 0:
+        from concurrent.futures import ThreadPoolExecutor  # only pooled runs
+        pool = ThreadPoolExecutor(threads)
     try:
-        for job in jobs:
-            ahead.append(pool.submit(_block_intersections, *job, **laplace))
-            if len(ahead) > workers:
-                yield ahead.pop(0).result()
-        while ahead:
-            yield ahead.pop(0).result()
+        for b, start in enumerate(starts):
+            job = (spec, T, block_rng(seed, b), min(BLOCK_SIZE, n - start))
+            held.append([pool and pool.submit(_block_intersections, *job,
+                                              **laplace), job])
+            while held and (len(held) > 2 * threads or b == len(starts) - 1):
+                yield _first(held, laplace)
     finally:  # also when a block raised or the stream was closed
-        pool.shutdown(cancel_futures=True)
+        if pool:
+            pool.shutdown(cancel_futures=True)
+
+
+def _first(held, laplace):
+    """Values of the first ``[future, job]``, popped; until they are known,
+    each job no thread has begun is valued here, as ``[values, None]``."""
+    for entry in held:
+        if held[0][1] is None or held[0][0] and held[0][0].done():
+            break
+        if entry[1] and (not entry[0] or entry[0].cancel()):
+            entry[:] = _block_intersections(*entry[1], **laplace), None
+    head, job = held.pop(0)
+    return head if job is None else head.result()
 
 
 def estimate_cT(spec: LatticeSpec, g: float, T: float, n: int, seed: int = 0) -> Estimate:
@@ -497,8 +508,7 @@ def _laplace_tail(spec, g, nu, T_max, n):
     its input checks: a ValueError here means no walk is drawn."""
     _check_count("n", n)
     _check_draw(spec, T_max, min(BLOCK_SIZE, n))
-    if not math.isfinite(g):
-        raise ValueError(f"g must be >= 0 and finite, got {g}")
+    _check_coupling(g)
     if not math.isfinite(nu):
         raise ValueError(f"nu must be finite, got {nu}")
     if spec.geometry == "torus" and g > 0:
@@ -513,10 +523,9 @@ def _laplace_tail(spec, g, nu, T_max, n):
         if not math.isfinite(tail):
             raise ValueError(f"tail bound overflows: nu = {nu}, T_max = {T_max}")
         return tail
-    if nu > 0 and g >= 0:
+    if nu > 0:
         return math.exp(-nu * T_max) / nu
-    raise ValueError("susceptibility_mc requires g >= 0 and nu > 0, or "
-                     "a torus with g > 0 (unverifiable truncation otherwise)")
+    raise ValueError("susceptibility_mc requires nu > 0, or a torus with g > 0")
 
 
 # ---------------------------------------------------------------------------

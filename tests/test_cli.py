@@ -464,7 +464,7 @@ class TestExitCodes:
         (["--g", "0.1", "--nu", "inf"], "nu must be finite, got inf"),
         (["--nu", "0.5", "--T-max", "inf"], "T must be > 0 and finite"),
         (["--nu", "0.5", "--T", "inf"], "T must be > 0 and finite"),
-        (["--nu", "0.5", "--g", "-0.1"], "g >= 0"),
+        (["--nu", "0.5", "--g", "-0.1"], "g must be >= 0 and finite"),
         # exp(nu |T_max|) overflowed: an internal error after the c_T pass
         (["--nu", "0.5", "--T-max=-1e4"], "T must be > 0 and finite"),
         # erfcx and exp of the torus tail bound overflowed: an internal error

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -143,6 +144,12 @@ class TestFolding:
         with pytest.raises(AssertionError, match=message):
             fold_and_compare(eval(self.FAKE.format(I_T)), periods)
 
+    def test_periods_from_a_generator_checked(self):
+        # a generator was spent by the folds, which left both checks no periods
+        with pytest.raises(AssertionError, match="folding monotonicity failed"):
+            fold_and_compare(eval(self.FAKE.format(2.0)),
+                             (p for p in [4, 8]))
+
     def test_checks_survive_python_O(self, child_env):
         # python -O strips assert statements; the checks must still raise
         code = "import numpy as np\nfrom wsaw4 import walk_mc\n" + "".join(
@@ -233,7 +240,7 @@ class TestSusceptibilityMC:
 
     def test_negative_g_rejected(self):
         for spec in (SPEC4, LatticeSpec.torus(1, 3)):
-            with pytest.raises(ValueError, match="g >= 0"):
+            with pytest.raises(ValueError, match="g must be >= 0 and finite"):
                 susceptibility_mc(spec, -0.1, 0.5, T_max=8.0, n=100)
 
     def test_torus_allows_nonpositive_nu_when_interacting(self):
@@ -1171,7 +1178,68 @@ class TestBlockPool:
         e = susceptibility_mc(SPEC4, 0.1, 0.5, 2.0, 5 * BLOCK_SIZE, seed=4)
         assert e.n_samples == 5 * BLOCK_SIZE
         assert rng_threads == [threading.get_ident()] * 5
-        assert threading.get_ident() not in kernel_threads  # a pool ran them
+        # the pool ran some, and no more threads than cores ran any
+        assert set(kernel_threads) - {threading.get_ident()}
+        assert len(set(kernel_threads)) <= walk_mc._cores()
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_blocks_held_before_first_value(self, monkeypatch, cores):
+        # pool blocks are held back, so this thread values blocks meanwhile
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cores)))
+        caller, gate, begun = threading.get_ident(), threading.Event(), []
+        kernel = walk_mc._block_intersections
+
+        def held_back(spec, T, rng, nblock, **kw):
+            begun.append(threading.get_ident())
+            if threading.get_ident() != caller:
+                gate.wait(0.3)
+            return kernel(spec, T, rng, nblock, **kw)
+
+        monkeypatch.setattr(walk_mc, "_block_intersections", held_back)
+        stream = _walk_stream(SPEC4, 1.0, 20 * BLOCK_SIZE, seed=3)
+        next(stream)
+        before_first = len(begun)
+        gate.set()
+        stream.close()
+        assert caller in begun
+        assert before_first <= 2 * (cores - 1) + 1
+
+    def test_bits_under_thread_stress(self, monkeypatch):
+        # more pool threads than cores, switching often: the calling thread's
+        # cancels race the pool's starts, and every block is valued once
+        def chi():
+            return susceptibility_mc(SPEC4, 0.1, 0.5, 1.0, 9 * BLOCK_SIZE + 7,
+                                     seed=2)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = chi()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            stressed = [chi() for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert stressed == [serial] * 3
+
+    def test_arrays_kept_per_thread_for_the_stream(self, monkeypatch):
+        # one core: this thread values both blocks, drawn alike, so of one size
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(walk_mc, "block_rng",
+                            lambda seed, b: block_rng(seed, 0))
+        tables, locals_, kernel = [], [], walk_mc._block_intersections
+
+        def recording(spec, T, rng, nblock, arrays=None, **kw):
+            out = kernel(spec, T, rng, nblock, arrays=arrays, **kw)
+            tables.append(vars(arrays)["table"])
+            locals_.append(weakref.ref(arrays))
+            return out
+
+        monkeypatch.setattr(walk_mc, "_block_intersections", recording)
+        estimate_cT(SPEC4, 0.1, 1.0, 2 * BLOCK_SIZE, seed=5)
+        assert len(tables) == 2 and tables[0] is tables[1]
+        assert locals_[0]() is None   # freed with the stream
 
     def test_one_block_starts_no_thread(self, kernel_threads):
         estimate_cT(SPEC4, 0.1, 1.0, BLOCK_SIZE, seed=5)
